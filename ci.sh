@@ -27,6 +27,16 @@ cargo build --release --workspace
 echo "== tier-1: cargo test -q"
 cargo test -q
 
+echo "== sweep + facade unit tests: crash/resume, breaker, prune-resume, degradation ladder"
+# The root package's tests do not include member-crate unit tests; the
+# tuner's single sweep and the facade's degradation chain live there.
+cargo test --release -q -p augem-tune -p augem
+
+echo "== benchmark crate: builds against the facade and passes its tests"
+# benchmark/ is outside the workspace, so a facade break would otherwise
+# surface only when the benchmark pipeline runs.
+cargo test --release --manifest-path benchmark/Cargo.toml
+
 echo "== verify: static kernel verification across the kernel x ISA matrix"
 # The generated winner for every kernel on every paper platform must pass
 # the static verifier AND the translation validator (--verify now runs

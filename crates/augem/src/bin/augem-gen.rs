@@ -396,7 +396,8 @@ fn main() -> ExitCode {
                     if args.check_transforms {
                         // All cache hits on this driver: the sweep is not
                         // re-run and the winner is not rebuilt.
-                        let tchecks = match driver.check_transforms(args.kernel) {
+                        let null = augem::obs::null();
+                        let tchecks = match driver.check_transforms_traced(args.kernel, null) {
                             Ok(d) => d,
                             Err(e) => {
                                 eprintln!("transform check failed: {e}");
@@ -507,10 +508,7 @@ fn main() -> ExitCode {
 /// success (a fallback kernel shipped), 1 interrupted or report-only.
 fn run_degradable(args: &Args) -> ExitCode {
     let policy = DegradationPolicy {
-        verify: VerifyOptions {
-            equivalence: !args.no_equiv,
-            ..VerifyOptions::default()
-        },
+        equivalence: !args.no_equiv,
         checkpoint: args.checkpoint.as_ref().map(std::path::PathBuf::from),
         resume: args.resume,
         ..DegradationPolicy::default()

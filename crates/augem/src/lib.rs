@@ -63,14 +63,9 @@ use augem_prof::Profile;
 use augem_resil::{sandboxed, Injector, Site, TuneJournal};
 use augem_sim::TimingReport;
 use augem_tune::config::{GemmConfig, LoggedBuild, VectorConfig, VectorKernel};
-use augem_tune::evaluate::{
-    evaluate_gemm_cached, evaluate_vector_cached, profile_gemm_cached, profile_vector_cached,
-    EvalError, Evaluation,
-};
-use augem_tune::search::TuneError;
 use augem_tune::{
-    tune_gemm_cached, tune_gemm_resilient_cached, tune_vector_cached, tune_vector_resilient_cached,
-    BuildError, EvalCache, ResilOptions, TuneResult,
+    evaluate, gemm_candidates, profile, sweep, vector_candidates, BuildError, Candidate, EvalCache,
+    EvalError, Evaluation, ResilOptions, TuneError, TuneResult,
 };
 use std::sync::Arc;
 
@@ -118,13 +113,19 @@ impl std::fmt::Display for AugemError {
 
 impl std::error::Error for AugemError {}
 
+impl From<BuildError> for AugemError {
+    fn from(e: BuildError) -> Self {
+        AugemError::Eval(EvalError::Build(e))
+    }
+}
+
 /// Converts a tuner result into report telemetry.
-fn telemetry_of<C>(t: &TuneResult<C>, tag: impl Fn(&C) -> String) -> TunerTelemetry {
+fn telemetry_of<C: Candidate>(t: &TuneResult<C>) -> TunerTelemetry {
     let mut telemetry = TunerTelemetry::from_ranking(
         t.ranking
             .iter()
             .map(|(c, mflops)| RankedCandidate {
-                tag: tag(c),
+                tag: c.tag(),
                 mflops: *mflops,
             })
             .collect(),
@@ -155,36 +156,20 @@ fn sim_counters(r: &TimingReport) -> SimCounters {
     }
 }
 
-/// The tuner's winning configuration, kept so the verifier can rebuild
-/// the exact same kernel with its binding log.
-#[derive(Debug, Clone)]
-enum Winner {
-    Gemm(GemmConfig),
-    Vector(VectorConfig),
+/// A finished sweep with the candidate family erased: everything the
+/// entry points need from the tuner, winners kept so the verifier and
+/// profiler can rebuild exactly the measured kernel.
+struct Tuned {
+    best: Box<dyn Candidate>,
+    best_eval: Evaluation,
+    /// Every ranked candidate, best first.
+    ranking: Vec<Box<dyn Candidate>>,
+    telemetry: TunerTelemetry,
 }
 
-impl Winner {
-    fn tag(&self) -> String {
-        match self {
-            Winner::Gemm(c) => c.tag(),
-            Winner::Vector(c) => c.tag(),
-        }
-    }
-}
-
-/// The tune-crate kernel id for the vector-style DLA kernels.
-fn vector_kernel_of(kernel: DlaKernel) -> VectorKernel {
-    match kernel {
-        DlaKernel::Axpy => VectorKernel::Axpy,
-        DlaKernel::Dot => VectorKernel::Dot,
-        DlaKernel::Ger => VectorKernel::Ger,
-        DlaKernel::Scal => VectorKernel::Scal,
-        _ => VectorKernel::Gemv,
-    }
-}
-
-/// Which verification stages [`Augem::generate_report_verified_with`]
-/// runs over the winning configuration.
+/// Which verification stages
+/// [`Augem::generate_report_verified_profiled_with`] runs over the
+/// winning configuration.
 #[derive(Debug, Clone)]
 pub struct VerifyOptions {
     /// Run the translation validator ([`verify::check_equivalence`]) in
@@ -213,8 +198,9 @@ impl Default for VerifyOptions {
 pub struct DegradationPolicy {
     /// Sandbox / budget / retry / breaker knobs for the tuning sweep.
     pub resil: ResilOptions,
-    /// Verification stages run over each candidate winner.
-    pub verify: VerifyOptions,
+    /// Run the translation validator over each candidate winner, in
+    /// addition to the structural checks. On by default.
+    pub equivalence: bool,
     /// How many next-ranked candidates to try when the winner fails
     /// verification, before falling back to the paper default.
     pub max_next_ranked: usize,
@@ -229,7 +215,7 @@ impl Default for DegradationPolicy {
     fn default() -> Self {
         DegradationPolicy {
             resil: ResilOptions::default(),
-            verify: VerifyOptions::default(),
+            equivalence: true,
             max_next_ranked: 3,
             checkpoint: None,
             resume: false,
@@ -335,13 +321,43 @@ impl Augem {
         &self.cache
     }
 
-    /// The logged build for a winner, served from the cache when the
-    /// sweep already built this configuration.
-    fn logged_for(&self, w: &Winner, tracer: &dyn Tracer) -> Result<Arc<LoggedBuild>, BuildError> {
-        match w {
-            Winner::Gemm(c) => self.cache.logged_gemm(c, &self.machine, tracer),
-            Winner::Vector(c) => self.cache.logged_vector(c, &self.machine, tracer),
+    /// Sweeps `kernel`'s tuning space — the one place the facade
+    /// dispatches on the kernel family.
+    fn tune(
+        &self,
+        kernel: DlaKernel,
+        opts: &ResilOptions,
+        journal: Option<&mut TuneJournal>,
+        injector: &Injector,
+        tracer: &dyn Tracer,
+    ) -> Result<Tuned, TuneError> {
+        let m = &self.machine;
+        match VectorKernel::of(kernel) {
+            None => self.tune_space(gemm_candidates(m), opts, journal, injector, tracer),
+            Some(vk) => self.tune_space(vector_candidates(vk, m), opts, journal, injector, tracer),
         }
+    }
+
+    fn tune_space<C: Candidate + Copy + Send + Sync + 'static>(
+        &self,
+        candidates: Vec<C>,
+        opts: &ResilOptions,
+        journal: Option<&mut TuneJournal>,
+        injector: &Injector,
+        tracer: &dyn Tracer,
+    ) -> Result<Tuned, TuneError> {
+        let (m, cache) = (&self.machine, &*self.cache);
+        let t = sweep(candidates, m, opts, journal, injector, tracer, cache)?;
+        Ok(Tuned {
+            best: Box::new(t.best),
+            telemetry: telemetry_of(&t),
+            ranking: t
+                .ranking
+                .iter()
+                .map(|(c, _)| Box::new(*c) as Box<dyn Candidate>)
+                .collect(),
+            best_eval: t.best_eval,
+        })
     }
 
     /// Runs the full pipeline with empirical tuning for `kernel`.
@@ -372,40 +388,19 @@ impl Augem {
         Ok((g, report))
     }
 
-    /// [`generate_report`](Augem::generate_report), then rebuilds the
-    /// winning configuration with its binding log and runs the static
-    /// kernel verifier ([`verify::check`]) over it, followed by the
-    /// translation validator ([`verify::check_equivalence`]) proving the
-    /// assembly computes the same expressions as the pre-transform source
-    /// kernel at a shape derived from the winner's unroll factors.
-    /// Diagnostics are returned and also land in the run report as
-    /// `verify.diagnostic` / `equiv.diagnostic` events plus
-    /// `verify.errors` / `verify.warnings` / `equiv.errors` counters.
-    pub fn generate_report_verified(
-        &self,
-        kernel: DlaKernel,
-    ) -> Result<(Generated, RunReport, Vec<augem_verify::Diagnostic>), AugemError> {
-        self.generate_report_verified_with(kernel, &VerifyOptions::default())
-    }
-
-    /// [`generate_report_verified`](Augem::generate_report_verified)
-    /// with stage selection — `opts.equivalence: false` skips the
-    /// translation validator and runs only the structural checks;
-    /// `opts.profile: false` skips the kernel profiler.
-    pub fn generate_report_verified_with(
-        &self,
-        kernel: DlaKernel,
-        opts: &VerifyOptions,
-    ) -> Result<(Generated, RunReport, Vec<augem_verify::Diagnostic>), AugemError> {
-        self.generate_report_verified_profiled_with(kernel, opts)
-            .map(|(g, report, diags, _)| (g, report, diags))
-    }
-
-    /// [`generate_report_verified_with`](Augem::generate_report_verified_with),
-    /// additionally returning the winning kernel's full [`Profile`]
-    /// (per-pc attribution + annotated listing + `augem.profile/v1`
-    /// artifact) when `opts.profile` is set. The run report always
-    /// carries the region rollup (`report.profile`) in that case.
+    /// [`generate_report`](Augem::generate_report), then runs the static
+    /// kernel verifier ([`verify::check`]) over the winning
+    /// configuration's logged build, followed — unless
+    /// `opts.equivalence` is off — by the translation validator
+    /// ([`verify::check_equivalence`]) proving the assembly computes the
+    /// same expressions as the pre-transform source kernel at a shape
+    /// derived from the winner's unroll factors. Diagnostics are returned
+    /// and also land in the run report as `verify.diagnostic` /
+    /// `equiv.diagnostic` events plus `verify.errors` / `verify.warnings`
+    /// / `equiv.errors` counters. With `opts.profile` the winning
+    /// kernel's full [`Profile`] (per-pc attribution, annotated listing
+    /// and `augem.profile/v1` artifact) is returned too, and the run
+    /// report carries its region rollup (`report.profile`).
     pub fn generate_report_verified_profiled_with(
         &self,
         kernel: DlaKernel,
@@ -423,27 +418,11 @@ impl Augem {
         let (g, tuner, winner) = self.generate_inner(kernel, &collector)?;
         // The sweep already built the winner; this is a cache hit, not a
         // third pipeline run.
-        let logged = self
-            .logged_for(&winner, &collector)
-            .map_err(|e| AugemError::Eval(EvalError::Build(e)))?;
-        let mut diags =
-            augem_verify::check_traced(&logged.kernel, &logged.asm, &logged.log, &collector);
-        if opts.equivalence {
-            let spec = match &winner {
-                Winner::Gemm(c) => c.equiv_spec(),
-                Winner::Vector(c) => c.equiv_spec(),
-            };
-            diags.extend(augem_verify::check_equivalence_traced(
-                &logged.source,
-                &logged.asm,
-                self.machine.isa,
-                &spec,
-                &collector,
-            ));
-        }
+        let logged = self.cache.logged(&*winner, &self.machine, &collector)?;
+        let diags = self.verify(&*winner, &logged, opts.equivalence, &collector);
         let profile = if opts.profile {
             Some(
-                self.profile_winner(&winner, &collector)
+                self.profile_winner(&*winner, &collector)
                     .map_err(AugemError::Eval)?,
             )
         } else {
@@ -456,34 +435,48 @@ impl Augem {
         Ok((g, report, diags, profile))
     }
 
+    /// The structural checks over a candidate's logged build, followed by
+    /// the translation validator at the candidate's own problem shape
+    /// when `equivalence` is set.
+    fn verify(
+        &self,
+        c: &dyn Candidate,
+        logged: &LoggedBuild,
+        equivalence: bool,
+        tracer: &dyn Tracer,
+    ) -> Vec<augem_verify::Diagnostic> {
+        let mut diags =
+            augem_verify::check_traced(&logged.kernel, &logged.asm, &logged.log, tracer);
+        if equivalence {
+            diags.extend(augem_verify::check_equivalence_traced(
+                &logged.source,
+                &logged.asm,
+                self.machine.isa,
+                &c.equiv_spec(),
+                tracer,
+            ));
+        }
+        diags
+    }
+
     /// Replays the tuned winner's transform recipe through the
     /// [`depan`] proof-carrying legality checker: every pass the
     /// pipeline applied must re-derive from its recorded facts against
     /// an independent dependence analysis of the snapshot it ran on.
-    /// Returns the `T`-rule diagnostics (empty for a legal recipe).
+    /// Returns the `T`-rule diagnostics (empty for a legal recipe); the
+    /// replay is instrumented through `tracer` (a `depan` stage span,
+    /// `depan.errors` / `depan.warnings` counters, and one
+    /// `depan.diagnostic` event per finding).
     ///
     /// After a `generate*` call on the same driver this is all cache
     /// hits — the sweep is not re-run and the winner is not rebuilt.
-    pub fn check_transforms(
-        &self,
-        kernel: DlaKernel,
-    ) -> Result<Vec<augem_verify::Diagnostic>, AugemError> {
-        self.check_transforms_traced(kernel, augem_obs::null())
-    }
-
-    /// [`check_transforms`](Augem::check_transforms) with the replay
-    /// instrumented through `tracer` (a `depan` stage span,
-    /// `depan.errors` / `depan.warnings` counters, and one
-    /// `depan.diagnostic` event per finding).
     pub fn check_transforms_traced(
         &self,
         kernel: DlaKernel,
         tracer: &dyn Tracer,
     ) -> Result<Vec<augem_verify::Diagnostic>, AugemError> {
         let (_, _, winner) = self.generate_inner(kernel, tracer)?;
-        let logged = self
-            .logged_for(&winner, tracer)
-            .map_err(|e| AugemError::Eval(EvalError::Build(e)))?;
+        let logged = self.cache.logged(&*winner, &self.machine, tracer)?;
         // `logged.kernel` is post-`identify` (Regions added), so the
         // log's snapshot chain ends one stage earlier: no final kernel.
         Ok(augem_depan::check_transforms_traced(
@@ -506,7 +499,7 @@ impl Augem {
         let collector = Collector::new();
         let (g, tuner, winner) = self.generate_inner(kernel, &collector)?;
         let profile = self
-            .profile_winner(&winner, &collector)
+            .profile_winner(&*winner, &collector)
             .map_err(AugemError::Eval)?;
         let mut report = self.finish_report(&collector, kernel, Some(&g), Some(tuner));
         report.profile = Some(profile.summary());
@@ -518,13 +511,8 @@ impl Augem {
     /// replay is cached under `cache.profile.*` so repeated reports
     /// replay the stored attribution) and rolls the raw per-pc counters
     /// up into an [`augem_prof::Profile`].
-    fn profile_winner(&self, w: &Winner, tracer: &dyn Tracer) -> Result<Profile, EvalError> {
-        let pe = match w {
-            Winner::Gemm(c) => profile_gemm_cached(c, &self.machine, tracer, None, &self.cache)?,
-            Winner::Vector(c) => {
-                profile_vector_cached(c, &self.machine, tracer, None, &self.cache)?
-            }
-        };
+    fn profile_winner(&self, w: &dyn Candidate, tracer: &dyn Tracer) -> Result<Profile, EvalError> {
+        let pe = profile(w, &self.machine, tracer, None, &self.cache)?;
         Ok(Profile::build(
             &pe.build.asm,
             &self.machine,
@@ -569,46 +557,15 @@ impl Augem {
             None => TuneJournal::in_memory(header),
         };
 
-        let tuned = match kernel {
-            DlaKernel::Gemm => tune_gemm_resilient_cached(
-                &self.machine,
-                &policy.resil,
-                &mut journal,
-                injector,
-                &collector,
-                &self.cache,
-            )
-            .map(|t| {
-                let telemetry = telemetry_of(&t, |c| c.tag());
-                let ranking: Vec<(Winner, f64)> = t
-                    .ranking
-                    .iter()
-                    .map(|(c, m)| (Winner::Gemm(*c), *m))
-                    .collect();
-                (telemetry, ranking, t.best_eval)
-            }),
-            other => tune_vector_resilient_cached(
-                vector_kernel_of(other),
-                &self.machine,
-                &policy.resil,
-                &mut journal,
-                injector,
-                &collector,
-                &self.cache,
-            )
-            .map(|t| {
-                let telemetry = telemetry_of(&t, |c| c.tag());
-                let ranking: Vec<(Winner, f64)> = t
-                    .ranking
-                    .iter()
-                    .map(|(c, m)| (Winner::Vector(*c), *m))
-                    .collect();
-                (telemetry, ranking, t.best_eval)
-            }),
-        };
-
-        let (telemetry, ranking, best_eval) = match tuned {
-            Ok(v) => v,
+        let tuned = self.tune(
+            kernel,
+            &policy.resil,
+            Some(&mut journal),
+            injector,
+            &collector,
+        );
+        let t = match tuned {
+            Ok(t) => t,
             Err(e) if e.interrupted => {
                 let report = self.finish_report(&collector, kernel, None, None);
                 return DegradedResult {
@@ -633,7 +590,12 @@ impl Augem {
         };
 
         let mut cause: Option<String> = None;
-        for (rank, (w, _)) in ranking.iter().take(1 + policy.max_next_ranked).enumerate() {
+        for (rank, w) in t
+            .ranking
+            .iter()
+            .take(1 + policy.max_next_ranked)
+            .enumerate()
+        {
             let tag = w.tag();
             if rank > 0 {
                 collector.add(augem_resil::counter::FALLBACK_NEXT_RANKED, 1);
@@ -642,8 +604,8 @@ impl Augem {
                     &[("kind", "next_ranked".into()), ("tag", tag.as_str().into())],
                 );
             }
-            let known = if rank == 0 { Some(&best_eval) } else { None };
-            match self.try_winner(kernel, w, known, policy, injector, &collector) {
+            let known = if rank == 0 { Some(&t.best_eval) } else { None };
+            match self.try_winner(&**w, known, policy, injector, &collector) {
                 Ok((g, diags)) => {
                     let degradation = if rank == 0 {
                         Degradation::None
@@ -653,7 +615,8 @@ impl Augem {
                     if !matches!(degradation, Degradation::None) {
                         collector.add(augem_resil::counter::DEGRADED, 1);
                     }
-                    let report = self.finish_report(&collector, kernel, Some(&g), Some(telemetry));
+                    let report =
+                        self.finish_report(&collector, kernel, Some(&g), Some(t.telemetry));
                     return DegradedResult {
                         generated: Some(g),
                         report,
@@ -673,18 +636,25 @@ impl Augem {
         }
 
         let cause = cause.unwrap_or_else(|| "no candidate survived verification".to_string());
-        self.degrade_to_default(kernel, policy, injector, &collector, Some(telemetry), cause)
+        self.degrade_to_default(
+            kernel,
+            policy,
+            injector,
+            &collector,
+            Some(t.telemetry),
+            cause,
+        )
     }
 
     /// The conservative, always-supported configuration the pipeline
     /// falls back to when the tuned ranking fails: the paper's Figure-13
     /// starting point for GEMM, the narrowest vectorizable unroll with
     /// no prefetching for the vector kernels.
-    fn paper_default(&self, kernel: DlaKernel) -> Winner {
-        match kernel {
-            DlaKernel::Gemm => Winner::Gemm(GemmConfig::fig13()),
-            other => Winner::Vector(VectorConfig {
-                kernel: vector_kernel_of(other),
+    fn paper_default(&self, kernel: DlaKernel) -> Box<dyn Candidate> {
+        match VectorKernel::of(kernel) {
+            None => Box::new(GemmConfig::fig13()),
+            Some(kernel) => Box::new(VectorConfig {
+                kernel,
                 unroll: self.machine.simd_mode().f64_lanes(),
                 prefetch: augem_transforms::PrefetchConfig::disabled(),
                 schedule: true,
@@ -709,7 +679,7 @@ impl Augem {
             "resil.fallback",
             &[("kind", "default".into()), ("tag", tag.as_str().into())],
         );
-        match self.try_winner(kernel, &w, None, policy, injector, collector) {
+        match self.try_winner(&*w, None, policy, injector, collector) {
             Ok((g, diags)) => {
                 let report = self.finish_report(collector, kernel, Some(&g), telemetry);
                 DegradedResult {
@@ -742,8 +712,7 @@ impl Augem {
     /// the degradation chain moves on to the next fallback.
     fn try_winner(
         &self,
-        kernel: DlaKernel,
-        w: &Winner,
+        w: &dyn Candidate,
         known_eval: Option<&Evaluation>,
         policy: &DegradationPolicy,
         injector: &Injector,
@@ -754,21 +723,9 @@ impl Augem {
             Some(e) => e.clone(),
             // A next-ranked candidate was already measured by the sweep
             // under the same budget — this is an eval-cache hit.
-            None => sandboxed(|| match w {
-                Winner::Gemm(c) => evaluate_gemm_cached(
-                    c,
-                    &self.machine,
-                    collector,
-                    policy.resil.step_limit,
-                    &self.cache,
-                ),
-                Winner::Vector(c) => evaluate_vector_cached(
-                    c,
-                    &self.machine,
-                    collector,
-                    policy.resil.step_limit,
-                    &self.cache,
-                ),
+            None => sandboxed(|| {
+                let limit = policy.resil.step_limit;
+                evaluate(w, &self.machine, collector, limit, &self.cache)
             })
             .map_err(|p| format!("evaluation panicked: {p}"))?
             .map_err(|e| format!("evaluation failed: {e}"))?,
@@ -779,23 +736,10 @@ impl Augem {
                 panic!("injected fault: verification of {tag} panicked");
             }
             let logged = self
-                .logged_for(w, collector)
+                .cache
+                .logged(w, &self.machine, collector)
                 .map_err(|e| format!("build failed: {e}"))?;
-            let mut diags =
-                augem_verify::check_traced(&logged.kernel, &logged.asm, &logged.log, collector);
-            if policy.verify.equivalence {
-                let spec = match w {
-                    Winner::Gemm(c) => c.equiv_spec(),
-                    Winner::Vector(c) => c.equiv_spec(),
-                };
-                diags.extend(augem_verify::check_equivalence_traced(
-                    &logged.source,
-                    &logged.asm,
-                    self.machine.isa,
-                    &spec,
-                    collector,
-                ));
-            }
+            let diags = self.verify(w, &logged, policy.equivalence, collector);
             Ok::<_, String>((logged, diags))
         })
         .map_err(|p| format!("verification panicked: {p}"))??;
@@ -811,17 +755,20 @@ impl Augem {
             ));
         }
 
-        Ok((
-            Generated {
-                kernel,
-                machine: self.machine.clone(),
-                asm: logged.asm.clone(),
-                config_tag: tag,
-                report: eval.report,
-                mflops: eval.mflops,
-            },
-            diags,
-        ))
+        Ok((self.generated(w, &logged, eval), diags))
+    }
+
+    /// A candidate's kernel: the assembly of its build and its
+    /// measurement.
+    fn generated(&self, c: &dyn Candidate, logged: &LoggedBuild, eval: Evaluation) -> Generated {
+        Generated {
+            kernel: c.kernel(),
+            machine: self.machine.clone(),
+            asm: logged.asm.clone(),
+            config_tag: c.tag(),
+            report: eval.report,
+            mflops: eval.mflops,
+        }
     }
 
     fn finish_report(
@@ -848,65 +795,27 @@ impl Augem {
         report
     }
 
+    /// The exhaustive sweep for `kernel` and its winner's assembly.
     fn generate_inner(
         &self,
         kernel: DlaKernel,
         tracer: &dyn Tracer,
-    ) -> Result<(Generated, TunerTelemetry, Winner), AugemError> {
-        match kernel {
-            DlaKernel::Gemm => {
-                let t = tune_gemm_cached(&self.machine, tracer, &self.cache)
-                    .map_err(AugemError::Tune)?;
-                let telemetry = telemetry_of(&t, |c| c.tag());
-                // Cache hit: the sweep built the winner already; the hit
-                // replays its labels so last-write state (e.g.
-                // `opt.simd_strategy`) describes the winning config.
-                let asm = self
-                    .logged_for(&Winner::Gemm(t.best), tracer)
-                    .map_err(|e| AugemError::Eval(EvalError::Build(e)))?
-                    .asm
-                    .clone();
-                Ok((
-                    Generated {
-                        kernel,
-                        machine: self.machine.clone(),
-                        asm,
-                        config_tag: t.best.tag(),
-                        report: t.best_eval.report,
-                        mflops: t.best_eval.mflops,
-                    },
-                    telemetry,
-                    Winner::Gemm(t.best),
-                ))
-            }
-            DlaKernel::Axpy
-            | DlaKernel::Dot
-            | DlaKernel::Gemv
-            | DlaKernel::Ger
-            | DlaKernel::Scal => {
-                let vk = vector_kernel_of(kernel);
-                let t = tune_vector_cached(vk, &self.machine, tracer, &self.cache)
-                    .map_err(AugemError::Tune)?;
-                let telemetry = telemetry_of(&t, |c| c.tag());
-                let asm = self
-                    .logged_for(&Winner::Vector(t.best), tracer)
-                    .map_err(|e| AugemError::Eval(EvalError::Build(e)))?
-                    .asm
-                    .clone();
-                Ok((
-                    Generated {
-                        kernel,
-                        machine: self.machine.clone(),
-                        asm,
-                        config_tag: t.best.tag(),
-                        report: t.best_eval.report,
-                        mflops: t.best_eval.mflops,
-                    },
-                    telemetry,
-                    Winner::Vector(t.best),
-                ))
-            }
-        }
+    ) -> Result<(Generated, TunerTelemetry, Box<dyn Candidate>), AugemError> {
+        let t = self
+            .tune(
+                kernel,
+                &ResilOptions::plain(),
+                None,
+                &Injector::disabled(),
+                tracer,
+            )
+            .map_err(AugemError::Tune)?;
+        // Cache hit: the sweep built the winner already; the hit replays
+        // its labels so last-write state (e.g. `opt.simd_strategy`)
+        // describes the winning config.
+        let logged = self.cache.logged(&*t.best, &self.machine, tracer)?;
+        let g = self.generated(&*t.best, &logged, t.best_eval);
+        Ok((g, t.telemetry, t.best))
     }
 
     /// Runs the pipeline for the paper-default configuration *without*
@@ -917,10 +826,7 @@ impl Augem {
     /// lints ([`Augem::lint_generated`]) are expected to complain
     /// about.
     pub fn generate_naive(&self, kernel: DlaKernel) -> Result<Generated, AugemError> {
-        match self.paper_default(kernel) {
-            Winner::Gemm(c) => self.generate_gemm_with(&c),
-            Winner::Vector(c) => self.generate_vector_with(&c),
-        }
+        self.generate_with(&*self.paper_default(kernel))
     }
 
     /// [`generate_naive`](Augem::generate_naive) with a run report
@@ -943,52 +849,13 @@ impl Augem {
         augem_cost::lint(&g.asm, &self.machine)
     }
 
-    /// Runs the pipeline for one explicit GEMM configuration (no tuning).
-    pub fn generate_gemm_with(&self, cfg: &GemmConfig) -> Result<Generated, AugemError> {
-        let eval = evaluate_gemm_cached(cfg, &self.machine, augem_obs::null(), None, &self.cache)
+    /// Runs the pipeline for one explicit configuration (no tuning).
+    pub fn generate_with(&self, cfg: &dyn Candidate) -> Result<Generated, AugemError> {
+        let eval = evaluate(cfg, &self.machine, augem_obs::null(), None, &self.cache)
             .map_err(AugemError::Eval)?;
         // The evaluation above built through the cache; reuse it.
-        let asm = self
-            .cache
-            .logged_gemm(cfg, &self.machine, augem_obs::null())
-            .map_err(|e| AugemError::Eval(EvalError::Build(e)))?
-            .asm
-            .clone();
-        Ok(Generated {
-            kernel: DlaKernel::Gemm,
-            machine: self.machine.clone(),
-            asm,
-            config_tag: cfg.tag(),
-            report: eval.report,
-            mflops: eval.mflops,
-        })
-    }
-
-    /// Runs the pipeline for one explicit vector-kernel configuration.
-    pub fn generate_vector_with(&self, cfg: &VectorConfig) -> Result<Generated, AugemError> {
-        let eval = evaluate_vector_cached(cfg, &self.machine, augem_obs::null(), None, &self.cache)
-            .map_err(AugemError::Eval)?;
-        let asm = self
-            .cache
-            .logged_vector(cfg, &self.machine, augem_obs::null())
-            .map_err(|e| AugemError::Eval(EvalError::Build(e)))?
-            .asm
-            .clone();
-        let kernel = match cfg.kernel {
-            VectorKernel::Axpy => DlaKernel::Axpy,
-            VectorKernel::Dot => DlaKernel::Dot,
-            VectorKernel::Gemv => DlaKernel::Gemv,
-            VectorKernel::Ger => DlaKernel::Ger,
-            VectorKernel::Scal => DlaKernel::Scal,
-        };
-        Ok(Generated {
-            kernel,
-            machine: self.machine.clone(),
-            asm,
-            config_tag: cfg.tag(),
-            report: eval.report,
-            mflops: eval.mflops,
-        })
+        let logged = self.cache.logged(cfg, &self.machine, augem_obs::null())?;
+        Ok(self.generated(cfg, &logged, eval))
     }
 }
 
@@ -1011,8 +878,8 @@ mod tests {
     #[test]
     fn verified_generation_is_error_free() {
         let driver = Augem::new(MachineSpec::sandy_bridge());
-        let (g, report, diags) = driver
-            .generate_report_verified(DlaKernel::Gemv)
+        let (g, report, diags, _) = driver
+            .generate_report_verified_profiled_with(DlaKernel::Gemv, &VerifyOptions::default())
             .expect("gemv generates");
         assert!(g.mflops > 0.0);
         assert!(report.mflops > 0.0);
@@ -1056,8 +923,8 @@ mod tests {
         let g = r.generated.expect("a clean run ships a kernel");
         assert!(g.mflops > 0.0);
         assert_eq!(r.report.mflops, g.mflops);
-        // The clean winner matches the plain verified pipeline's.
-        let (plain, _, _) = driver.generate_report_verified(DlaKernel::Axpy).unwrap();
+        // The clean winner matches the plain pipeline's.
+        let plain = driver.generate(DlaKernel::Axpy).unwrap();
         assert_eq!(g.config_tag, plain.config_tag);
     }
 
@@ -1134,7 +1001,10 @@ mod tests {
             .expect("axpy generates");
         // Winner verification on top of the traced generation: both the
         // rebuild in generate_inner and this one come from the cache.
-        driver.logged_for(&winner, &collector).unwrap();
+        driver
+            .cache
+            .logged(&*winner, &driver.machine, &collector)
+            .unwrap();
         let snap = collector.snapshot();
         // Every successful candidate built once; failures died before
         // akg or inside it, so akg spans never exceed generated count.
@@ -1161,7 +1031,7 @@ mod tests {
     fn explicit_config_path_works() {
         let driver = Augem::new(MachineSpec::piledriver());
         let g = driver
-            .generate_gemm_with(&GemmConfig {
+            .generate_with(&GemmConfig {
                 mu: 8,
                 nu: 2,
                 ..GemmConfig::fig13()

@@ -1,11 +1,10 @@
 //! Fig20 bench: prints the DAXPY series for both platforms, then
 //! Criterion-measures each library's kernel evaluation.
 
-use augem_bench::{format_figure, Models};
+use augem_bench::{format_figure, measure, Models};
 use augem_blas::Library;
 use augem_machine::MachineSpec;
 use augem_tune::config::VectorKernel;
-use augem_tune::evaluate::evaluate_vector;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench(c: &mut Criterion) {
@@ -25,7 +24,7 @@ fn bench(c: &mut Criterion) {
             let eff = lib.effective_machine(&machine);
             let cfg = lib.vector_config(VectorKernel::Axpy, &machine);
             group.bench_function(lib.display_name(&machine), |b| {
-                b.iter(|| evaluate_vector(&cfg, &eff).unwrap().mflops)
+                b.iter(|| measure(&cfg, &eff).unwrap().mflops)
             });
         }
         group.finish();

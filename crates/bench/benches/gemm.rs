@@ -1,10 +1,9 @@
 //! Figure 18 bench: prints the DGEMM series for both platforms, then
 //! Criterion-measures each library's micro-kernel evaluation.
 
-use augem_bench::{format_figure, Models};
+use augem_bench::{format_figure, measure, Models};
 use augem_blas::Library;
 use augem_machine::MachineSpec;
-use augem_tune::evaluate::evaluate_gemm;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench(c: &mut Criterion) {
@@ -24,7 +23,7 @@ fn bench(c: &mut Criterion) {
             let eff = lib.effective_machine(&machine);
             let cfg = lib.gemm_config(&machine);
             group.bench_function(lib.display_name(&machine), |b| {
-                b.iter(|| evaluate_gemm(&cfg, &eff).unwrap().mflops)
+                b.iter(|| measure(&cfg, &eff).unwrap().mflops)
             });
         }
         group.finish();

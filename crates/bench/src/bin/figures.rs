@@ -16,13 +16,17 @@
 
 use augem::obs::Json;
 use augem::resil::write_atomic;
-use augem::Augem;
+use augem::resil::Injector;
+use augem::{Augem, VerifyOptions};
 use augem_asm::AsmKernel;
 use augem_bench::{ablations, format_figure, Models};
 use augem_kernels::DlaKernel;
 use augem_machine::MachineSpec;
 use augem_sim::{FuncSim, SimValue};
-use augem_tune::{GemmConfig, VectorConfig, VectorKernel};
+use augem_tune::{
+    gemm_candidates, sweep, vector_candidates, Candidate, EvalCache, GemmConfig, ResilOptions,
+    TuneResult, VectorConfig, VectorKernel,
+};
 use std::time::Instant;
 
 /// Runs a traced generation per kernel × platform and writes the run
@@ -61,48 +65,25 @@ fn emit_pipeline_reports(platforms: &[MachineSpec]) {
 fn emit_verify_reports(platforms: &[MachineSpec]) {
     let mut entries = Vec::new();
     for machine in platforms {
-        let configs: Vec<(DlaKernel, GemmConfig)> = vec![(DlaKernel::Gemm, GemmConfig::fig13())];
-        for (k, cfg) in configs {
-            match cfg.build_logged(machine) {
-                Ok(build) => entries.push(verify_entry(
-                    k,
-                    machine,
-                    &cfg.tag(),
-                    &build,
-                    &cfg.equiv_spec(),
-                )),
-                Err(e) => eprintln!("verify bench: gemm build failed: {e}"),
-            }
-        }
-        for vk in [
+        let mut configs: Vec<Box<dyn Candidate>> = vec![Box::new(GemmConfig::fig13())];
+        for kernel in [
             VectorKernel::Gemv,
             VectorKernel::Ger,
             VectorKernel::Axpy,
             VectorKernel::Dot,
             VectorKernel::Scal,
         ] {
-            let cfg = VectorConfig {
-                kernel: vk,
+            configs.push(Box::new(VectorConfig {
+                kernel,
                 unroll: 2 * machine.simd_mode().f64_lanes(),
                 prefetch: augem::transforms::PrefetchConfig::default(),
                 schedule: true,
-            };
-            let k = match vk {
-                VectorKernel::Gemv => DlaKernel::Gemv,
-                VectorKernel::Ger => DlaKernel::Ger,
-                VectorKernel::Axpy => DlaKernel::Axpy,
-                VectorKernel::Dot => DlaKernel::Dot,
-                VectorKernel::Scal => DlaKernel::Scal,
-            };
-            match cfg.build_logged(machine) {
-                Ok(build) => entries.push(verify_entry(
-                    k,
-                    machine,
-                    &cfg.tag(),
-                    &build,
-                    &cfg.equiv_spec(),
-                )),
-                Err(e) => eprintln!("verify bench: {} build failed: {e}", k.name()),
+            }));
+        }
+        for cfg in &configs {
+            match cfg.build_logged_traced(machine, augem::obs::null()) {
+                Ok(build) => entries.push(verify_entry(&**cfg, machine, &build)),
+                Err(e) => eprintln!("verify bench: {} build failed: {e}", cfg.kernel().name()),
             }
         }
     }
@@ -118,12 +99,12 @@ fn emit_verify_reports(platforms: &[MachineSpec]) {
 }
 
 fn verify_entry(
-    kernel: DlaKernel,
+    cfg: &dyn Candidate,
     machine: &MachineSpec,
-    tag: &str,
     build: &augem_tune::LoggedBuild,
-    spec: &augem_verify::EquivSpec,
 ) -> Json {
+    let kernel = cfg.kernel();
+    let spec = &cfg.equiv_spec();
     let t0 = std::time::Instant::now();
     let structural = augem_verify::check(&build.kernel, &build.asm, &build.log);
     let check_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -141,7 +122,7 @@ fn verify_entry(
     Json::obj(vec![
         ("kernel", Json::str(kernel.name())),
         ("machine", Json::str(machine.arch.short_name())),
-        ("config", Json::str(tag)),
+        ("config", Json::str(cfg.tag())),
         ("insts", Json::uint(build.asm.insts.len() as u64)),
         ("check_ms", Json::Num(check_ms)),
         ("equiv_ms", Json::Num(equiv_ms)),
@@ -226,17 +207,18 @@ fn engine_entry(
 fn sweep_entry(machine: &MachineSpec, kernel: DlaKernel) -> Option<Json> {
     let driver = Augem::new(machine.clone());
     let t0 = Instant::now();
-    let (g, report, _findings) = match driver.generate_report_verified(kernel) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!(
-                "tune bench: verified generation failed for {} on {}: {e}",
-                kernel.name(),
-                machine.arch.short_name()
-            );
-            return None;
-        }
-    };
+    let (g, report, _findings, _) =
+        match driver.generate_report_verified_profiled_with(kernel, &VerifyOptions::default()) {
+            Ok(r) => r,
+            Err(e) => {
+                eprintln!(
+                    "tune bench: verified generation failed for {} on {}: {e}",
+                    kernel.name(),
+                    machine.arch.short_name()
+                );
+                return None;
+            }
+        };
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let c = |name: &str| report.counters.get(name).copied().unwrap_or(0);
     let rate = |hits: u64, misses: u64| {
@@ -378,14 +360,13 @@ fn secs_per_replay(mut f: impl FnMut()) -> f64 {
 /// region summary that goes into the report entry. Returns the JSON
 /// entry plus both per-replay wall times.
 fn prof_entry(
-    kernel: &str,
+    cfg: &dyn Candidate,
     machine: &MachineSpec,
     build: &augem_tune::LoggedBuild,
-    args: &[SimValue],
-    warm: bool,
 ) -> Option<(Json, f64, f64)> {
+    let (kernel, warm) = (cfg.kernel().name(), cfg.warm());
     let traced = FuncSim::new(machine.isa).with_trace();
-    let (_, trace) = match traced.run(&build.asm, args.to_vec()) {
+    let (_, trace) = match traced.run(&build.asm, cfg.eval_args().0) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("prof bench: {kernel} functional run failed: {e}");
@@ -443,32 +424,22 @@ fn emit_prof_report(platforms: &[MachineSpec]) -> bool {
     let mut entries = Vec::new();
     let mut ok = true;
     for machine in platforms {
-        let gemm_cfg = GemmConfig::fig13();
-        match gemm_cfg.build_logged(machine) {
-            Ok(build) => {
-                let (args, _) = augem_tune::gemm_eval_args(&gemm_cfg);
-                if let Some((entry, p, q)) = prof_entry("dgemm", machine, &build, &args, true) {
-                    ok &= q <= 2.0 * p;
-                    entries.push(entry);
-                }
-            }
-            Err(e) => eprintln!("prof bench: gemm build failed: {e}"),
-        }
-        let axpy_cfg = VectorConfig {
+        let axpy: Box<dyn Candidate> = Box::new(VectorConfig {
             kernel: VectorKernel::Axpy,
             unroll: 2 * machine.simd_mode().f64_lanes(),
             prefetch: augem::transforms::PrefetchConfig::default(),
             schedule: true,
-        };
-        match axpy_cfg.build_logged(machine) {
-            Ok(build) => {
-                let (args, _) = augem_tune::vector_eval_args(&axpy_cfg);
-                if let Some((entry, p, q)) = prof_entry("daxpy", machine, &build, &args, false) {
-                    ok &= q <= 2.0 * p;
-                    entries.push(entry);
+        });
+        for cfg in [Box::new(GemmConfig::fig13()), axpy] {
+            match cfg.build_logged_traced(machine, augem::obs::null()) {
+                Ok(build) => {
+                    if let Some((entry, p, q)) = prof_entry(&*cfg, machine, &build) {
+                        ok &= q <= 2.0 * p;
+                        entries.push(entry);
+                    }
                 }
+                Err(e) => eprintln!("prof bench: {} build failed: {e}", cfg.kernel().name()),
             }
-            Err(e) => eprintln!("prof bench: axpy build failed: {e}"),
         }
     }
     let doc = Json::obj(vec![
@@ -489,27 +460,68 @@ fn emit_prof_report(platforms: &[MachineSpec]) -> bool {
     ok
 }
 
-/// One pruned-vs-exhaustive sweep comparison. Returns the JSON entry
-/// plus the three gate ingredients: winner preservation, the prune
-/// rate, and the bound phase's share of the exhaustive sweep's wall
-/// time.
-#[allow(clippy::too_many_arguments)]
-fn cost_entry(
-    kernel: &str,
+/// The vector kernel families the cost and depan benches sweep.
+const VECTOR_KERNELS: [VectorKernel; 5] = [
+    VectorKernel::Axpy,
+    VectorKernel::Dot,
+    VectorKernel::Gemv,
+    VectorKernel::Ger,
+    VectorKernel::Scal,
+];
+
+/// The exhaustive sweep of one kernel family (uncached) and the sweep
+/// with `opts` (fresh cache), each with its wall time in seconds.
+fn compare_sweeps<C: Candidate + Copy + Send + Sync>(
+    candidates: Vec<C>,
     machine: &MachineSpec,
-    exhaustive_s: f64,
-    pruned_s: f64,
-    plain_tag: String,
-    plain_cycles: u64,
-    pruned_res: (&str, u64),
-    stats: &augem_tune::PruneStats,
-    tightness: &[(String, f64)],
-) -> (Json, bool, f64, f64) {
-    let (pruned_tag, pruned_cycles) = pruned_res;
-    let winner_preserved = plain_tag == pruned_tag && plain_cycles == pruned_cycles;
+    opts: &ResilOptions,
+) -> Result<(TuneResult<C>, f64, TuneResult<C>, f64), String> {
+    let run = |opts: &ResilOptions, cache: &EvalCache| {
+        let t0 = Instant::now();
+        let inj = Injector::disabled();
+        let null = augem::obs::null();
+        let r = sweep(candidates.clone(), machine, opts, None, &inj, null, cache);
+        (r, t0.elapsed().as_secs_f64())
+    };
+    match (
+        run(&ResilOptions::plain(), &EvalCache::disabled()),
+        run(opts, &EvalCache::new()),
+    ) {
+        ((Ok(plain), plain_s), (Ok(other), other_s)) => Ok((plain, plain_s, other, other_s)),
+        ((plain, _), (other, _)) => Err(format!("plain={:?} other={:?}", plain.err(), other.err())),
+    }
+}
+
+/// Do two sweeps agree on the winner and its cycles?
+fn same_winner<C: Candidate>(a: &TuneResult<C>, b: &TuneResult<C>) -> bool {
+    a.best.tag() == b.best.tag() && a.best_eval.report.cycles == b.best_eval.report.cycles
+}
+
+/// One pruned-vs-exhaustive sweep comparison for a kernel family. Returns
+/// the JSON entry plus the gate ingredients: winner preservation, the
+/// prune rate, and the bound phase's and the exhaustive sweep's seconds.
+/// `naive` adds a bound-tightness sample for an untuned configuration.
+fn cost_entry<C: Candidate + Copy + Send + Sync>(
+    machine: &MachineSpec,
+    candidates: Vec<C>,
+    naive: Option<C>,
+) -> Result<(Json, bool, f64, f64, f64), String> {
+    let prune = ResilOptions {
+        prune: true,
+        ..ResilOptions::plain()
+    };
+    let (plain, exhaustive_s, pruned, pruned_s) = compare_sweeps(candidates, machine, &prune)?;
+    let kernel = pruned.best.kernel().name();
+    let stats = &pruned.stats;
+    let winner_preserved = same_winner(&plain, &pruned);
     let prune_rate = stats.pruned as f64 / stats.analyzed.max(1) as f64;
     let bound_s = stats.bound_ns as f64 / 1e9;
     let bound_frac = bound_s / exhaustive_s.max(1e-12);
+    let tightness: Vec<(String, f64)> = naive
+        .iter()
+        .chain([&pruned.best])
+        .filter_map(|c| tightness(c, machine))
+        .collect();
     println!(
         "cost   {:>6} on {:<12} {:>3}/{:<3} pruned ({:>4.0}%): sweep {:>7.1} ms -> {:>7.1} ms, bounds {:>6.2} ms ({:.2}% of sweep){}",
         kernel,
@@ -526,7 +538,7 @@ fn cost_entry(
     let entry = Json::obj(vec![
         ("kernel", Json::str(kernel)),
         ("machine", Json::str(machine.arch.short_name())),
-        ("generated", Json::uint(stats.generated as u64)),
+        ("generated", Json::uint(pruned.generated as u64)),
         ("analyzed", Json::uint(stats.analyzed as u64)),
         ("pruned", Json::uint(stats.pruned as u64)),
         ("evaluated", Json::uint(stats.evaluated as u64)),
@@ -535,7 +547,7 @@ fn cost_entry(
         ("pruned_sweep_s", Json::Num(pruned_s)),
         ("bound_phase_s", Json::Num(bound_s)),
         ("bound_phase_frac_of_sweep", Json::Num(bound_frac)),
-        ("winner", Json::str(pruned_tag)),
+        ("winner", Json::str(pruned.best.tag())),
         ("winner_preserved", Json::Bool(winner_preserved)),
         (
             "tightness",
@@ -552,29 +564,23 @@ fn cost_entry(
             ),
         ),
     ]);
-    (entry, winner_preserved, prune_rate, bound_frac)
+    Ok((entry, winner_preserved, prune_rate, bound_s, exhaustive_s))
 }
 
 /// Bound tightness (static bound / simulated cycles) for one built
-/// gemm or vector configuration; `None` when the shape cannot build.
-fn gemm_tightness(cfg: &GemmConfig, machine: &MachineSpec) -> Option<(String, f64)> {
-    let asm = cfg.build_traced(machine, augem::obs::null()).ok()?;
-    let (args, _) = augem_tune::gemm_eval_args(cfg);
+/// configuration; `None` when the shape cannot build.
+fn tightness(c: &dyn Candidate, machine: &MachineSpec) -> Option<(String, f64)> {
+    let asm = c.build_logged_traced(machine, augem::obs::null()).ok()?.asm;
+    let (args, _) = c.eval_args();
     let r = augem::cost::analyze(&asm, &args, machine).ok()?;
-    let (t, _) = augem_sim::simulate_timing_steady(&asm, args, machine).ok()?;
+    let (t, _) = if c.warm() {
+        augem_sim::simulate_timing_steady(&asm, args, machine)
+    } else {
+        augem_sim::simulate_timing(&asm, args, machine)
+    }
+    .ok()?;
     Some((
-        cfg.tag(),
-        r.lower_bound_cycles as f64 / t.cycles.max(1) as f64,
-    ))
-}
-
-fn vector_tightness(cfg: &VectorConfig, machine: &MachineSpec) -> Option<(String, f64)> {
-    let asm = cfg.build_traced(machine, augem::obs::null()).ok()?;
-    let (args, _) = augem_tune::vector_eval_args(cfg);
-    let r = augem::cost::analyze(&asm, &args, machine).ok()?;
-    let (t, _) = augem_sim::simulate_timing(&asm, args, machine).ok()?;
-    Some((
-        cfg.tag(),
+        c.tag(),
         r.lower_bound_cycles as f64 / t.cycles.max(1) as f64,
     ))
 }
@@ -598,88 +604,24 @@ fn emit_cost_report(platforms: &[MachineSpec]) -> bool {
     let mut best_rate = 0.0f64;
 
     for machine in platforms {
-        // GEMM.
-        let t0 = Instant::now();
-        let plain = augem_tune::tune_gemm(machine);
-        let exhaustive_s = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let pruned = augem_tune::tune_gemm_pruned(machine);
-        let pruned_s = t1.elapsed().as_secs_f64();
-        match (plain, pruned) {
-            (Ok(plain), Ok((pruned, stats))) => {
-                let mut tightness = Vec::new();
-                tightness.extend(gemm_tightness(&GemmConfig::fig13(), machine));
-                tightness.extend(gemm_tightness(&pruned.best, machine));
-                let (entry, ok, rate, _frac) = cost_entry(
-                    "dgemm",
-                    machine,
-                    exhaustive_s,
-                    pruned_s,
-                    plain.best.tag(),
-                    plain.best_eval.report.cycles,
-                    (&pruned.best.tag(), pruned.best_eval.report.cycles),
-                    &stats,
-                    &tightness,
-                );
-                entries.push(entry);
-                winners_ok &= ok;
-                total_bound_s += stats.bound_ns as f64 / 1e9;
-                total_exhaustive_s += exhaustive_s;
-                best_rate = best_rate.max(rate);
-            }
-            (plain, pruned) => {
-                eprintln!(
-                    "cost bench: gemm sweep failed on {}: plain={:?} pruned={:?}",
-                    machine.arch.short_name(),
-                    plain.err(),
-                    pruned.err()
-                );
-                winners_ok = false;
-            }
+        let gemm = gemm_candidates(machine);
+        let mut results = vec![cost_entry(machine, gemm, Some(GemmConfig::fig13()))];
+        for vk in VECTOR_KERNELS {
+            results.push(cost_entry(machine, vector_candidates(vk, machine), None));
         }
-
-        // Vector kernels.
-        for vk in [
-            VectorKernel::Axpy,
-            VectorKernel::Dot,
-            VectorKernel::Gemv,
-            VectorKernel::Ger,
-            VectorKernel::Scal,
-        ] {
-            let t0 = Instant::now();
-            let plain = augem_tune::tune_vector(vk, machine);
-            let exhaustive_s = t0.elapsed().as_secs_f64();
-            let t1 = Instant::now();
-            let pruned = augem_tune::tune_vector_pruned(vk, machine);
-            let pruned_s = t1.elapsed().as_secs_f64();
-            match (plain, pruned) {
-                (Ok(plain), Ok((pruned, stats))) => {
-                    let mut tightness = Vec::new();
-                    tightness.extend(vector_tightness(&pruned.best, machine));
-                    let (entry, ok, rate, _frac) = cost_entry(
-                        vk.name(),
-                        machine,
-                        exhaustive_s,
-                        pruned_s,
-                        plain.best.tag(),
-                        plain.best_eval.report.cycles,
-                        (&pruned.best.tag(), pruned.best_eval.report.cycles),
-                        &stats,
-                        &tightness,
-                    );
+        for r in results {
+            match r {
+                Ok((entry, ok, rate, bound_s, exhaustive_s)) => {
                     entries.push(entry);
                     winners_ok &= ok;
-                    total_bound_s += stats.bound_ns as f64 / 1e9;
+                    total_bound_s += bound_s;
                     total_exhaustive_s += exhaustive_s;
                     best_rate = best_rate.max(rate);
                 }
-                (plain, pruned) => {
+                Err(e) => {
                     eprintln!(
-                        "cost bench: {} sweep failed on {}: plain={:?} pruned={:?}",
-                        vk.name(),
-                        machine.arch.short_name(),
-                        plain.err(),
-                        pruned.err()
+                        "cost bench: sweep failed on {}: {e}",
+                        machine.arch.short_name()
                     );
                     winners_ok = false;
                 }
@@ -722,18 +664,21 @@ fn emit_cost_report(platforms: &[MachineSpec]) -> bool {
     ok
 }
 
-/// One legality-checked sweep's JSON entry plus its gate ingredients.
-/// `plain` and `checked` are each sweep's `(winner tag, winner cycles)`.
-fn depan_entry(
-    kernel: &str,
+/// One legality-checked sweep of a kernel family: its JSON entry plus
+/// the gate ingredients — winner preservation, zero rejections, and the
+/// legality phase's and the checked sweep's seconds.
+fn depan_entry<C: Candidate + Copy + Send + Sync>(
     machine: &MachineSpec,
-    plain: (&str, u64),
-    checked: (&str, u64),
-    sweep_s: f64,
-    stats: &augem_tune::DepanStats,
-) -> (Json, bool, bool) {
-    let (checked_tag, checked_cycles) = checked;
-    let winner_preserved = plain.0 == checked_tag && plain.1 == checked_cycles;
+    candidates: Vec<C>,
+) -> Result<(Json, bool, bool, f64, f64), String> {
+    let check = ResilOptions {
+        check_legality: true,
+        ..ResilOptions::plain()
+    };
+    let (plain, _, checked, sweep_s) = compare_sweeps(candidates, machine, &check)?;
+    let kernel = checked.best.kernel().name();
+    let stats = &checked.stats;
+    let winner_preserved = same_winner(&plain, &checked);
     let no_rejections = stats.rejected == 0;
     let check_s = stats.check_ns as f64 / 1e9;
     let check_frac = check_s / sweep_s.max(1e-12);
@@ -742,7 +687,7 @@ fn depan_entry(
         kernel,
         machine.arch.short_name(),
         stats.checked,
-        stats.generated,
+        checked.generated,
         stats.rejected,
         check_s * 1e3,
         sweep_s * 1e3,
@@ -753,16 +698,16 @@ fn depan_entry(
     let entry = Json::obj(vec![
         ("kernel", Json::str(kernel)),
         ("machine", Json::str(machine.arch.short_name())),
-        ("generated", Json::uint(stats.generated as u64)),
+        ("generated", Json::uint(checked.generated as u64)),
         ("checked", Json::uint(stats.checked as u64)),
         ("rejected", Json::uint(stats.rejected as u64)),
         ("check_phase_s", Json::Num(check_s)),
         ("sweep_s", Json::Num(sweep_s)),
         ("check_frac_of_sweep", Json::Num(check_frac)),
-        ("winner", Json::str(checked_tag)),
+        ("winner", Json::str(checked.best.tag())),
         ("winner_preserved", Json::Bool(winner_preserved)),
     ]);
-    (entry, winner_preserved, no_rejections)
+    Ok((entry, winner_preserved, no_rejections, check_s, sweep_s))
 }
 
 /// Benchmarks the depan transform-legality filter and writes
@@ -783,73 +728,23 @@ fn emit_depan_report(platforms: &[MachineSpec]) -> bool {
     let mut total_sweep_s = 0.0f64;
 
     for machine in platforms {
-        // GEMM.
-        let plain = augem_tune::tune_gemm(machine);
-        let t0 = Instant::now();
-        let checked = augem_tune::tune_gemm_checked(machine);
-        let sweep_s = t0.elapsed().as_secs_f64();
-        match (plain, checked) {
-            (Ok(plain), Ok((checked, stats))) => {
-                let (entry, wok, rok) = depan_entry(
-                    "dgemm",
-                    machine,
-                    (&plain.best.tag(), plain.best_eval.report.cycles),
-                    (&checked.best.tag(), checked.best_eval.report.cycles),
-                    sweep_s,
-                    &stats,
-                );
-                entries.push(entry);
-                winners_ok &= wok;
-                rejections_ok &= rok;
-                total_check_s += stats.check_ns as f64 / 1e9;
-                total_sweep_s += sweep_s;
-            }
-            (plain, checked) => {
-                eprintln!(
-                    "depan bench: gemm sweep failed on {}: plain={:?} checked={:?}",
-                    machine.arch.short_name(),
-                    plain.err(),
-                    checked.err()
-                );
-                rejections_ok = false;
-            }
+        let mut results = vec![depan_entry(machine, gemm_candidates(machine))];
+        for vk in VECTOR_KERNELS {
+            results.push(depan_entry(machine, vector_candidates(vk, machine)));
         }
-
-        // Vector kernels.
-        for vk in [
-            VectorKernel::Axpy,
-            VectorKernel::Dot,
-            VectorKernel::Gemv,
-            VectorKernel::Ger,
-            VectorKernel::Scal,
-        ] {
-            let plain = augem_tune::tune_vector(vk, machine);
-            let t0 = Instant::now();
-            let checked = augem_tune::tune_vector_checked(vk, machine);
-            let sweep_s = t0.elapsed().as_secs_f64();
-            match (plain, checked) {
-                (Ok(plain), Ok((checked, stats))) => {
-                    let (entry, wok, rok) = depan_entry(
-                        vk.name(),
-                        machine,
-                        (&plain.best.tag(), plain.best_eval.report.cycles),
-                        (&checked.best.tag(), checked.best_eval.report.cycles),
-                        sweep_s,
-                        &stats,
-                    );
+        for r in results {
+            match r {
+                Ok((entry, wok, rok, check_s, sweep_s)) => {
                     entries.push(entry);
                     winners_ok &= wok;
                     rejections_ok &= rok;
-                    total_check_s += stats.check_ns as f64 / 1e9;
+                    total_check_s += check_s;
                     total_sweep_s += sweep_s;
                 }
-                (plain, checked) => {
+                Err(e) => {
                     eprintln!(
-                        "depan bench: {} sweep failed on {}: plain={:?} checked={:?}",
-                        vk.name(),
-                        machine.arch.short_name(),
-                        plain.err(),
-                        checked.err()
+                        "depan bench: sweep failed on {}: {e}",
+                        machine.arch.short_name()
                     );
                     rejections_ok = false;
                 }

@@ -26,7 +26,18 @@ use augem_machine::{MachineSpec, Microarch, SimdMode};
 use augem_opt::{FmaPolicy, StrategyPref};
 use augem_transforms::PrefetchConfig;
 use augem_tune::config::{GemmConfig, VectorConfig, VectorKernel};
-use augem_tune::{tune_gemm, tune_vector};
+use augem_tune::resil::Injector;
+use augem_tune::{gemm_candidates, sweep, vector_candidates, Candidate, EvalCache, ResilOptions};
+
+/// The exhaustive sweep's winner over `candidates`.
+fn tuned<C: Candidate + Copy + Send + Sync>(candidates: Vec<C>, machine: &MachineSpec) -> C {
+    let opts = ResilOptions::plain();
+    let (inj, cache) = (Injector::disabled(), EvalCache::new());
+    let null = augem_tune::obs::null();
+    sweep(candidates, machine, &opts, None, &inj, null, &cache)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .best
+}
 
 /// The five libraries of the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -72,7 +83,7 @@ impl Library {
         let eff = self.effective_machine(machine);
         let w = eff.simd_mode().f64_lanes();
         match self {
-            Library::Augem => tune_gemm(&eff).unwrap_or_else(|e| panic!("{e}")).best,
+            Library::Augem => tuned(gemm_candidates(&eff), &eff),
             Library::Vendor => GemmConfig {
                 mu: 2 * w,
                 nu: 4,
@@ -97,7 +108,7 @@ impl Library {
             },
             // GotoBLAS kernels were expertly tuned for their (pre-AVX)
             // era: give them the full empirical search, on SSE.
-            Library::Goto => tune_gemm(&eff).unwrap_or_else(|e| panic!("{e}")).best,
+            Library::Goto => tuned(gemm_candidates(&eff), &eff),
         }
     }
 
@@ -106,11 +117,7 @@ impl Library {
         let eff = self.effective_machine(machine);
         let w = eff.simd_mode().f64_lanes();
         match self {
-            Library::Augem => {
-                tune_vector(kernel, &eff)
-                    .unwrap_or_else(|e| panic!("{e}"))
-                    .best
-            }
+            Library::Augem => tuned(vector_candidates(kernel, &eff), &eff),
             Library::Vendor => VectorConfig {
                 kernel,
                 unroll: 2 * w,

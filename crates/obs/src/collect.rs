@@ -85,6 +85,12 @@ pub trait Tracer: Sync {
     /// [`span_end`]: Tracer::span_end
     fn span_begin(&self, name: &str) -> SpanToken;
     fn span_end(&self, token: SpanToken);
+    /// Closes a span whose wall time was measured elsewhere, so a
+    /// replayed span keeps the duration it had when it ran. Tracers that
+    /// keep no durations just close it.
+    fn span_end_measured(&self, token: SpanToken, _wall_ns: u64) {
+        self.span_end(token);
+    }
     /// Adds `delta` to a named counter.
     fn add(&self, counter: &str, delta: u64);
     /// Raises a named high-water-mark gauge to at least `value`.
@@ -280,6 +286,29 @@ impl Collector {
             events: inner.events.clone(),
         }
     }
+
+    /// Closes a span with its measured wall time, or the time since it
+    /// opened when none is given.
+    fn close(&self, token: SpanToken, wall_ns: Option<u64>) {
+        if token.0 == u64::MAX {
+            return;
+        }
+        let idx = token.0 as usize;
+        let mut inner = self.lock();
+        let Some(rec) = inner.spans.get(idx) else {
+            return;
+        };
+        let elapsed = wall_ns.unwrap_or_else(|| rec.started.elapsed().as_nanos() as u64);
+        let tid = rec.thread;
+        // Clamp to >= 1ns so "this stage ran" is always observable even
+        // when Instant's resolution rounds a tiny span to zero.
+        inner.spans[idx].wall_ns = Some(elapsed.max(1));
+        if let Some(stack) = inner.stacks.get_mut(&tid) {
+            if let Some(pos) = stack.iter().rposition(|&i| i == idx) {
+                stack.truncate(pos);
+            }
+        }
+    }
 }
 
 impl Tracer for Collector {
@@ -303,24 +332,11 @@ impl Tracer for Collector {
     }
 
     fn span_end(&self, token: SpanToken) {
-        if token.0 == u64::MAX {
-            return;
-        }
-        let idx = token.0 as usize;
-        let mut inner = self.lock();
-        let Some(rec) = inner.spans.get(idx) else {
-            return;
-        };
-        let elapsed = rec.started.elapsed().as_nanos() as u64;
-        let tid = rec.thread;
-        // Clamp to >= 1ns so "this stage ran" is always observable even
-        // when Instant's resolution rounds a tiny span to zero.
-        inner.spans[idx].wall_ns = Some(elapsed.max(1));
-        if let Some(stack) = inner.stacks.get_mut(&tid) {
-            if let Some(pos) = stack.iter().rposition(|&i| i == idx) {
-                stack.truncate(pos);
-            }
-        }
+        self.close(token, None);
+    }
+
+    fn span_end_measured(&self, token: SpanToken, wall_ns: u64) {
+        self.close(token, Some(wall_ns));
     }
 
     fn add(&self, counter: &str, delta: u64) {

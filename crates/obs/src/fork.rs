@@ -13,9 +13,9 @@
 //!   event log are byte-identical to a sequential sweep no matter how
 //!   the workers interleaved.
 //!
-//! Replayed spans preserve names, nesting and counts; their wall times
-//! collapse to the ~ns it takes to replay them (durations are a
-//! property of the original execution, not of the merged view).
+//! Replayed spans preserve names, nesting, counts and the wall times
+//! they were recorded with, so a stage breakdown reads the same whether
+//! its spans ran inline or on a worker and were replayed.
 
 use crate::collect::{Snapshot, SpanToken, Tracer, Value};
 use std::sync::Mutex;
@@ -36,6 +36,11 @@ impl<'a> Tee<'a> {
             pairs: Mutex::new(Vec::new()),
         }
     }
+
+    fn pair(&self, token: SpanToken) -> Option<(SpanToken, SpanToken)> {
+        let pairs = self.pairs.lock().unwrap_or_else(|e| e.into_inner());
+        pairs.get(token.0 as usize).copied()
+    }
 }
 
 impl Tracer for Tee<'_> {
@@ -48,13 +53,16 @@ impl Tracer for Tee<'_> {
     }
 
     fn span_end(&self, token: SpanToken) {
-        let pair = {
-            let pairs = self.pairs.lock().unwrap_or_else(|e| e.into_inner());
-            pairs.get(token.0 as usize).copied()
-        };
-        if let Some((ta, tb)) = pair {
+        if let Some((ta, tb)) = self.pair(token) {
             self.a.span_end(ta);
             self.b.span_end(tb);
+        }
+    }
+
+    fn span_end_measured(&self, token: SpanToken, wall_ns: u64) {
+        if let Some((ta, tb)) = self.pair(token) {
+            self.a.span_end_measured(ta, wall_ns);
+            self.b.span_end_measured(tb, wall_ns);
         }
     }
 
@@ -79,8 +87,8 @@ impl Tracer for Tee<'_> {
     }
 }
 
-/// Replays everything in `snap` into `tracer`: spans (names, nesting and
-/// counts — wall times are not carried over), events interleaved with
+/// Replays everything in `snap` into `tracer`: spans (names, nesting,
+/// counts and recorded wall times), events interleaved with
 /// span begins in original `seq` order, then counters, high-water marks
 /// and labels. Calling this from a single thread yields a deterministic
 /// target ordering regardless of how `snap` was originally recorded.
@@ -110,7 +118,7 @@ pub fn replay_into(tracer: &dyn Tracer, snap: &Snapshot) {
                     if s.parent == Some(top) {
                         break;
                     }
-                    tracer.span_end(tok);
+                    tracer.span_end_measured(tok, snap.spans[top].wall_ns);
                     open.pop();
                 }
                 let tok = tracer.span_begin(&s.name);
@@ -126,8 +134,8 @@ pub fn replay_into(tracer: &dyn Tracer, snap: &Snapshot) {
             }
         }
     }
-    while let Some((_, tok)) = open.pop() {
-        tracer.span_end(tok);
+    while let Some((top, tok)) = open.pop() {
+        tracer.span_end_measured(tok, snap.spans[top].wall_ns);
     }
 
     for (k, v) in &snap.counters {
@@ -193,6 +201,22 @@ mod tests {
         // "before" fired between outer's begin and inner's begin.
         assert!(snap.events[0].seq > snap.spans[0].seq);
         assert!(snap.events[0].seq < snap.spans[1].seq);
+    }
+
+    #[test]
+    fn replay_keeps_recorded_wall_times() {
+        let src = Collector::new();
+        {
+            let _s = span(&src, "slow");
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        let dst = Collector::new();
+        replay_into(&dst, &src.snapshot());
+        assert_eq!(
+            dst.snapshot().spans[0].wall_ns,
+            src.snapshot().spans[0].wall_ns
+        );
+        assert!(dst.snapshot().spans[0].wall_ns >= 2_000_000);
     }
 
     #[test]

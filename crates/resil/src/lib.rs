@@ -11,7 +11,7 @@
 //!
 //! - [`sandboxed`] — runs one candidate evaluation under
 //!   `catch_unwind`, so a panic becomes a value instead of killing the
-//!   whole `tune_*` sweep;
+//!   whole tuning sweep;
 //! - [`RetryPolicy`] / [`with_retry`] — bounded retry with exponential
 //!   backoff for failure classes the caller marks [`Transient`];
 //! - [`CircuitBreaker`] — prunes an entire candidate *family* after

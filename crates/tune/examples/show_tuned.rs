@@ -1,5 +1,17 @@
 use augem_machine::MachineSpec;
-use augem_tune::{tune_gemm, tune_vector, VectorKernel};
+use augem_resil::Injector;
+use augem_tune::{
+    gemm_candidates, sweep, vector_candidates, Candidate, EvalCache, ResilOptions, TuneResult,
+    VectorKernel,
+};
+
+/// The exhaustive sweep over `candidates`.
+fn tune<C: Candidate + Copy + Send + Sync>(candidates: Vec<C>, m: &MachineSpec) -> TuneResult<C> {
+    let opts = ResilOptions::plain();
+    let (inj, cache) = (Injector::disabled(), EvalCache::new());
+    sweep(candidates, m, &opts, None, &inj, augem_obs::null(), &cache)
+        .unwrap_or_else(|e| panic!("{e}"))
+}
 
 fn main() {
     for m in MachineSpec::paper_platforms() {
@@ -8,7 +20,7 @@ fn main() {
             m.arch.name(),
             m.peak_mflops()
         );
-        let g = tune_gemm(&m).unwrap_or_else(|e| panic!("{e}"));
+        let g = tune(gemm_candidates(&m), &m);
         println!(
             "GEMM best: {}  -> {:.0} Mflops ({:.1}% of peak)",
             g.best.tag(),
@@ -19,7 +31,7 @@ fn main() {
             println!("   {:>8.0}  {}", f, c.tag());
         }
         for k in [VectorKernel::Axpy, VectorKernel::Dot, VectorKernel::Gemv] {
-            let r = tune_vector(k, &m).unwrap_or_else(|e| panic!("{e}"));
+            let r = tune(vector_candidates(k, &m), &m);
             println!(
                 "{} best: {} -> {:.0} Mflops",
                 k.name(),

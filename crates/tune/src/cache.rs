@@ -33,7 +33,7 @@
 //! `AUGEM_EVAL_CACHE=0` (or `off`) environment knob disables caching
 //! for A/B measurement.
 
-use crate::config::{BuildError, GemmConfig, LoggedBuild, VectorConfig};
+use crate::config::{BuildError, Candidate, LoggedBuild};
 use crate::evaluate::{Evaluation, ProfiledEvaluation};
 use augem_machine::MachineSpec;
 use augem_obs::{Collector, Tee, Tracer};
@@ -137,18 +137,6 @@ impl EvalCache {
         }
     }
 
-    /// [`new`](Self::new), emitting a one-time `cache.disabled` event on
-    /// `tracer` when the environment knob turned caching off — so a
-    /// daemon serving from this cache records the degraded-throughput
-    /// mode in its run reports.
-    pub fn new_traced(tracer: &dyn Tracer) -> Self {
-        let cache = Self::new();
-        if !cache.enabled {
-            note_cache_disabled(tracer);
-        }
-        cache
-    }
-
     /// A cache that never hits and never stores — the legacy behavior.
     pub fn disabled() -> Self {
         EvalCache {
@@ -157,51 +145,22 @@ impl EvalCache {
         }
     }
 
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The logged build for a GEMM configuration, built at most once per
+    /// The logged build for a candidate, built at most once per
     /// `(tag, machine)` across the driver's lifetime.
-    pub fn logged_gemm(
+    pub fn logged(
         &self,
-        cfg: &GemmConfig,
+        c: &dyn Candidate,
         machine: &MachineSpec,
         tracer: &dyn Tracer,
-    ) -> Result<Arc<LoggedBuild>, BuildError> {
-        self.logged_with(&cfg.tag(), machine, tracer, |t| {
-            cfg.build_logged_traced(machine, t)
-        })
-    }
-
-    /// The logged build for a vector-kernel configuration (see
-    /// [`logged_gemm`](EvalCache::logged_gemm)).
-    pub fn logged_vector(
-        &self,
-        cfg: &VectorConfig,
-        machine: &MachineSpec,
-        tracer: &dyn Tracer,
-    ) -> Result<Arc<LoggedBuild>, BuildError> {
-        self.logged_with(&cfg.tag(), machine, tracer, |t| {
-            cfg.build_logged_traced(machine, t)
-        })
-    }
-
-    fn logged_with(
-        &self,
-        tag: &str,
-        machine: &MachineSpec,
-        tracer: &dyn Tracer,
-        build: impl FnOnce(&dyn Tracer) -> Result<LoggedBuild, BuildError>,
     ) -> Result<Arc<LoggedBuild>, BuildError> {
         if !self.enabled {
-            return build(tracer).map(Arc::new);
+            return c.build_logged_traced(machine, tracer).map(Arc::new);
         }
-        let key = (tag.to_string(), machine.fingerprint());
+        let key = (c.tag(), machine.fingerprint());
         if let Some(hit) = self.lock().builds.get(&key) {
             tracer.add(counter::BUILD_HIT, 1);
             for (k, v) in &hit.labels {
@@ -216,7 +175,7 @@ impl EvalCache {
         // the first insert wins.
         let local = Collector::new();
         let tee = Tee::new(tracer, &local);
-        let built = Arc::new(build(&tee)?);
+        let built = Arc::new(c.build_logged_traced(machine, &tee)?);
         let labels = local.snapshot().labels.into_iter().collect();
         self.lock().builds.entry(key).or_insert(CachedBuild {
             build: built.clone(),
@@ -225,8 +184,57 @@ impl EvalCache {
         Ok(built)
     }
 
-    /// A cached evaluation, if one exists. Bumps the hit/miss counter
-    /// and, on a hit, replays the corresponding build's labels.
+    /// A cached measurement from the map `pick` selects, if one exists.
+    /// Bumps the `hit` or `miss` counter and, on a hit, replays the
+    /// corresponding build's labels.
+    fn lookup<T: Clone>(
+        &self,
+        pick: fn(&Inner) -> &HashMap<EvalKey, T>,
+        (hit, miss): (&str, &str),
+        tag: &str,
+        machine: &MachineSpec,
+        step_limit: Option<u64>,
+        tracer: &dyn Tracer,
+    ) -> Option<T> {
+        if !self.enabled {
+            return None;
+        }
+        let fp = machine.fingerprint();
+        let (found, labels) = {
+            let inner = self.lock();
+            match pick(&inner).get(&(tag.to_string(), fp, step_limit)) {
+                Some(v) => {
+                    let build = inner.builds.get(&(tag.to_string(), fp));
+                    (Some(v.clone()), build.map(|b| b.labels.clone()))
+                }
+                None => (None, None),
+            }
+        };
+        tracer.add(if found.is_some() { hit } else { miss }, 1);
+        for (k, v) in labels.iter().flatten() {
+            tracer.label(k, v);
+        }
+        found
+    }
+
+    /// Stores a completed measurement under its content key in the map
+    /// `pick` selects.
+    fn store<T: Clone>(
+        &self,
+        pick: fn(&mut Inner) -> &mut HashMap<EvalKey, T>,
+        tag: &str,
+        machine: &MachineSpec,
+        step_limit: Option<u64>,
+        value: &T,
+    ) {
+        if self.enabled {
+            pick(&mut self.lock())
+                .entry((tag.to_string(), machine.fingerprint(), step_limit))
+                .or_insert_with(|| value.clone());
+        }
+    }
+
+    /// A cached evaluation, if one exists (see [`lookup`](Self::lookup)).
     pub(crate) fn eval_lookup(
         &self,
         tag: &str,
@@ -234,32 +242,8 @@ impl EvalCache {
         step_limit: Option<u64>,
         tracer: &dyn Tracer,
     ) -> Option<Evaluation> {
-        if !self.enabled {
-            return None;
-        }
-        let fp = machine.fingerprint();
-        let inner = self.lock();
-        match inner.evals.get(&(tag.to_string(), fp, step_limit)) {
-            Some(e) => {
-                let e = e.clone();
-                let labels = inner
-                    .builds
-                    .get(&(tag.to_string(), fp))
-                    .map(|b| b.labels.clone())
-                    .unwrap_or_default();
-                drop(inner);
-                tracer.add(counter::EVAL_HIT, 1);
-                for (k, v) in &labels {
-                    tracer.label(k, v);
-                }
-                Some(e)
-            }
-            None => {
-                drop(inner);
-                tracer.add(counter::EVAL_MISS, 1);
-                None
-            }
-        }
+        let counters = (counter::EVAL_HIT, counter::EVAL_MISS);
+        self.lookup(|i| &i.evals, counters, tag, machine, step_limit, tracer)
     }
 
     /// Stores a completed evaluation under its content key.
@@ -270,18 +254,12 @@ impl EvalCache {
         step_limit: Option<u64>,
         eval: &Evaluation,
     ) {
-        if !self.enabled {
-            return;
-        }
-        self.lock()
-            .evals
-            .entry((tag.to_string(), machine.fingerprint(), step_limit))
-            .or_insert_with(|| eval.clone());
+        self.store(|i| &mut i.evals, tag, machine, step_limit, eval);
     }
 
-    /// A cached profiled evaluation, if one exists (see
-    /// [`eval_lookup`](Self::eval_lookup) — same key, same label-replay
-    /// semantics, separate `cache.profile.*` counters).
+    /// A cached profiled evaluation, if one exists — same key and
+    /// label-replay semantics as [`eval_lookup`](Self::eval_lookup),
+    /// separate `cache.profile.*` counters.
     pub(crate) fn profile_lookup(
         &self,
         tag: &str,
@@ -289,32 +267,8 @@ impl EvalCache {
         step_limit: Option<u64>,
         tracer: &dyn Tracer,
     ) -> Option<Arc<ProfiledEvaluation>> {
-        if !self.enabled {
-            return None;
-        }
-        let fp = machine.fingerprint();
-        let inner = self.lock();
-        match inner.profiles.get(&(tag.to_string(), fp, step_limit)) {
-            Some(p) => {
-                let p = p.clone();
-                let labels = inner
-                    .builds
-                    .get(&(tag.to_string(), fp))
-                    .map(|b| b.labels.clone())
-                    .unwrap_or_default();
-                drop(inner);
-                tracer.add(counter::PROFILE_HIT, 1);
-                for (k, v) in &labels {
-                    tracer.label(k, v);
-                }
-                Some(p)
-            }
-            None => {
-                drop(inner);
-                tracer.add(counter::PROFILE_MISS, 1);
-                None
-            }
-        }
+        let counters = (counter::PROFILE_HIT, counter::PROFILE_MISS);
+        self.lookup(|i| &i.profiles, counters, tag, machine, step_limit, tracer)
     }
 
     /// Stores a completed profiled evaluation under its content key.
@@ -325,23 +279,12 @@ impl EvalCache {
         step_limit: Option<u64>,
         profile: &Arc<ProfiledEvaluation>,
     ) {
-        if !self.enabled {
-            return;
-        }
-        self.lock()
-            .profiles
-            .entry((tag.to_string(), machine.fingerprint(), step_limit))
-            .or_insert_with(|| profile.clone());
+        self.store(|i| &mut i.profiles, tag, machine, step_limit, profile);
     }
 
     /// How many distinct builds the cache holds (test/report helper).
     pub fn builds_len(&self) -> usize {
         self.lock().builds.len()
-    }
-
-    /// How many distinct evaluations the cache holds.
-    pub fn evals_len(&self) -> usize {
-        self.lock().evals.len()
     }
 
     /// How many distinct profiled evaluations the cache holds.
@@ -353,7 +296,8 @@ impl EvalCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluate::evaluate_gemm_cached;
+    use crate::config::GemmConfig;
+    use crate::evaluate::{evaluate, profile};
 
     #[test]
     fn second_build_is_a_hit_with_identical_asm_and_labels() {
@@ -365,8 +309,8 @@ mod tests {
         };
         let cache = EvalCache::new();
         let c = Collector::new();
-        let first = cache.logged_gemm(&cfg, &m, &c).unwrap();
-        let again = cache.logged_gemm(&cfg, &m, &c).unwrap();
+        let first = cache.logged(&cfg, &m, &c).unwrap();
+        let again = cache.logged(&cfg, &m, &c).unwrap();
         assert!(Arc::ptr_eq(&first, &again), "hit must share the artifact");
         let snap = c.snapshot();
         assert_eq!(snap.counters[counter::BUILD_MISS], 1);
@@ -393,8 +337,8 @@ mod tests {
         };
         let cache = EvalCache::new();
         let c = Collector::new();
-        let wide = cache.logged_gemm(&cfg, &snb, &c).unwrap();
-        let narrow = cache.logged_gemm(&cfg, &sse, &c).unwrap();
+        let wide = cache.logged(&cfg, &snb, &c).unwrap();
+        let narrow = cache.logged(&cfg, &sse, &c).unwrap();
         assert!(!Arc::ptr_eq(&wide, &narrow));
         assert_eq!(c.snapshot().counters[counter::BUILD_MISS], 2);
         assert_eq!(cache.builds_len(), 2);
@@ -410,9 +354,9 @@ mod tests {
         };
         let cache = EvalCache::new();
         let c = Collector::new();
-        let cold = evaluate_gemm_cached(&cfg, &m, &c, None, &cache).unwrap();
+        let cold = evaluate(&cfg, &m, &c, None, &cache).unwrap();
         let sim_cycles_after_miss = c.snapshot().counters["sim.cycles"];
-        let warm = evaluate_gemm_cached(&cfg, &m, &c, None, &cache).unwrap();
+        let warm = evaluate(&cfg, &m, &c, None, &cache).unwrap();
         assert_eq!(cold.mflops.to_bits(), warm.mflops.to_bits());
         let snap = c.snapshot();
         assert_eq!(snap.counters[counter::EVAL_MISS], 1);
@@ -420,7 +364,7 @@ mod tests {
         // The hit did not re-simulate: sim counters unchanged.
         assert_eq!(snap.counters["sim.cycles"], sim_cycles_after_miss);
         // A different budget is a different measurement key.
-        let budgeted = evaluate_gemm_cached(&cfg, &m, &c, Some(1 << 32), &cache).unwrap();
+        let budgeted = evaluate(&cfg, &m, &c, Some(1 << 32), &cache).unwrap();
         assert_eq!(budgeted.mflops.to_bits(), cold.mflops.to_bits());
         assert_eq!(c.snapshot().counters[counter::EVAL_MISS], 2);
     }
@@ -435,8 +379,8 @@ mod tests {
         };
         let cache = EvalCache::new();
         let c = Collector::new();
-        let cold = crate::evaluate::profile_gemm_cached(&cfg, &m, &c, None, &cache).unwrap();
-        let warm = crate::evaluate::profile_gemm_cached(&cfg, &m, &c, None, &cache).unwrap();
+        let cold = profile(&cfg, &m, &c, None, &cache).unwrap();
+        let warm = profile(&cfg, &m, &c, None, &cache).unwrap();
         assert!(Arc::ptr_eq(&cold, &warm), "hit must share the profile");
         let snap = c.snapshot();
         assert_eq!(snap.counters[counter::PROFILE_MISS], 1);
@@ -444,7 +388,7 @@ mod tests {
         assert_eq!(cache.profiles_len(), 1);
         // The profiled replay measures the same thing the plain one does,
         // and its per-pc attribution telescopes to the total.
-        let plain = evaluate_gemm_cached(&cfg, &m, &c, None, &cache).unwrap();
+        let plain = evaluate(&cfg, &m, &c, None, &cache).unwrap();
         assert_eq!(plain.report, cold.report);
         assert_eq!(plain.mflops.to_bits(), cold.mflops.to_bits());
         assert_eq!(cold.pcs.total_cycles(), cold.report.cycles);
@@ -461,8 +405,8 @@ mod tests {
         };
         let cache = EvalCache::disabled();
         let c = Collector::new();
-        cache.logged_gemm(&cfg, &m, &c).unwrap();
-        cache.logged_gemm(&cfg, &m, &c).unwrap();
+        cache.logged(&cfg, &m, &c).unwrap();
+        cache.logged(&cfg, &m, &c).unwrap();
         let snap = c.snapshot();
         assert!(!snap.counters.contains_key(counter::BUILD_HIT));
         assert!(!snap.counters.contains_key(counter::BUILD_MISS));

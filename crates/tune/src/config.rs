@@ -1,10 +1,15 @@
-//! Tunable kernel configurations and candidate generation.
+//! Tunable kernel configurations, the [`Candidate`] trait the sweep is
+//! generic over, and candidate generation.
 
+use crate::evaluate::{gemm_eval_args, vector_eval_args};
 use augem_asm::AsmKernel;
 use augem_ir::Kernel;
-use augem_kernels::{axpy_simple, dot_simple, gemm_simple, gemv_simple, ger_simple, scal_simple};
+use augem_kernels::{
+    axpy_simple, dot_simple, gemm_simple, gemv_simple, ger_simple, scal_simple, DlaKernel,
+};
 use augem_machine::{MachineSpec, SimdMode};
 use augem_opt::{CodegenError, CodegenOptions, FmaPolicy, StrategyPref};
+use augem_sim::SimValue;
 use augem_transforms::{OptimizeConfig, PrefetchConfig, TransformError};
 use augem_verify::{EquivArg, EquivSpec};
 
@@ -78,12 +83,7 @@ impl GemmConfig {
 
     /// Runs the full pipeline for this configuration.
     pub fn build(&self, machine: &MachineSpec) -> Result<AsmKernel, BuildError> {
-        build_pipeline(
-            &gemm_simple(),
-            &self.opt_config(),
-            &self.codegen_options(),
-            machine,
-        )
+        self.build_traced(machine, augem_obs::null())
     }
 
     /// [`build`](GemmConfig::build) with stage tracing.
@@ -172,6 +172,30 @@ impl VectorKernel {
             VectorKernel::Gemv => "dgemv",
             VectorKernel::Ger => "dger",
             VectorKernel::Scal => "dscal",
+        }
+    }
+
+    /// The facade's kernel id for this kernel.
+    pub fn dla(self) -> DlaKernel {
+        match self {
+            VectorKernel::Axpy => DlaKernel::Axpy,
+            VectorKernel::Dot => DlaKernel::Dot,
+            VectorKernel::Gemv => DlaKernel::Gemv,
+            VectorKernel::Ger => DlaKernel::Ger,
+            VectorKernel::Scal => DlaKernel::Scal,
+        }
+    }
+
+    /// The vector kernel a DLA kernel tunes as; `None` for GEMM, which
+    /// has its own tuning space.
+    pub fn of(kernel: DlaKernel) -> Option<VectorKernel> {
+        match kernel {
+            DlaKernel::Gemm => None,
+            DlaKernel::Axpy => Some(VectorKernel::Axpy),
+            DlaKernel::Dot => Some(VectorKernel::Dot),
+            DlaKernel::Gemv => Some(VectorKernel::Gemv),
+            DlaKernel::Ger => Some(VectorKernel::Ger),
+            DlaKernel::Scal => Some(VectorKernel::Scal),
         }
     }
 }
@@ -314,6 +338,89 @@ impl VectorConfig {
     }
 }
 
+/// One point of a tuning space, as the sweep and the facade see it:
+/// everything needed to build, measure, rank and verify a candidate
+/// without knowing its family. Object-safe, so a winner of either family
+/// travels as `&dyn Candidate`. Each method forwards to the
+/// configuration's inherent method of the same purpose.
+pub trait Candidate {
+    /// The DLA kernel this candidate implements.
+    fn kernel(&self) -> DlaKernel;
+    /// The human-readable tag — also the journal and cache key.
+    fn tag(&self) -> String;
+    /// The circuit-breaker family: candidates that share a register
+    /// shape (`"8x4"`) or an unroll factor (`"u8"`) tend to fail together.
+    fn family(&self) -> String;
+    /// Runs the pipeline keeping every artifact the verifier consumes.
+    fn build_logged_traced(
+        &self,
+        machine: &MachineSpec,
+        tracer: &dyn augem_obs::Tracer,
+    ) -> Result<LoggedBuild, BuildError>;
+    /// The evaluation micro-problem's arguments and useful-flop count.
+    fn eval_args(&self) -> (Vec<SimValue>, u64);
+    /// Measured warm (steady state, cache-resident) rather than cold.
+    fn warm(&self) -> bool;
+    /// The translation-validation problem instance.
+    fn equiv_spec(&self) -> EquivSpec;
+}
+
+impl Candidate for GemmConfig {
+    fn kernel(&self) -> DlaKernel {
+        DlaKernel::Gemm
+    }
+    fn tag(&self) -> String {
+        GemmConfig::tag(self)
+    }
+    fn family(&self) -> String {
+        format!("{}x{}", self.mu, self.nu)
+    }
+    fn build_logged_traced(
+        &self,
+        machine: &MachineSpec,
+        tracer: &dyn augem_obs::Tracer,
+    ) -> Result<LoggedBuild, BuildError> {
+        GemmConfig::build_logged_traced(self, machine, tracer)
+    }
+    fn eval_args(&self) -> (Vec<SimValue>, u64) {
+        gemm_eval_args(self)
+    }
+    fn warm(&self) -> bool {
+        true
+    }
+    fn equiv_spec(&self) -> EquivSpec {
+        GemmConfig::equiv_spec(self)
+    }
+}
+
+impl Candidate for VectorConfig {
+    fn kernel(&self) -> DlaKernel {
+        self.kernel.dla()
+    }
+    fn tag(&self) -> String {
+        VectorConfig::tag(self)
+    }
+    fn family(&self) -> String {
+        format!("u{}", self.unroll)
+    }
+    fn build_logged_traced(
+        &self,
+        machine: &MachineSpec,
+        tracer: &dyn augem_obs::Tracer,
+    ) -> Result<LoggedBuild, BuildError> {
+        VectorConfig::build_logged_traced(self, machine, tracer)
+    }
+    fn eval_args(&self) -> (Vec<SimValue>, u64) {
+        vector_eval_args(self)
+    }
+    fn warm(&self) -> bool {
+        false
+    }
+    fn equiv_spec(&self) -> EquivSpec {
+        VectorConfig::equiv_spec(self)
+    }
+}
+
 /// Pipeline failure (either half).
 #[derive(Debug, Clone, PartialEq)]
 pub enum BuildError {
@@ -332,18 +439,8 @@ impl std::fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-/// Simple C → optimized C → tagged → assembly.
-pub fn build_pipeline(
-    simple: &Kernel,
-    cfg: &OptimizeConfig,
-    opts: &CodegenOptions,
-    machine: &MachineSpec,
-) -> Result<AsmKernel, BuildError> {
-    build_pipeline_traced(simple, cfg, opts, machine, augem_obs::null())
-}
-
-/// [`build_pipeline`] with each stage traced (`cgen` → `identify` →
-/// `akg` spans, plus their counters and gauges).
+/// Simple C → optimized C → tagged → assembly, with each stage traced
+/// (`cgen` → `identify` → `akg` spans, plus their counters and gauges).
 pub fn build_pipeline_traced(
     simple: &Kernel,
     cfg: &OptimizeConfig,

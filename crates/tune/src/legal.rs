@@ -1,289 +1,29 @@
-//! depan pre-build legality filtering for sweeps.
+//! depan legality checking for sweeps.
 //!
-//! Every candidate's transform recipe is replayed through
-//! `augem-depan`'s proof-carrying checker *before* code generation:
-//! the IR-level passes are run (cheap — no register allocation, no
-//! scheduling, no simulation), the resulting [`TransformLog`] is
-//! checked against the source kernel, and any `T`-rule error rejects
+//! With [`ResilOptions::check_legality`](crate::ResilOptions::check_legality)
+//! the sweep replays every candidate's transform recipe through
+//! `augem-depan`'s proof-carrying checker before evaluation: the
+//! candidate's recorded [`TransformLog`](augem_transforms::TransformLog)
+//! is checked against its source kernel, and any `T`-rule error rejects
 //! the candidate with a `rejected(depan): ...` reason — the same way
-//! bound-based pruning rejects with `pruned(bound): ...`. The winner
-//! is unchanged for a sound checker (zero false rejections is gated by
-//! `tests/depan_matrix.rs` and `figures depan`); what the filter buys
-//! is that a configuration whose transform chain cannot be proved
-//! legal never reaches codegen or the simulator.
+//! bound-based pruning rejects with `pruned(bound): ...`. The winner is
+//! unchanged for a sound checker (zero false rejections is gated by
+//! `tests/depan_matrix.rs` and `figures depan`); what the filter buys is
+//! that a configuration whose transform chain cannot be proved legal
+//! never reaches the simulator.
 
-use crate::cache::EvalCache;
-use crate::config::{
-    gemm_candidates, vector_candidates, GemmConfig, LoggedBuild, VectorConfig, VectorKernel,
-};
-use crate::evaluate::{evaluate_gemm_cached, evaluate_vector_cached, Evaluation};
-use crate::search::{rank, TuneError, TuneResult};
-use augem_ir::Kernel;
-use augem_machine::MachineSpec;
-use augem_obs::{span, stage, Histogram, Tracer, Value};
-use augem_transforms::OptimizeConfig;
+use crate::config::LoggedBuild;
+use augem_obs::Tracer;
 use augem_verify::Severity;
-use rayon::prelude::*;
-use std::sync::Arc;
 
-/// What the legality phase did to the sweep.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DepanStats {
-    /// Candidates the generator enumerated.
-    pub generated: usize,
-    /// Candidates whose transform log was generated and checked (the
-    /// rest failed in the transform passes themselves — a build failure
-    /// the evaluation phase reports, not a legality verdict).
-    pub checked: usize,
-    /// Candidates rejected by a `T`-rule error.
-    pub rejected: usize,
-    /// Wall-clock time of the legality checking alone, in nanoseconds.
-    /// The transform replays whose logs are checked are the sweep's own
-    /// builds, shared with the evaluation phase through the cache, so
-    /// they are not analysis cost.
-    pub check_ns: u64,
-}
-
-/// Checks one candidate's transform recipe; `Some(reason)` rejects it.
-///
-/// Transform *failures* (e.g. an unrollable loop) return `None`: the
-/// build phase will fail with the same `TransformError` and report it in
-/// the sweep's failure list exactly as an unchecked sweep would.
-pub fn reject_reason(source: &Kernel, cfg: &OptimizeConfig, tracer: &dyn Tracer) -> Option<String> {
-    let (out, tlog) =
-        match augem_transforms::generate_optimized_logged(source, cfg, augem_obs::null()) {
-            Ok(v) => v,
-            Err(_) => return None,
-        };
-    let diags = augem_depan::check_transforms_traced(source, &tlog, Some(&out), tracer);
-    diags
-        .iter()
-        .find(|d| d.severity == Severity::Error)
-        .map(|d| format!("rejected(depan): {} {}", d.rule.code(), d.message))
-}
-
-/// [`reject_reason`] for a GEMM candidate.
-pub fn reject_gemm(c: &GemmConfig, tracer: &dyn Tracer) -> Option<String> {
-    let (kernel, cfg) = c.transform_inputs();
-    reject_reason(&kernel, &cfg, tracer)
-}
-
-/// [`reject_reason`] for a vector candidate.
-pub fn reject_vector(c: &VectorConfig, tracer: &dyn Tracer) -> Option<String> {
-    let (kernel, cfg) = c.transform_inputs();
-    reject_reason(&kernel, &cfg, tracer)
-}
-
-/// The legality verdict for an already-built candidate: its recorded
-/// transform log is checked against its source kernel. `logged.kernel`
-/// is post-`identify` (Regions added after the last logged pass), so
-/// the snapshot chain is checked without a final kernel.
-pub fn reject_logged(logged: &LoggedBuild, tracer: &dyn Tracer) -> Option<String> {
+/// The legality verdict for a built candidate; `Some(reason)` rejects
+/// it. `logged.kernel` is post-`identify` (Regions added after the last
+/// logged pass), so the snapshot chain is checked without a final
+/// kernel.
+pub fn check_legality(logged: &LoggedBuild, tracer: &dyn Tracer) -> Option<String> {
     let diags = augem_depan::check_transforms_traced(&logged.source, &logged.tlog, None, tracer);
     diags
         .iter()
         .find(|d| d.severity == Severity::Error)
         .map(|d| format!("rejected(depan): {} {}", d.rule.code(), d.message))
-}
-
-/// [`reject_logged`] for a GEMM candidate, building (or fetching) its
-/// logged build through `cache` so the sweep's evaluation phase reuses
-/// it. Build failures return `None` — the evaluation phase reports
-/// them as the unchecked sweep would.
-pub fn reject_gemm_cached(
-    c: &GemmConfig,
-    machine: &MachineSpec,
-    cache: &EvalCache,
-    tracer: &dyn Tracer,
-) -> Option<String> {
-    let logged = cache.logged_gemm(c, machine, tracer).ok()?;
-    reject_logged(&logged, tracer)
-}
-
-/// [`reject_gemm_cached`] for a vector candidate.
-pub fn reject_vector_cached(
-    c: &VectorConfig,
-    machine: &MachineSpec,
-    cache: &EvalCache,
-    tracer: &dyn Tracer,
-) -> Option<String> {
-    let logged = cache.logged_vector(c, machine, tracer).ok()?;
-    reject_logged(&logged, tracer)
-}
-
-/// [`tune_gemm_checked_cached`] with a private build/eval cache.
-pub fn tune_gemm_checked(
-    machine: &MachineSpec,
-) -> Result<(TuneResult<GemmConfig>, DepanStats), TuneError> {
-    tune_gemm_checked_cached(machine, augem_obs::null(), &EvalCache::new())
-}
-
-/// The GEMM sweep with the depan legality filter in front: candidates
-/// whose transform chain cannot be proved legal are rejected before
-/// code generation; the rest sweep exactly as [`crate::tune_gemm_cached`].
-pub fn tune_gemm_checked_cached(
-    machine: &MachineSpec,
-    tracer: &dyn Tracer,
-    cache: &EvalCache,
-) -> Result<(TuneResult<GemmConfig>, DepanStats), TuneError> {
-    sweep_checked(
-        "dgemm",
-        machine,
-        gemm_candidates(machine),
-        |c| c.tag(),
-        |c, t| cache.logged_gemm(c, machine, t).ok(),
-        |c, t| evaluate_gemm_cached(c, machine, t, None, cache).map_err(|e| e.to_string()),
-        tracer,
-    )
-}
-
-/// [`tune_vector_checked_cached`] with a private build/eval cache.
-pub fn tune_vector_checked(
-    kernel: VectorKernel,
-    machine: &MachineSpec,
-) -> Result<(TuneResult<VectorConfig>, DepanStats), TuneError> {
-    tune_vector_checked_cached(kernel, machine, augem_obs::null(), &EvalCache::new())
-}
-
-/// The vector-kernel sweep with the depan legality filter (see
-/// [`tune_gemm_checked_cached`]).
-pub fn tune_vector_checked_cached(
-    kernel: VectorKernel,
-    machine: &MachineSpec,
-    tracer: &dyn Tracer,
-    cache: &EvalCache,
-) -> Result<(TuneResult<VectorConfig>, DepanStats), TuneError> {
-    sweep_checked(
-        kernel.name(),
-        machine,
-        vector_candidates(kernel, machine),
-        |c| c.tag(),
-        |c, t| cache.logged_vector(c, machine, t).ok(),
-        |c, t| evaluate_vector_cached(c, machine, t, None, cache).map_err(|e| e.to_string()),
-        tracer,
-    )
-}
-
-/// The shared checked sweep: a parallel legality phase over the
-/// candidates' logged builds (fetched through the cache, so the
-/// evaluation phase reuses every one of them), then the usual parallel
-/// evaluation of the survivors. Only the checking block itself is
-/// timed — that is the analysis cost `figures depan` gates against
-/// sweep wall time; the builds happen with or without the filter.
-fn sweep_checked<C: Copy + Sync>(
-    kernel: &str,
-    machine: &MachineSpec,
-    candidates: Vec<C>,
-    tag: impl Fn(&C) -> String + Sync,
-    logged_of: impl Fn(&C, &dyn Tracer) -> Option<Arc<LoggedBuild>>,
-    eval: impl Fn(&C, &dyn Tracer) -> Result<Evaluation, String> + Sync,
-    tracer: &dyn Tracer,
-) -> Result<(TuneResult<C>, DepanStats), TuneError> {
-    let _t = span(tracer, stage::TUNE);
-
-    // Phase 1: legality verdicts for every candidate that builds (the
-    // rest fail in the transform passes and the evaluation phase
-    // reports them exactly as an unchecked sweep would). The builds
-    // are the sweep's own — cached, shared with phase 2 — so only the
-    // checking block is timed, in parallel like phase 2 evaluates.
-    let logs: Vec<Option<Arc<LoggedBuild>>> =
-        candidates.iter().map(|c| logged_of(c, tracer)).collect();
-    let checked = logs.iter().filter(|l| l.is_some()).count();
-    let c0 = std::time::Instant::now();
-    let rejections: Vec<Option<String>> = logs
-        .par_iter()
-        .map(|l| l.as_ref().and_then(|l| reject_logged(l, tracer)))
-        .collect();
-    let check_ns = c0.elapsed().as_nanos() as u64;
-    for (c, why) in candidates.iter().zip(&rejections) {
-        if let Some(why) = why {
-            tracer.event(
-                "depan.rejected",
-                &[
-                    ("tag", Value::from(tag(c))),
-                    ("reason", Value::from(why.as_str())),
-                ],
-            );
-        }
-    }
-    let rejected = rejections.iter().filter(|r| r.is_some()).count();
-    tracer.add("depan.checked", checked as u64);
-    tracer.add("depan.rejected", rejected as u64);
-    tracer.add("depan.check_ns", check_ns);
-
-    // Phase 2: evaluate the survivors in parallel, exactly as the plain
-    // sweep does; rejected slots keep their reasons as failures.
-    let idx: Vec<usize> = (0..candidates.len()).collect();
-    let timed: Vec<(usize, Result<Evaluation, String>, Option<u64>)> = idx
-        .par_iter()
-        .map(|&i| match &rejections[i] {
-            Some(why) => (i, Err(why.clone()), None),
-            None => {
-                let t0 = std::time::Instant::now();
-                let r = eval(&candidates[i], tracer);
-                (i, r, Some(t0.elapsed().as_nanos() as u64))
-            }
-        })
-        .collect();
-    let mut latency = Histogram::new();
-    let mut evaluated: Vec<(C, Result<Evaluation, String>)> = Vec::with_capacity(candidates.len());
-    for (i, r, ns) in timed {
-        if let Some(ns) = ns {
-            latency.record(ns);
-        }
-        evaluated.push((candidates[i], r));
-    }
-
-    let stats = DepanStats {
-        generated: candidates.len(),
-        checked,
-        rejected,
-        check_ns,
-    };
-    let mut result = rank(kernel, machine, evaluated, tag, tracer)?;
-    result.eval_latency_ns = latency;
-    Ok((result, stats))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::search::{tune_gemm, tune_vector};
-    use augem_obs::Collector;
-
-    #[test]
-    fn checked_gemm_matches_plain_winner_bit_for_bit() {
-        // The acceptance invariant: every current candidate is provably
-        // legal, so the filter rejects nothing and the sweep is the
-        // exhaustive sweep.
-        for machine in [MachineSpec::sandy_bridge(), MachineSpec::piledriver()] {
-            let plain = tune_gemm(&machine).unwrap();
-            let (checked, stats) = tune_gemm_checked(&machine).unwrap();
-            assert_eq!(stats.rejected, 0, "false rejection on a legal candidate");
-            assert_eq!(stats.checked, stats.generated);
-            assert_eq!(checked.best.tag(), plain.best.tag());
-            assert_eq!(
-                checked.best_eval.mflops.to_bits(),
-                plain.best_eval.mflops.to_bits()
-            );
-            assert_eq!(checked.failures.len(), plain.failures.len());
-        }
-    }
-
-    #[test]
-    fn checked_vector_sweep_traces_depan_stage() {
-        let machine = MachineSpec::sandy_bridge();
-        let plain = tune_vector(VectorKernel::Dot, &machine).unwrap();
-        let tracer = Collector::new();
-        let (checked, stats) =
-            tune_vector_checked_cached(VectorKernel::Dot, &machine, &tracer, &EvalCache::new())
-                .unwrap();
-        assert_eq!(stats.rejected, 0);
-        assert_eq!(checked.best.tag(), plain.best.tag());
-        let snap = tracer.snapshot();
-        assert!(snap.stages().iter().any(|s| s.name == stage::DEPAN));
-        assert_eq!(snap.counters["depan.checked"], stats.generated as u64);
-        assert_eq!(snap.counters["depan.rejected"], 0);
-        assert!(snap.counters["depan.check_ns"] > 0);
-    }
 }

@@ -13,6 +13,12 @@
 //! steady-state micro-problem — the same feedback loop, with the simulator
 //! standing in for the testbed (DESIGN.md substitution table).
 //!
+//! The loop is one generic [`sweep`] over the [`Candidate`] trait, which
+//! both tuning spaces ([`GemmConfig`], [`VectorConfig`]) implement; its
+//! optional stages (legality checking, bound pruning) and its resilience
+//! (sandboxing, retry, circuit breaking, checkpoint/resume) are options,
+//! not separate drivers.
+//!
 //! The tuner also doubles as the ablation driver: every configuration
 //! dimension (unroll&jam factors, inner unrolling, Vdup vs Shuf, FMA
 //! policy, prefetching, instruction scheduling) can be frozen to measure
@@ -28,30 +34,20 @@ pub mod prune;
 pub mod resilient;
 pub mod search;
 
+/// The crates whose types [`sweep`] takes (tracer, injector, journal),
+/// for callers that do not depend on them directly.
+pub use augem_obs as obs;
+pub use augem_resil as resil;
+
 pub use cache::{cache_enabled, note_cache_disabled, EvalCache};
 pub use config::{
-    build_pipeline, build_pipeline_logged, build_pipeline_traced, gemm_candidates,
-    vector_candidates, BuildError, GemmConfig, LoggedBuild, VectorConfig, VectorKernel,
+    build_pipeline_logged, build_pipeline_traced, gemm_candidates, vector_candidates, BuildError,
+    Candidate, GemmConfig, LoggedBuild, VectorConfig, VectorKernel,
 };
 pub use evaluate::{
-    evaluate_gemm, evaluate_gemm_budgeted, evaluate_gemm_cached, evaluate_gemm_traced,
-    evaluate_vector, evaluate_vector_budgeted, evaluate_vector_cached, evaluate_vector_traced,
-    gemm_eval_args, profile_gemm_cached, profile_vector_cached, vector_eval_args, EvalClass,
-    EvalError, Evaluation, ProfiledEvaluation,
+    evaluate, gemm_eval_args, profile, vector_eval_args, EvalClass, EvalError, Evaluation,
+    ProfiledEvaluation,
 };
-pub use legal::{
-    tune_gemm_checked, tune_gemm_checked_cached, tune_vector_checked, tune_vector_checked_cached,
-    DepanStats,
-};
-pub use prune::{
-    tune_gemm_pruned, tune_gemm_pruned_cached, tune_vector_pruned, tune_vector_pruned_cached,
-    PruneStats,
-};
-pub use resilient::{
-    tune_gemm_resilient, tune_gemm_resilient_cached, tune_vector_resilient,
-    tune_vector_resilient_cached, ResilOptions,
-};
-pub use search::{
-    tune_gemm, tune_gemm_cached, tune_gemm_traced, tune_vector, tune_vector_cached,
-    tune_vector_traced, TuneError, TuneResult,
-};
+pub use legal::check_legality;
+pub use resilient::{sweep, ResilOptions};
+pub use search::{SweepStats, TuneError, TuneResult};

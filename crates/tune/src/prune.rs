@@ -8,46 +8,17 @@
 //! cannot win — or even tie — the sweep, so its simulation can be
 //! skipped entirely.
 //!
-//! The sweep here is therefore best-first: phase 1 builds every
-//! candidate (memoized through the [`EvalCache`]) and computes its
-//! static bound under a `cost` span; phase 2 evaluates candidates in
-//! descending bound order, pruning each one whose bound falls below the
-//! incumbent. Because the bound is sound and the cut is strict
-//! (`ub < best`), the surviving set always contains every candidate
-//! whose true Mflops equals the sweep maximum; results are re-assembled
-//! in the *original* candidate order before ranking, so the winner, the
-//! tie-breaking, and the best measurement are bit-for-bit identical to
-//! the exhaustive sweep (`tests/cost_pruning.rs` machine-checks this on
-//! every kernel family and both machines).
-
-use crate::cache::EvalCache;
-use crate::config::{gemm_candidates, vector_candidates, GemmConfig, VectorConfig, VectorKernel};
-use crate::evaluate::{
-    evaluate_gemm_cached, evaluate_vector_cached, gemm_eval_args, vector_eval_args, EvalError,
-    Evaluation,
-};
-use crate::search::{rank, TuneError, TuneResult};
-use augem_machine::MachineSpec;
-use augem_obs::{span, stage, Histogram, Tracer, Value};
-
-/// What the bound phase did to the sweep.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PruneStats {
-    /// Candidates the generator enumerated.
-    pub generated: usize,
-    /// Candidates that built and got a static bound.
-    pub analyzed: usize,
-    /// Evaluations skipped because the bound proved the candidate
-    /// dominated.
-    pub pruned: usize,
-    /// Candidates actually simulated.
-    pub evaluated: usize,
-    /// Wall-clock time spent computing static bounds. Analysis only:
-    /// kernel builds are shared with the evaluation phase through the
-    /// [`EvalCache`] and happen in an exhaustive sweep regardless, so
-    /// this is the *incremental* cost pruning adds to a sweep.
-    pub bound_ns: u64,
-}
+//! With [`ResilOptions::prune`](crate::ResilOptions::prune) the sweep is
+//! therefore best-first: it bounds every candidate from its (cached)
+//! build under a `cost` span, then evaluates candidates in descending
+//! bound order, pruning each one whose bound falls below the incumbent.
+//! Because the bound is sound and the cut is strict (`ub < best`), the
+//! surviving set always contains every candidate whose true Mflops
+//! equals the sweep maximum; results are re-assembled in the *original*
+//! candidate order before ranking, so the winner, the tie-breaking, and
+//! the best measurement are bit-for-bit identical to the exhaustive sweep
+//! (`tests/cost_pruning.rs` machine-checks this on every kernel family
+//! and both machines).
 
 /// Converts a cycle lower bound into the Mflops *upper* bound implied by
 /// the evaluator's own formula (`TimingReport::useful_mflops` at the
@@ -66,219 +37,11 @@ pub(crate) fn ub_mflops(bound_cycles: u64, useful_flops: u64, ghz: f64) -> f64 {
     useful_flops as f64 / secs / 1e6
 }
 
-/// [`tune_gemm_pruned_cached`] with a private build/eval cache.
-pub fn tune_gemm_pruned(
-    machine: &MachineSpec,
-) -> Result<(TuneResult<GemmConfig>, PruneStats), TuneError> {
-    tune_gemm_pruned_cached(machine, augem_obs::null(), &EvalCache::new())
-}
-
-/// The GEMM sweep with bound-based pruning: identical winner and best
-/// measurement to [`crate::tune_gemm_cached`], minus the simulations the
-/// static bound proves pointless.
-pub fn tune_gemm_pruned_cached(
-    machine: &MachineSpec,
-    tracer: &dyn Tracer,
-    cache: &EvalCache,
-) -> Result<(TuneResult<GemmConfig>, PruneStats), TuneError> {
-    sweep_pruned(
-        "dgemm",
-        machine,
-        gemm_candidates(machine),
-        |c| c.tag(),
-        |c, t| {
-            let build = cache
-                .logged_gemm(c, machine, t)
-                .map_err(|e| EvalError::Build(e).to_string())?;
-            let (args, useful) = gemm_eval_args(c);
-            let a0 = std::time::Instant::now();
-            let bound = match augem_cost::analyze(&build.asm, &args, machine) {
-                Ok(r) => ub_mflops(r.lower_bound_cycles, useful, machine.turbo_ghz),
-                // The analyzer declining to bound a kernel is not a
-                // candidate failure — it just can't be pruned.
-                Err(_) => f64::INFINITY,
-            };
-            Ok((bound, a0.elapsed().as_nanos() as u64))
-        },
-        |c, t| evaluate_gemm_cached(c, machine, t, None, cache).map_err(|e| e.to_string()),
-        tracer,
-    )
-}
-
-/// [`tune_vector_pruned_cached`] with a private build/eval cache.
-pub fn tune_vector_pruned(
-    kernel: VectorKernel,
-    machine: &MachineSpec,
-) -> Result<(TuneResult<VectorConfig>, PruneStats), TuneError> {
-    tune_vector_pruned_cached(kernel, machine, augem_obs::null(), &EvalCache::new())
-}
-
-/// The vector-kernel sweep with bound-based pruning (see
-/// [`tune_gemm_pruned_cached`]).
-pub fn tune_vector_pruned_cached(
-    kernel: VectorKernel,
-    machine: &MachineSpec,
-    tracer: &dyn Tracer,
-    cache: &EvalCache,
-) -> Result<(TuneResult<VectorConfig>, PruneStats), TuneError> {
-    sweep_pruned(
-        kernel.name(),
-        machine,
-        vector_candidates(kernel, machine),
-        |c| c.tag(),
-        |c, t| {
-            let build = cache
-                .logged_vector(c, machine, t)
-                .map_err(|e| EvalError::Build(e).to_string())?;
-            let (args, useful) = vector_eval_args(c);
-            let a0 = std::time::Instant::now();
-            let bound = match augem_cost::analyze(&build.asm, &args, machine) {
-                Ok(r) => ub_mflops(r.lower_bound_cycles, useful, machine.turbo_ghz),
-                Err(_) => f64::INFINITY,
-            };
-            Ok((bound, a0.elapsed().as_nanos() as u64))
-        },
-        |c, t| evaluate_vector_cached(c, machine, t, None, cache).map_err(|e| e.to_string()),
-        tracer,
-    )
-}
-
-/// The shared best-first sweep. `bound` returns the candidate's Mflops
-/// upper bound plus the nanoseconds the analysis itself took, or `Err`
-/// with the build failure (exactly the string the exhaustive sweep
-/// would record, so failure reporting is unchanged).
-fn sweep_pruned<C: Copy>(
-    kernel: &str,
-    machine: &MachineSpec,
-    candidates: Vec<C>,
-    tag: impl Fn(&C) -> String,
-    bound: impl Fn(&C, &dyn Tracer) -> Result<(f64, u64), String>,
-    eval: impl Fn(&C, &dyn Tracer) -> Result<Evaluation, String>,
-    tracer: &dyn Tracer,
-) -> Result<(TuneResult<C>, PruneStats), TuneError> {
-    let _t = span(tracer, stage::TUNE);
-
-    // Phase 1: static bounds for the whole space.
-    let ubs: Vec<Result<(f64, u64), String>> = {
-        let _c = span(tracer, stage::COST);
-        candidates.iter().map(|c| bound(c, tracer)).collect()
-    };
-    let bound_ns: u64 = ubs
-        .iter()
-        .filter_map(|r| r.as_ref().ok().map(|&(_, ns)| ns))
-        .sum();
-    let ubs: Vec<Result<f64, String>> = ubs.into_iter().map(|r| r.map(|(ub, _)| ub)).collect();
-    let analyzed = ubs.iter().filter(|r| r.is_ok()).count();
-    tracer.add("cost.analyzed", analyzed as u64);
-    tracer.add("cost.bound_ns", bound_ns);
-
-    // Phase 2: evaluate in descending-bound order (original index breaks
-    // ties), pruning once the incumbent exceeds a candidate's bound.
-    let ub_of = |i: usize| *ubs[i].as_ref().unwrap_or(&f64::NEG_INFINITY);
-    let mut order: Vec<usize> = (0..candidates.len()).filter(|&i| ubs[i].is_ok()).collect();
-    order.sort_by(|&a, &b| ub_of(b).total_cmp(&ub_of(a)).then(a.cmp(&b)));
-
-    let mut slots: Vec<Option<Result<Evaluation, String>>> = ubs
-        .iter()
-        .map(|r| r.as_ref().err().map(|why| Err(why.clone())))
-        .collect();
-    let mut latency = Histogram::new();
-    let mut best = f64::NEG_INFINITY;
-    let mut pruned = 0usize;
-    for i in order {
-        let ub = ub_of(i);
-        if ub < best {
-            pruned += 1;
-            tracer.event(
-                "cost.pruned",
-                &[
-                    ("tag", Value::from(tag(&candidates[i]))),
-                    ("bound_mflops", Value::from(ub)),
-                ],
-            );
-            slots[i] = Some(Err(format!(
-                "pruned(bound): static bound {ub:.1} Mflops below incumbent {best:.1} Mflops"
-            )));
-            continue;
-        }
-        let e0 = std::time::Instant::now();
-        let r = eval(&candidates[i], tracer);
-        latency.record(e0.elapsed().as_nanos() as u64);
-        if let Ok(e) = &r {
-            best = best.max(e.mflops);
-        }
-        slots[i] = Some(r);
-    }
-    tracer.add("cost.pruned", pruned as u64);
-
-    // Re-assemble in the original candidate order: `rank`'s stable sort
-    // then resolves ties exactly as the exhaustive sweep does.
-    let stats = PruneStats {
-        generated: candidates.len(),
-        analyzed,
-        pruned,
-        evaluated: analyzed - pruned,
-        bound_ns,
-    };
-    let evaluated: Vec<(C, Result<Evaluation, String>)> = candidates
-        .iter()
-        .zip(slots)
-        .map(|(c, s)| {
-            (
-                *c,
-                s.unwrap_or_else(|| Err("bound phase lost a candidate".into())),
-            )
-        })
-        .collect();
-    let mut result = rank(kernel, machine, evaluated, tag, tracer)?;
-    result.eval_latency_ns = latency;
-    Ok((result, stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::{tune_gemm, tune_vector};
-
-    #[test]
-    fn pruned_gemm_matches_exhaustive_winner_bit_for_bit() {
-        for machine in [MachineSpec::sandy_bridge(), MachineSpec::piledriver()] {
-            let plain = tune_gemm(&machine).unwrap();
-            let (pruned, stats) = tune_gemm_pruned(&machine).unwrap();
-            assert_eq!(pruned.best.tag(), plain.best.tag());
-            assert_eq!(
-                pruned.best_eval.mflops.to_bits(),
-                plain.best_eval.mflops.to_bits(),
-                "pruning must not change the measurement"
-            );
-            assert_eq!(
-                pruned.best_eval.report.cycles,
-                plain.best_eval.report.cycles
-            );
-            assert_eq!(pruned.generated, plain.generated);
-            assert_eq!(
-                stats.generated,
-                stats.pruned + stats.evaluated + (stats.generated - stats.analyzed)
-            );
-            // Build failures must surface with the exhaustive sweep's
-            // exact reasons; prunes are additional failures.
-            assert_eq!(pruned.failures.len(), plain.failures.len() + stats.pruned);
-        }
-    }
-
-    #[test]
-    fn pruned_vector_sweep_preserves_winner_and_prunes_something() {
-        let machine = MachineSpec::sandy_bridge();
-        let plain = tune_vector(VectorKernel::Axpy, &machine).unwrap();
-        let (pruned, stats) = tune_vector_pruned(VectorKernel::Axpy, &machine).unwrap();
-        assert_eq!(pruned.best.tag(), plain.best.tag());
-        assert_eq!(
-            pruned.best_eval.mflops.to_bits(),
-            plain.best_eval.mflops.to_bits()
-        );
-        assert_eq!(stats.analyzed, stats.pruned + stats.evaluated);
-        assert!(stats.bound_ns > 0);
-    }
+    use crate::{evaluate, vector_candidates, Candidate, EvalCache, VectorKernel};
+    use augem_machine::MachineSpec;
 
     #[test]
     fn bound_is_an_upper_bound_on_every_measured_candidate() {
@@ -287,14 +50,13 @@ mod tests {
         let machine = MachineSpec::sandy_bridge();
         let cache = EvalCache::new();
         for cfg in vector_candidates(VectorKernel::Axpy, &machine) {
-            let Ok(build) = cache.logged_vector(&cfg, &machine, augem_obs::null()) else {
+            let Ok(build) = cache.logged(&cfg, &machine, augem_obs::null()) else {
                 continue;
             };
-            let (args, useful) = vector_eval_args(&cfg);
+            let (args, useful) = cfg.eval_args();
             let report = augem_cost::analyze(&build.asm, &args, &machine).unwrap();
             let ub = ub_mflops(report.lower_bound_cycles, useful, machine.turbo_ghz);
-            let e =
-                evaluate_vector_cached(&cfg, &machine, augem_obs::null(), None, &cache).unwrap();
+            let e = evaluate(&cfg, &machine, augem_obs::null(), None, &cache).unwrap();
             assert!(
                 e.mflops <= ub,
                 "{}: measured {} exceeds static upper bound {}",

@@ -1,47 +1,64 @@
-//! Fault-tolerant, resumable search driver.
+//! The sweep: the one empirical-tuning loop, generic over [`Candidate`].
 //!
-//! The plain [`crate::search`] sweep assumes a well-behaved evaluation
-//! oracle; this driver assumes the opposite. Each candidate is evaluated
-//! inside a panic sandbox under a per-candidate instruction budget,
-//! transient failures get a bounded retry, repeatedly-failing candidate
-//! *families* are circuit-broken, and every completed measurement is
-//! checkpointed to a [`TuneJournal`] so a crashed run resumes where it
-//! stopped — reproducing the uninterrupted run's winner bit-for-bit
-//! (measurements are replayed from the journal, never re-simulated, and
-//! the journal stores the exact `f64`).
+//! The sweep assumes an ill-behaved evaluation oracle. Each candidate is
+//! evaluated inside a panic sandbox under an optional per-candidate
+//! instruction budget, transient failures get a bounded retry,
+//! repeatedly-failing candidate *families* are circuit-broken, and every
+//! completed measurement is checkpointed to a [`TuneJournal`] so a
+//! crashed run resumes where it stopped — reproducing the uninterrupted
+//! run's winner bit-for-bit (measurements are replayed from the journal,
+//! never re-simulated, and the journal stores the exact `f64`).
+//!
+//! Its stages run in this order:
+//!
+//! 1. **Legality** ([`ResilOptions::check_legality`]): the candidates'
+//!    cached logged builds are checked by `augem-depan` in parallel
+//!    ([`crate::legal`]).
+//! 2. **Bounds** ([`ResilOptions::prune`]): every candidate gets a static
+//!    Mflops upper bound and the sweep runs best-first, skipping the
+//!    candidates the incumbent dominates ([`crate::prune`]).
+//! 3. **Speculative evaluation**: unless pruning or injecting faults,
+//!    evaluation is pure and fans out in parallel, each worker recording
+//!    telemetry into a private [`Collector`].
+//! 4. **Commit**: strictly sequential — journal replay, breaker, legality
+//!    verdict, bound, then the evaluation (speculated, or run inline),
+//!    whose telemetry is merged ([`replay_into`]) at the candidate's
+//!    slot. Journal bytes, rankings, counters and events are bit-for-bit
+//!    identical to a sequential sweep.
+//! 5. **Rank** ([`crate::search`]) over the results in candidate order.
 //!
 //! The journal is append-ordered, the breaker counts consecutive
-//! failures, and resume must replay decisions in the order they were
-//! made — so *committing* results is strictly sequential. Evaluation,
-//! however, is pure when no faults are being injected, and runs
-//! speculatively in parallel: workers measure candidates into private
-//! [`Collector`]s, and the sequential commit loop merges each worker's
-//! telemetry ([`replay_into`]) at the candidate's slot in sweep order.
-//! Journal bytes, rankings, counters and events are bit-for-bit
-//! identical to a sequential sweep. With an enabled [`Injector`] the
-//! sweep stays fully sequential, because injected faults (`Trigger::Nth`
-//! counters in particular) are order-dependent by design.
+//! failures, pruning compares against the best measurement committed so
+//! far, and resume must replay decisions in the order they were made —
+//! hence the sequential commit. Injected faults (`Trigger::Nth` counters
+//! in particular) are order-dependent by design, so an enabled
+//! [`Injector`] keeps evaluation sequential too.
+//!
+//! [`ResilOptions::plain`] turns the breaker and the budget off, so every
+//! candidate is measured: the exhaustive sweep.
 
 use crate::cache::EvalCache;
-use crate::config::{gemm_candidates, vector_candidates, GemmConfig, VectorConfig, VectorKernel};
-use crate::evaluate::{
-    evaluate_gemm_cached, evaluate_vector_cached, gemm_eval_args, vector_eval_args, EvalClass,
-    EvalError, Evaluation,
-};
+use crate::config::{Candidate, LoggedBuild};
+use crate::evaluate::{evaluate, EvalClass, EvalError, Evaluation};
+use crate::legal::check_legality;
 use crate::prune::ub_mflops;
-use crate::search::{rank, TuneError, TuneResult};
+use crate::search::{rank, SweepStats, TuneError, TuneResult};
 use augem_machine::MachineSpec;
-use augem_obs::{replay_into, span, stage, Collector, Tracer, Value};
+use augem_obs::{replay_into, span, stage, Collector, Histogram, Tracer, Value};
 use augem_resil::{
-    counter, sandboxed, with_retry, CircuitBreaker, Fault, Injector, RetryPolicy, Site, TuneJournal,
+    counter, journal_header, sandboxed, with_retry, CircuitBreaker, Fault, Injector, RetryPolicy,
+    Site, TuneJournal,
 };
 use augem_sim::TimingReport;
 use rayon::prelude::*;
 use std::cell::Cell;
+use std::sync::Arc;
+use std::time::Instant;
 
 /// One speculative worker's output: the measurement (or typed failure)
-/// plus the telemetry it recorded, replayed at commit time.
-type Speculated = (Result<Evaluation, EvalError>, Collector);
+/// with its wall time in ns, plus the telemetry it recorded, replayed at
+/// commit time.
+type Speculated = ((Result<Evaluation, EvalError>, u64), Collector);
 
 /// Default per-candidate instruction budget: far above any healthy
 /// micro-problem trace (worst evaluator runs a few million dynamic
@@ -49,7 +66,7 @@ type Speculated = (Result<Evaluation, EvalError>, Collector);
 /// backstop.
 pub const DEFAULT_STEP_BUDGET: u64 = 1 << 26;
 
-/// Knobs for the resilient sweep.
+/// Knobs for the sweep.
 #[derive(Debug, Clone, Copy)]
 pub struct ResilOptions {
     /// Retry policy for transient (panic-class) failures.
@@ -60,20 +77,20 @@ pub struct ResilOptions {
     /// Per-candidate instruction budget (`None` = simulator default).
     pub step_limit: Option<u64>,
     /// Skip candidates whose static Mflops upper bound (`augem-cost`)
-    /// falls strictly below the best measurement committed so far. The
-    /// winner and its measurement are unchanged (the bound is sound and
-    /// the cut strict); pruned candidates are journaled with outcome
-    /// `"pruned"` so a resumed sweep replays the same decisions
-    /// bit-for-bit. Pruning depends on commit order, so it disables the
-    /// speculative parallel phase, like an enabled injector does.
+    /// falls strictly below the best measurement committed so far,
+    /// evaluating best-bound-first. The winner and its measurement are
+    /// unchanged (the bound is sound and the cut strict); pruned
+    /// candidates are journaled with outcome `"pruned"` so a resumed
+    /// sweep replays the same decisions bit-for-bit. Pruning depends on
+    /// commit order, so it disables the speculative parallel stage, like
+    /// an enabled injector does.
     pub prune: bool,
     /// Reject candidates whose transform chain `augem-depan` cannot
-    /// prove legal, before code generation. Rejections are journaled
-    /// with outcome `"rejected"` and replayed on resume exactly like
-    /// prunes; like a prune, a rejection never touches the breaker.
-    /// Legality is order-independent, so this keeps the speculative
-    /// parallel phase (a rejected candidate's speculative evaluation is
-    /// discarded unseen, like a breaker skip's).
+    /// prove legal, before evaluation. Rejections are journaled with
+    /// outcome `"rejected"` and replayed on resume exactly like prunes;
+    /// like a prune, a rejection never touches the breaker. Legality is
+    /// order-independent, so this keeps the speculative parallel stage
+    /// (rejected candidates are never speculated on).
     pub check_legality: bool,
 }
 
@@ -97,112 +114,16 @@ impl ResilOptions {
             ..Self::default()
         }
     }
-}
 
-/// [`crate::tune_gemm`], resiliently: sandboxed + budgeted evaluation,
-/// retry, circuit breaking, and journal checkpoint/resume. Already-
-/// journaled candidates are restored without re-simulation.
-pub fn tune_gemm_resilient(
-    machine: &MachineSpec,
-    opts: &ResilOptions,
-    journal: &mut TuneJournal,
-    injector: &Injector,
-    tracer: &dyn Tracer,
-) -> Result<TuneResult<GemmConfig>, TuneError> {
-    tune_gemm_resilient_cached(
-        machine,
-        opts,
-        journal,
-        injector,
-        tracer,
-        &EvalCache::disabled(),
-    )
-}
-
-/// [`tune_gemm_resilient`] with builds and measurements memoized through
-/// `cache`, so the verification and degradation stages above the sweep
-/// can reuse what the sweep already computed.
-pub fn tune_gemm_resilient_cached(
-    machine: &MachineSpec,
-    opts: &ResilOptions,
-    journal: &mut TuneJournal,
-    injector: &Injector,
-    tracer: &dyn Tracer,
-    cache: &EvalCache,
-) -> Result<TuneResult<GemmConfig>, TuneError> {
-    let candidates = gemm_candidates(machine);
-    drive(
-        "dgemm",
-        machine,
-        candidates,
-        |c| c.tag(),
-        |c| format!("{}x{}", c.mu, c.nu),
-        |c, limit, t| evaluate_gemm_cached(c, machine, t, limit, cache),
-        |c, t| {
-            let build = cache.logged_gemm(c, machine, t).ok()?;
-            let (args, useful) = gemm_eval_args(c);
-            let r = augem_cost::analyze(&build.asm, &args, machine).ok()?;
-            Some(ub_mflops(r.lower_bound_cycles, useful, machine.turbo_ghz))
-        },
-        crate::legal::reject_gemm,
-        opts,
-        journal,
-        injector,
-        tracer,
-    )
-}
-
-/// [`crate::tune_vector`], resiliently (see [`tune_gemm_resilient`]).
-pub fn tune_vector_resilient(
-    kernel: VectorKernel,
-    machine: &MachineSpec,
-    opts: &ResilOptions,
-    journal: &mut TuneJournal,
-    injector: &Injector,
-    tracer: &dyn Tracer,
-) -> Result<TuneResult<VectorConfig>, TuneError> {
-    tune_vector_resilient_cached(
-        kernel,
-        machine,
-        opts,
-        journal,
-        injector,
-        tracer,
-        &EvalCache::disabled(),
-    )
-}
-
-/// [`tune_vector_resilient`] memoized through `cache` (see
-/// [`tune_gemm_resilient_cached`]).
-pub fn tune_vector_resilient_cached(
-    kernel: VectorKernel,
-    machine: &MachineSpec,
-    opts: &ResilOptions,
-    journal: &mut TuneJournal,
-    injector: &Injector,
-    tracer: &dyn Tracer,
-    cache: &EvalCache,
-) -> Result<TuneResult<VectorConfig>, TuneError> {
-    let candidates = vector_candidates(kernel, machine);
-    drive(
-        kernel.name(),
-        machine,
-        candidates,
-        |c| c.tag(),
-        |c| format!("u{}", c.unroll),
-        |c, limit, t| evaluate_vector_cached(c, machine, t, limit, cache),
-        |c, t| {
-            let build = cache.logged_vector(c, machine, t).ok()?;
-            let (args, useful) = vector_eval_args(c);
-            let r = augem_cost::analyze(&build.asm, &args, machine).ok()?;
-            Some(ub_mflops(r.lower_bound_cycles, useful, machine.turbo_ghz))
-        },
-        crate::legal::reject_vector,
-        opts,
-        journal,
-        injector,
-        tracer,
-    )
+    /// The exhaustive sweep: no circuit breaker and no step budget, so
+    /// every candidate is measured.
+    pub fn plain() -> Self {
+        ResilOptions {
+            breaker_threshold: 0,
+            step_limit: None,
+            ..Self::default()
+        }
+    }
 }
 
 fn class_name(class: EvalClass) -> &'static str {
@@ -256,39 +177,80 @@ fn evaluation_from_json(entry: &augem_obs::Json) -> Option<Evaluation> {
     })
 }
 
-/// Can this journal entry be restored without re-evaluation? Mirrors the
-/// commit loop's replay logic: everything but a well-formed "ok" line
-/// with a mangled payload is final.
-fn journal_replayable(journal: &TuneJournal, tag: &str) -> bool {
+/// A journaled decision, restored at commit instead of re-run.
+enum Journaled {
+    /// A measurement, replayed bit-for-bit.
+    Ok(Evaluation),
+    /// A failed evaluation; it counted against the breaker.
+    Failed(String),
+    /// A breaker skip, prune or depan rejection; it never touched the
+    /// breaker, so restoring it must not either.
+    Decided(String),
+}
+
+/// The journal's final word on `tag`, if it has one. A well-formed "ok"
+/// line with a mangled payload is treated like a corrupt line: counted,
+/// dropped and re-evaluated.
+fn journaled(journal: &TuneJournal, tag: &str, tracer: &dyn Tracer) -> Option<Journaled> {
     use augem_obs::Json;
-    match journal.get(tag) {
-        None => false,
-        Some(entry) => match entry.get("outcome").and_then(Json::as_str) {
-            Some("ok") => evaluation_from_json(entry).is_some(),
-            _ => true,
-        },
+    let entry = journal.get(tag)?;
+    let outcome = entry.get("outcome").and_then(Json::as_str).unwrap_or("?");
+    let why = entry.get("error").and_then(Json::as_str).unwrap_or(outcome);
+    match outcome {
+        "ok" => {
+            let e = evaluation_from_json(entry);
+            if e.is_none() {
+                tracer.add(counter::JOURNAL_CORRUPT, 1);
+            }
+            e.map(Journaled::Ok)
+        }
+        "skipped" | "pruned" | "rejected" => Some(Journaled::Decided(why.to_string())),
+        _ => Some(Journaled::Failed(why.to_string())),
     }
 }
 
-/// The fault-tolerant sweep shared by both kernels: parallel speculative
-/// evaluation, strictly sequential commit. See the module docs for the
-/// semantics of each stage.
-#[allow(clippy::too_many_arguments)]
-fn drive<C: Copy + Sync>(
-    kernel: &str,
-    machine: &MachineSpec,
+/// Runs `f` over `items` in parallel, each call recording into a private
+/// collector for the caller to replay in item order — so the merged
+/// telemetry does not depend on how the workers interleaved.
+fn par_traced<T: Sync, R: Send>(
+    items: &[T],
+    f: impl Fn(&T, &dyn Tracer) -> R + Sync,
+) -> Vec<(R, Collector)> {
+    items
+        .par_iter()
+        .map(|item| {
+            let local = Collector::new();
+            (f(item, &local), local)
+        })
+        .collect()
+}
+
+/// Tunes over `candidates` on `machine` and ranks the survivors. See the
+/// module docs for the stages `opts` selects. `journal` checkpoints every
+/// decision and is replayed first (`None` keeps an in-memory one);
+/// `injector` plants deterministic faults for the resilience suites —
+/// pass [`Injector::disabled`] otherwise. Builds and measurements go
+/// through `cache`, so the layers above the sweep reuse them.
+pub fn sweep<C: Candidate + Copy + Send + Sync>(
     candidates: Vec<C>,
-    tag_of: impl Fn(&C) -> String + Sync,
-    family_of: impl Fn(&C) -> String,
-    eval: impl Fn(&C, Option<u64>, &dyn Tracer) -> Result<Evaluation, EvalError> + Sync,
-    bound_of: impl Fn(&C, &dyn Tracer) -> Option<f64>,
-    reject_of: impl Fn(&C, &dyn Tracer) -> Option<String>,
+    machine: &MachineSpec,
     opts: &ResilOptions,
-    journal: &mut TuneJournal,
+    journal: Option<&mut TuneJournal>,
     injector: &Injector,
     tracer: &dyn Tracer,
+    cache: &EvalCache,
 ) -> Result<TuneResult<C>, TuneError> {
     use augem_obs::Json;
+
+    let kernel = candidates.first().map_or("", |c| c.kernel().name());
+    let mut unsaved;
+    let journal = match journal {
+        Some(j) => j,
+        None => {
+            unsaved = TuneJournal::in_memory(journal_header(kernel, machine.arch.short_name()));
+            &mut unsaved
+        }
+    };
 
     let _t = span(tracer, stage::TUNE);
     let _r = span(tracer, stage::RESIL);
@@ -301,122 +263,143 @@ fn drive<C: Copy + Sync>(
         );
     }
 
-    // Speculative parallel evaluation. Injected faults are
-    // order-dependent (`Trigger::Nth` counters advance per probe), so an
-    // enabled injector keeps the sweep strictly sequential; without one
-    // evaluation is pure and fans out. Each worker records telemetry
-    // into a private collector; the commit loop replays it in candidate
-    // order. Candidates a tripped breaker later skips are wasted
-    // speculation — their results and telemetry are discarded unseen.
-    // Bound-based pruning decisions depend on the best measurement
-    // committed *so far*, which only the sequential loop knows — so it
-    // too keeps the sweep sequential.
-    let mut pre: Vec<Option<Speculated>> = candidates.iter().map(|_| None).collect();
+    let n = candidates.len();
+    let mut stats = SweepStats::default();
+    // Journaled candidates are restored at commit: never re-checked,
+    // re-bounded or re-evaluated.
+    let mut replay: Vec<Option<Journaled>> = candidates
+        .iter()
+        .map(|c| journaled(journal, &c.tag(), tracer))
+        .collect();
+    let todo: Vec<usize> = (0..n).filter(|&i| replay[i].is_none()).collect();
+
+    // Stages 1 and 2 read the candidates' logged builds, fetched through
+    // the cache that the evaluation stage then hits. A candidate that
+    // fails to build has no build here; evaluation reports its failure.
+    let mut builds: Vec<(usize, Arc<LoggedBuild>)> = Vec::new();
+    if opts.check_legality || opts.prune {
+        let fetched = par_traced(&todo, |&i, t| cache.logged(&candidates[i], machine, t));
+        for (&i, (build, local)) in todo.iter().zip(fetched) {
+            replay_into(tracer, &local.snapshot());
+            if let Ok(build) = build {
+                builds.push((i, build));
+            }
+        }
+    }
+
+    // Stage 1: legality verdicts. Only the checking itself is timed —
+    // that is the analysis cost; the builds happen with or without it.
+    let mut rejected: Vec<Option<String>> = vec![None; n];
+    if opts.check_legality {
+        let c0 = Instant::now();
+        let verdicts = par_traced(&builds, |(_, build), t| check_legality(build, t));
+        stats.check_ns = c0.elapsed().as_nanos() as u64;
+        for (&(i, _), (why, local)) in builds.iter().zip(verdicts) {
+            replay_into(tracer, &local.snapshot());
+            if let Some(why) = &why {
+                tracer.event(
+                    "depan.rejected",
+                    &[
+                        ("tag", Value::from(candidates[i].tag())),
+                        ("reason", Value::from(why.as_str())),
+                    ],
+                );
+            }
+            rejected[i] = why;
+        }
+        stats.checked = builds.len();
+        stats.rejected = rejected.iter().flatten().count();
+        tracer.add("depan.checked", stats.checked as u64);
+        tracer.add("depan.rejected", stats.rejected as u64);
+        tracer.add("depan.check_ns", stats.check_ns);
+    }
+
+    // Stage 2: static bounds, then best-first order.
+    let mut bounds: Vec<Option<f64>> = vec![None; n];
+    let mut order: Vec<usize> = (0..n).collect();
+    if opts.prune {
+        let _c = span(tracer, stage::COST);
+        for (i, build) in &builds {
+            let (args, useful) = candidates[*i].eval_args();
+            let a0 = Instant::now();
+            // The analyzer declining to bound a kernel is not a candidate
+            // failure — it just can't be pruned.
+            bounds[*i] = augem_cost::analyze(&build.asm, &args, machine)
+                .ok()
+                .map(|r| ub_mflops(r.lower_bound_cycles, useful, machine.turbo_ghz));
+            stats.bound_ns += a0.elapsed().as_nanos() as u64;
+        }
+        stats.analyzed = builds.len();
+        tracer.add("cost.analyzed", stats.analyzed as u64);
+        tracer.add("cost.bound_ns", stats.bound_ns);
+        // Descending bound, original index breaking ties. Unbounded
+        // candidates (journaled, unbuildable, or declined by the
+        // analyzer) can never be pruned and go first.
+        let ub = |i: usize| bounds[i].unwrap_or(f64::INFINITY);
+        order.sort_by(|&a, &b| ub(b).total_cmp(&ub(a)).then(a.cmp(&b)));
+    }
+
+    // Stage 3: speculative parallel evaluation. Candidates a tripped
+    // breaker later skips are wasted speculation — their results and
+    // telemetry are discarded unseen.
+    let mut pre: Vec<Option<Speculated>> = (0..n).map(|_| None).collect();
     if !injector.is_enabled() && !opts.prune {
-        let todo: Vec<usize> = candidates
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !journal_replayable(journal, &tag_of(c)))
-            .map(|(i, _)| i)
+        let todo: Vec<usize> = todo
+            .into_iter()
+            .filter(|&i| rejected[i].is_none())
             .collect();
-        let done: Vec<(usize, Speculated)> = todo
-            .par_iter()
-            .map(|&i| {
-                let c = &candidates[i];
-                let tag = tag_of(c);
-                let local = Collector::new();
-                let outcome = with_retry(&opts.retry, &local, &tag, |_attempt| {
-                    let r = sandboxed(|| eval(c, opts.step_limit, &local))
-                        .map_err(EvalError::Panicked)
-                        .and_then(|r| r);
-                    if let Err(e) = &r {
-                        local.add(e.class().counter(), 1);
-                    }
-                    r
-                });
-                (i, (outcome, local))
-            })
-            .collect();
-        for (i, slot) in done {
+        let done = par_traced(&todo, |&i, t| {
+            let t0 = Instant::now();
+            let outcome = with_retry(&opts.retry, t, &candidates[i].tag(), |_attempt| {
+                let r = sandboxed(|| evaluate(&candidates[i], machine, t, opts.step_limit, cache))
+                    .map_err(EvalError::Panicked)
+                    .and_then(|r| r);
+                if let Err(e) = &r {
+                    t.add(e.class().counter(), 1);
+                }
+                r
+            });
+            (outcome, t0.elapsed().as_nanos() as u64)
+        });
+        for (i, slot) in todo.into_iter().zip(done) {
             pre[i] = Some(slot);
         }
     }
 
+    // Stage 4: sequential commit.
     let breaker = CircuitBreaker::new(opts.breaker_threshold);
-    let mut evaluated: Vec<(C, Result<Evaluation, String>)> = Vec::with_capacity(candidates.len());
+    let mut slots: Vec<Option<Result<Evaluation, String>>> = (0..n).map(|_| None).collect();
+    let mut latency = Histogram::new();
     let mut interrupted = false;
     // Best Mflops committed so far — the pruning incumbent. Replayed
     // "ok" entries feed it too, so a resumed sweep reaches each pruning
     // decision with exactly the state the original sweep had.
     let mut best_mflops = f64::NEG_INFINITY;
 
-    for (i, c) in candidates.iter().enumerate() {
-        let tag = tag_of(c);
-        let family = family_of(c);
+    for &i in &order {
+        let c = &candidates[i];
+        let tag = c.tag();
+        let family = c.family();
 
         // Checkpoint replay: a journaled outcome is final — restore it
         // (and its effect on the breaker) without re-simulating.
-        if let Some(entry) = journal.get(&tag) {
-            let outcome = entry.get("outcome").and_then(Json::as_str).unwrap_or("?");
-            let mut replayed = true;
-            match outcome {
-                "ok" => match evaluation_from_json(entry) {
-                    Some(e) => {
-                        breaker.record(&family, true);
-                        best_mflops = best_mflops.max(e.mflops);
-                        evaluated.push((*c, Ok(e)));
-                    }
-                    None => {
-                        // A well-formed line with a mangled payload: treat
-                        // it like a corrupt line — drop and re-evaluate.
-                        tracer.add(counter::JOURNAL_CORRUPT, 1);
-                        replayed = false;
-                    }
-                },
-                "skipped" => {
-                    let why = entry
-                        .get("error")
-                        .and_then(Json::as_str)
-                        .unwrap_or("circuit open")
-                        .to_string();
-                    evaluated.push((*c, Err(why)));
+        if let Some(journaled) = replay[i].take() {
+            slots[i] = Some(match journaled {
+                Journaled::Ok(e) => {
+                    breaker.record(&family, true);
+                    best_mflops = best_mflops.max(e.mflops);
+                    Ok(e)
                 }
-                // A pruned candidate was never simulated and never
-                // touched the breaker; restoring it must not either.
-                "pruned" => {
-                    let why = entry
-                        .get("error")
-                        .and_then(Json::as_str)
-                        .unwrap_or("pruned(bound)")
-                        .to_string();
-                    evaluated.push((*c, Err(why)));
-                }
-                // Likewise for a depan-rejected candidate: its verdict
-                // is a pure function of the config, final either way.
-                "rejected" => {
-                    let why = entry
-                        .get("error")
-                        .and_then(Json::as_str)
-                        .unwrap_or("rejected(depan)")
-                        .to_string();
-                    evaluated.push((*c, Err(why)));
-                }
-                _ => {
-                    let why = entry
-                        .get("error")
-                        .and_then(Json::as_str)
-                        .unwrap_or("journaled failure")
-                        .to_string();
+                Journaled::Failed(why) => {
                     if breaker.record(&family, false) {
                         tracer.add(counter::BREAKER_TRIP, 1);
                     }
-                    evaluated.push((*c, Err(why)));
+                    Err(why)
                 }
-            }
-            if replayed {
-                tracer.add(counter::JOURNAL_RESUMED, 1);
-                continue;
-            }
+                Journaled::Decided(why) => Err(why),
+            });
+            tracer.add(counter::JOURNAL_RESUMED, 1);
+            continue;
         }
 
         // Circuit check: a family past its failure threshold is skipped,
@@ -436,65 +419,51 @@ fn drive<C: Copy + Sync>(
                 ("outcome", Json::str("skipped")),
                 ("error", Json::str(&why)),
             ]));
-            evaluated.push((*c, Err(why)));
+            slots[i] = Some(Err(why));
             continue;
         }
 
-        // Legality check: a candidate whose transform chain cannot be
-        // proved legal never reaches codegen or the simulator. Like a
-        // prune, not a failure — the breaker never sees it.
-        if opts.check_legality {
-            if let Some(why) = reject_of(c, tracer) {
-                tracer.add("depan.rejected", 1);
-                tracer.event(
-                    "depan.rejected",
-                    &[
-                        ("tag", Value::from(tag.as_str())),
-                        ("reason", Value::from(why.as_str())),
-                    ],
-                );
-                let entry = Json::obj(vec![
-                    ("tag", Json::str(&tag)),
-                    ("outcome", Json::str("rejected")),
-                    ("error", Json::str(&why)),
-                ]);
-                append_maybe_corrupted(journal, injector, &tag, entry);
-                evaluated.push((*c, Err(why)));
-                continue;
-            }
+        // Legality verdict: a candidate whose transform chain cannot be
+        // proved legal never reaches the simulator. Like a prune, not a
+        // failure — the breaker never sees it.
+        if let Some(why) = rejected[i].take() {
+            let entry = Json::obj(vec![
+                ("tag", Json::str(&tag)),
+                ("outcome", Json::str("rejected")),
+                ("error", Json::str(&why)),
+            ]);
+            append_maybe_corrupted(journal, injector, &tag, entry);
+            slots[i] = Some(Err(why));
+            continue;
         }
 
         // Bound check: a candidate the static analyzer proves strictly
         // slower than the incumbent is skipped without simulation. Not a
         // failure — the breaker never sees it.
-        if opts.prune {
-            if let Some(ub) = bound_of(c, tracer) {
-                tracer.add("cost.analyzed", 1);
-                if ub < best_mflops {
-                    let why = format!(
-                        "pruned(bound): static bound {ub:.1} Mflops below incumbent {best_mflops:.1} Mflops"
-                    );
-                    tracer.add("cost.pruned", 1);
-                    tracer.event(
-                        "cost.pruned",
-                        &[
-                            ("tag", Value::from(tag.as_str())),
-                            ("bound_mflops", Value::from(ub)),
-                        ],
-                    );
-                    let entry = Json::obj(vec![
-                        ("tag", Json::str(&tag)),
-                        ("outcome", Json::str("pruned")),
-                        ("error", Json::str(&why)),
-                    ]);
-                    append_maybe_corrupted(journal, injector, &tag, entry);
-                    evaluated.push((*c, Err(why)));
-                    continue;
-                }
-            }
+        if let Some(ub) = bounds[i].filter(|&ub| ub < best_mflops) {
+            let why = format!(
+                "pruned(bound): static bound {ub:.1} Mflops below incumbent {best_mflops:.1} Mflops"
+            );
+            stats.pruned += 1;
+            tracer.add("cost.pruned", 1);
+            tracer.event(
+                "cost.pruned",
+                &[
+                    ("tag", Value::from(tag.as_str())),
+                    ("bound_mflops", Value::from(ub)),
+                ],
+            );
+            let entry = Json::obj(vec![
+                ("tag", Json::str(&tag)),
+                ("outcome", Json::str("pruned")),
+                ("error", Json::str(&why)),
+            ]);
+            append_maybe_corrupted(journal, injector, &tag, entry);
+            slots[i] = Some(Err(why));
+            continue;
         }
 
-        let outcome = if let Some((outcome, local)) = pre[i].take() {
+        let (outcome, eval_ns) = if let Some((outcome, local)) = pre[i].take() {
             // Speculatively evaluated: merge the worker's telemetry at
             // this candidate's slot in the commit order, then proceed
             // exactly as if it had just been evaluated inline.
@@ -505,6 +474,13 @@ fn drive<C: Copy + Sync>(
             // fault simulates the process dying mid-sweep: the sweep
             // aborts with `interrupted`, leaving the journal's completed
             // prefix behind.
+            // A sandboxed evaluation under `limit`: a panic becomes a
+            // typed failure.
+            let eval = |limit| {
+                sandboxed(|| evaluate(c, machine, tracer, limit, cache))
+                    .map_err(EvalError::Panicked)
+                    .and_then(|r| r)
+            };
             let crashed = Cell::new(false);
             // Every failed attempt is counted by class — including
             // failures a later retry recovers from, which would
@@ -517,40 +493,30 @@ fn drive<C: Copy + Sync>(
                 }
                 r
             };
+            let t0 = Instant::now();
             let outcome = with_retry(&opts.retry, tracer, &tag, |attempt| {
-                count_class(match injector.fault(Site::Eval, &tag, attempt) {
-                    Some(Fault::Crash) => {
+                // A fault injected at the simulator layer shows up to the
+                // tuner like one around the whole evaluation: a panic, or
+                // a budget exhausted on the first instruction.
+                let fault = match injector.fault(Site::Eval, &tag, attempt) {
+                    Some(Fault::CorruptEntry) | None => injector
+                        .fault(Site::Sim, &tag, attempt)
+                        .map(|f| (Site::Sim, f)),
+                    fault => fault.map(|f| (Site::Eval, f)),
+                };
+                count_class(match fault {
+                    Some((Site::Eval, Fault::Crash)) => {
                         crashed.set(true);
                         // Fatal class: stops the retry loop immediately.
                         Err(EvalError::Budget(0))
                     }
-                    Some(Fault::Panic) => sandboxed(|| -> Evaluation {
-                        panic!("injected fault: evaluation of {tag} panicked")
+                    Some((site, Fault::Panic)) => sandboxed(|| -> Evaluation {
+                        panic!("injected fault: {site:?} panicked on {tag}")
                     })
                     .map_err(EvalError::Panicked),
-                    Some(Fault::Budget) => {
-                        // A one-instruction budget genuinely exhausts.
-                        sandboxed(|| eval(c, Some(1), tracer))
-                            .map_err(EvalError::Panicked)
-                            .and_then(|r| r)
-                    }
-                    // A fault injected at the simulator layer shows up to
-                    // the tuner as either a panic inside the timing model
-                    // or a budget exhausted on the first instruction.
-                    Some(Fault::CorruptEntry) | None => {
-                        match injector.fault(Site::Sim, &tag, attempt) {
-                            Some(Fault::Panic) => sandboxed(|| -> Evaluation {
-                                panic!("injected fault: simulator panicked on {tag}")
-                            })
-                            .map_err(EvalError::Panicked),
-                            Some(Fault::Budget) => sandboxed(|| eval(c, Some(1), tracer))
-                                .map_err(EvalError::Panicked)
-                                .and_then(|r| r),
-                            _ => sandboxed(|| eval(c, opts.step_limit, tracer))
-                                .map_err(EvalError::Panicked)
-                                .and_then(|r| r),
-                        }
-                    }
+                    // A one-instruction budget genuinely exhausts.
+                    Some((_, Fault::Budget)) => eval(Some(1)),
+                    _ => eval(opts.step_limit),
                 })
             });
             if crashed.get() {
@@ -558,8 +524,10 @@ fn drive<C: Copy + Sync>(
                 tracer.event("resil.crash", &[("tag", Value::from(tag.as_str()))]);
                 break;
             }
-            outcome
+            (outcome, t0.elapsed().as_nanos() as u64)
         };
+        latency.record(eval_ns);
+        stats.evaluated += 1;
 
         match outcome {
             Ok(e) => {
@@ -573,11 +541,11 @@ fn drive<C: Copy + Sync>(
                     ("report", report_to_json(&e)),
                 ]);
                 append_maybe_corrupted(journal, injector, &tag, entry);
-                evaluated.push((*c, Ok(e)));
+                slots[i] = Some(Ok(e));
             }
             Err(e) => {
-                // The class counter was already bumped per attempt by
-                // `count_class`; here we only record the terminal event.
+                // The class counter was already bumped per attempt; here
+                // we only record the terminal event.
                 let class = e.class();
                 let why = e.to_string();
                 tracer.event(
@@ -602,20 +570,27 @@ fn drive<C: Copy + Sync>(
                     ("error", Json::str(&why)),
                 ]);
                 append_maybe_corrupted(journal, injector, &tag, entry);
-                evaluated.push((*c, Err(why)));
+                slots[i] = Some(Err(why));
             }
         }
     }
 
+    // Stage 5: rank, in candidate order so ties resolve by enumeration
+    // order whatever order the commit ran in.
+    let done: Vec<(C, Result<Evaluation, String>)> = candidates
+        .into_iter()
+        .zip(slots)
+        .filter_map(|(c, slot)| slot.map(|r| (c, r)))
+        .collect();
     if interrupted {
         return Err(TuneError {
             kernel: kernel.to_string(),
             machine: machine.arch.short_name().to_string(),
-            failures: evaluated
+            failures: done
                 .iter()
                 .map(|(c, r)| {
                     (
-                        tag_of(c),
+                        c.tag(),
                         match r {
                             Ok(e) => format!("ok: {:.1} Mflops", e.mflops),
                             Err(why) => why.clone(),
@@ -626,8 +601,10 @@ fn drive<C: Copy + Sync>(
             interrupted: true,
         });
     }
-
-    rank(kernel, machine, evaluated, tag_of, tracer)
+    let mut result = rank(kernel, machine, done, tracer)?;
+    result.eval_latency_ns = latency;
+    result.stats = stats;
+    Ok(result)
 }
 
 /// Journal append with the corruption fault-site applied: when the
@@ -650,33 +627,143 @@ fn append_maybe_corrupted(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{gemm_candidates, vector_candidates, GemmConfig, VectorKernel};
     use augem_obs::Collector;
-    use augem_resil::{journal_header, InjectionPlan, Trigger};
+    use augem_resil::{InjectionPlan, Trigger};
 
     fn mem_journal(kernel: &str, machine: &MachineSpec) -> TuneJournal {
         TuneJournal::in_memory(journal_header(kernel, machine.arch.short_name()))
     }
 
+    /// A checkpointed gemm sweep with an uncached evaluator.
+    fn gemm(
+        m: &MachineSpec,
+        opts: &ResilOptions,
+        journal: &mut TuneJournal,
+        injector: &Injector,
+        tracer: &dyn Tracer,
+    ) -> Result<TuneResult<GemmConfig>, TuneError> {
+        let cache = EvalCache::disabled();
+        let cands = gemm_candidates(m);
+        sweep(cands, m, opts, Some(journal), injector, tracer, &cache)
+    }
+
+    /// A checkpointed daxpy sweep with an uncached evaluator.
+    fn axpy(
+        m: &MachineSpec,
+        opts: &ResilOptions,
+        journal: &mut TuneJournal,
+        injector: &Injector,
+        tracer: &dyn Tracer,
+    ) -> Result<TuneResult<crate::VectorConfig>, TuneError> {
+        let cands = vector_candidates(VectorKernel::Axpy, m);
+        let cache = EvalCache::disabled();
+        sweep(cands, m, opts, Some(journal), injector, tracer, &cache)
+    }
+
+    /// The exhaustive sweep.
+    fn plain<C: Candidate + Copy + Send + Sync>(
+        candidates: Vec<C>,
+        m: &MachineSpec,
+        tracer: &dyn Tracer,
+    ) -> Result<TuneResult<C>, TuneError> {
+        let opts = ResilOptions::plain();
+        let cache = EvalCache::new();
+        let inj = Injector::disabled();
+        sweep(candidates, m, &opts, None, &inj, tracer, &cache)
+    }
+
+    #[test]
+    fn tuned_gemm_reaches_most_of_peak() {
+        // Piledriver's FMA-era peak is the harder one to approach.
+        for (m, floor) in [
+            (MachineSpec::sandy_bridge(), 0.5),
+            (MachineSpec::piledriver(), 0.4),
+        ] {
+            let r = plain(gemm_candidates(&m), &m, augem_obs::null()).unwrap();
+            let frac = r.best_eval.mflops / m.peak_mflops();
+            let arch = m.arch.short_name();
+            assert!(
+                frac > floor,
+                "tuned GEMM reaches {:.1}% of {arch} peak",
+                frac * 100.0
+            );
+            // The winner must be a vectorizable shape.
+            assert_eq!(
+                r.best.mu % m.simd_mode().f64_lanes(),
+                0,
+                "winner {:?}",
+                r.best
+            );
+            assert!(r.ranking.len() > 4);
+            assert_eq!(r.generated, r.ranking.len() + r.failures.len());
+        }
+    }
+
+    #[test]
+    fn empty_search_space_reports_every_failure() {
+        // A machine with almost no vector registers cannot build any
+        // candidate; the error must name each one with a reason.
+        let mut m = MachineSpec::sandy_bridge();
+        m.regs.vector_regs = 1;
+        match plain(gemm_candidates(&m), &m, augem_obs::null()) {
+            Err(e) => {
+                assert!(!e.failures.is_empty());
+                assert_eq!(e.kernel, "dgemm");
+                for (tag, why) in &e.failures {
+                    assert!(!tag.is_empty() && !why.is_empty());
+                }
+                let msg = e.to_string();
+                assert!(msg.contains("no dgemm candidate"), "{msg}");
+            }
+            Ok(r) => {
+                // If some candidate still builds with one register, the
+                // search must at least have pruned most of the space.
+                assert!(r.failures.len() > r.ranking.len());
+            }
+        }
+    }
+
+    #[test]
+    fn traced_search_orders_candidates_and_emits_their_events() {
+        let m = MachineSpec::sandy_bridge();
+        let c = Collector::new();
+        let r = plain(vector_candidates(VectorKernel::Axpy, &m), &m, &c).unwrap();
+        for w in r.ranking.windows(2) {
+            assert!(w[0].1 >= w[1].1);
+        }
+        assert_eq!(r.best_eval.mflops, r.ranking[0].1);
+        let snap = c.snapshot();
+        let events: Vec<_> = snap
+            .events
+            .iter()
+            .filter(|e| e.name == "tuner.candidate")
+            .collect();
+        assert_eq!(events.len(), r.generated);
+        // One latency sample per enumerated candidate, successes and
+        // failures alike.
+        assert_eq!(r.eval_latency_ns.count(), r.generated as u64);
+        assert!(r.eval_latency_ns.p50() <= r.eval_latency_ns.p99());
+        assert_eq!(snap.counters["tuner.generated"], r.generated as u64);
+        assert_eq!(snap.counters["tuner.built"], r.ranking.len() as u64);
+        assert!(snap.stages().iter().any(|s| s.name == stage::TUNE));
+        assert!(snap.stages().iter().any(|s| s.name == stage::SIM));
+    }
+
     #[test]
     fn resilient_matches_plain_tuner_without_faults() {
         let m = MachineSpec::sandy_bridge();
-        let plain = crate::tune_gemm(&m).unwrap();
+        let reference = plain(gemm_candidates(&m), &m, augem_obs::null()).unwrap();
         let mut j = mem_journal("dgemm", &m);
-        let r = tune_gemm_resilient(
-            &m,
-            &ResilOptions::fast(),
-            &mut j,
-            &Injector::disabled(),
-            augem_obs::null(),
-        )
-        .unwrap();
-        assert_eq!(r.best.tag(), plain.best.tag());
+        let opts = ResilOptions::fast();
+        let r = gemm(&m, &opts, &mut j, &Injector::disabled(), augem_obs::null()).unwrap();
+        assert_eq!(r.best.tag(), reference.best.tag());
         assert_eq!(
             r.best_eval.mflops.to_bits(),
-            plain.best_eval.mflops.to_bits(),
+            reference.best_eval.mflops.to_bits(),
             "sequential resilient sweep must measure identically"
         );
-        assert_eq!(r.generated, plain.generated);
+        assert_eq!(r.generated, reference.generated);
     }
 
     #[test]
@@ -691,14 +778,7 @@ mod tests {
             Fault::Panic,
             Trigger::Rate(0.3),
         ));
-        let r = tune_vector_resilient(
-            VectorKernel::Axpy,
-            &m,
-            &ResilOptions::fast(),
-            &mut j,
-            &inj,
-            &c,
-        );
+        let r = axpy(&m, &ResilOptions::fast(), &mut j, &inj, &c);
         let snap = c.snapshot();
         assert!(
             snap.counters.get("resil.retry").copied().unwrap_or(0) > 0,
@@ -719,12 +799,13 @@ mod tests {
             std::process::id()
         ));
         let header = journal_header("dgemm", m.arch.short_name());
+        let opts = ResilOptions::fast();
 
         // Uninterrupted reference run.
         let mut jref = TuneJournal::in_memory(header.clone());
-        let reference = tune_gemm_resilient(
+        let reference = gemm(
             &m,
-            &ResilOptions::fast(),
+            &opts,
             &mut jref,
             &Injector::disabled(),
             augem_obs::null(),
@@ -735,14 +816,7 @@ mod tests {
         let mut j1 = TuneJournal::create(&path, header.clone()).unwrap();
         let crash =
             Injector::new(InjectionPlan::new(0).with(Site::Eval, Fault::Crash, Trigger::Nth(4)));
-        let err = tune_gemm_resilient(
-            &m,
-            &ResilOptions::fast(),
-            &mut j1,
-            &crash,
-            augem_obs::null(),
-        )
-        .unwrap_err();
+        let err = gemm(&m, &opts, &mut j1, &crash, augem_obs::null()).unwrap_err();
         assert!(err.interrupted, "{err}");
         assert_eq!(err.failures.len(), 3, "three candidates completed");
 
@@ -750,14 +824,7 @@ mod tests {
         let c = Collector::new();
         let mut j2 = TuneJournal::load(&path).unwrap();
         assert_eq!(j2.len(), 3);
-        let resumed = tune_gemm_resilient(
-            &m,
-            &ResilOptions::fast(),
-            &mut j2,
-            &Injector::disabled(),
-            &c,
-        )
-        .unwrap();
+        let resumed = gemm(&m, &opts, &mut j2, &Injector::disabled(), &c).unwrap();
         assert_eq!(resumed.best.tag(), reference.best.tag());
         assert_eq!(
             resumed.best_eval.mflops.to_bits(),
@@ -765,13 +832,18 @@ mod tests {
             "resumed winner must be bit-identical"
         );
         assert_eq!(c.snapshot().counters["resil.journal.resumed"], 3);
+        // Replayed candidates are not evaluations.
+        assert_eq!(
+            resumed.eval_latency_ns.count(),
+            resumed.generated as u64 - 3
+        );
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn pruned_resilient_keeps_winner_and_resumes_bit_for_bit() {
         let m = MachineSpec::sandy_bridge();
-        let plain = crate::tune_gemm(&m).unwrap();
+        let reference_plain = plain(gemm_candidates(&m), &m, augem_obs::null()).unwrap();
         let opts = ResilOptions {
             prune: true,
             ..ResilOptions::fast()
@@ -780,17 +852,17 @@ mod tests {
         // Uninterrupted pruned run: winner and measurement unchanged.
         let c = Collector::new();
         let mut jref = mem_journal("dgemm", &m);
-        let reference =
-            tune_gemm_resilient(&m, &opts, &mut jref, &Injector::disabled(), &c).unwrap();
-        assert_eq!(reference.best.tag(), plain.best.tag());
+        let reference = gemm(&m, &opts, &mut jref, &Injector::disabled(), &c).unwrap();
+        assert_eq!(reference.best.tag(), reference_plain.best.tag());
         assert_eq!(
             reference.best_eval.mflops.to_bits(),
-            plain.best_eval.mflops.to_bits(),
+            reference_plain.best_eval.mflops.to_bits(),
             "pruning must not change the winning measurement"
         );
         let snap = c.snapshot();
         assert!(snap.counters["cost.analyzed"] > 0);
         let pruned_count = snap.counters.get("cost.pruned").copied().unwrap_or(0);
+        assert_eq!(pruned_count, reference.stats.pruned as u64);
 
         // Crash partway through, then resume: decisions replay from the
         // journal, including the pruned ones, bit-for-bit.
@@ -802,12 +874,12 @@ mod tests {
         let mut j1 = TuneJournal::create(&path, header).unwrap();
         let crash =
             Injector::new(InjectionPlan::new(0).with(Site::Eval, Fault::Crash, Trigger::Nth(4)));
-        let err = tune_gemm_resilient(&m, &opts, &mut j1, &crash, augem_obs::null()).unwrap_err();
+        let err = gemm(&m, &opts, &mut j1, &crash, augem_obs::null()).unwrap_err();
         assert!(err.interrupted);
 
         let c2 = Collector::new();
         let mut j2 = TuneJournal::load(&path).unwrap();
-        let resumed = tune_gemm_resilient(&m, &opts, &mut j2, &Injector::disabled(), &c2).unwrap();
+        let resumed = gemm(&m, &opts, &mut j2, &Injector::disabled(), &c2).unwrap();
         assert_eq!(resumed.best.tag(), reference.best.tag());
         assert_eq!(
             resumed.best_eval.mflops.to_bits(),
@@ -831,30 +903,26 @@ mod tests {
         // Every current candidate is provably legal, so the filter must
         // reject nothing and leave the winner bit-for-bit unchanged.
         let m = MachineSpec::sandy_bridge();
-        let plain = crate::tune_vector(VectorKernel::Axpy, &m).unwrap();
+        let cands = vector_candidates(VectorKernel::Axpy, &m);
+        let reference = plain(cands, &m, augem_obs::null()).unwrap();
         let opts = ResilOptions {
             check_legality: true,
             ..ResilOptions::fast()
         };
         let c = Collector::new();
         let mut j = mem_journal("daxpy", &m);
-        let r = tune_vector_resilient(
-            VectorKernel::Axpy,
-            &m,
-            &opts,
-            &mut j,
-            &Injector::disabled(),
-            &c,
-        )
-        .unwrap();
-        assert_eq!(r.best.tag(), plain.best.tag());
+        let r = axpy(&m, &opts, &mut j, &Injector::disabled(), &c).unwrap();
+        assert_eq!(r.best.tag(), reference.best.tag());
         assert_eq!(
             r.best_eval.mflops.to_bits(),
-            plain.best_eval.mflops.to_bits()
+            reference.best_eval.mflops.to_bits()
         );
+        assert_eq!((r.stats.checked, r.stats.rejected), (r.generated, 0));
         let snap = c.snapshot();
         assert!(snap.stages().iter().any(|s| s.name == stage::DEPAN));
-        assert_eq!(snap.counters.get("depan.rejected").copied().unwrap_or(0), 0);
+        assert_eq!(snap.counters["depan.checked"], r.generated as u64);
+        assert_eq!(snap.counters["depan.rejected"], 0);
+        assert!(snap.counters["depan.check_ns"] > 0);
     }
 
     #[test]
@@ -874,15 +942,7 @@ mod tests {
         ]))
         .unwrap();
         let c = Collector::new();
-        let r = tune_vector_resilient(
-            VectorKernel::Axpy,
-            &m,
-            &ResilOptions::fast(),
-            &mut j,
-            &Injector::disabled(),
-            &c,
-        )
-        .unwrap();
+        let r = axpy(&m, &ResilOptions::fast(), &mut j, &Injector::disabled(), &c).unwrap();
         assert!(
             r.failures
                 .iter()
@@ -905,7 +965,7 @@ mod tests {
             breaker_threshold: 2,
             ..ResilOptions::fast()
         };
-        let err = tune_gemm_resilient(&m, &opts, &mut j, &Injector::disabled(), &c).unwrap_err();
+        let err = gemm(&m, &opts, &mut j, &Injector::disabled(), &c).unwrap_err();
         assert!(!err.interrupted);
         let snap = c.snapshot();
         assert!(snap.counters["resil.breaker.trip"] > 0);
@@ -934,22 +994,13 @@ mod tests {
                 .with(Site::JournalAppend, Fault::CorruptEntry, Trigger::Nth(2))
                 .with(Site::Eval, Fault::Crash, Trigger::Nth(4)),
         );
-        let err = tune_vector_resilient(
-            VectorKernel::Axpy,
-            &m,
-            &ResilOptions::fast(),
-            &mut j1,
-            &inj,
-            augem_obs::null(),
-        )
-        .unwrap_err();
+        let err = axpy(&m, &ResilOptions::fast(), &mut j1, &inj, augem_obs::null()).unwrap_err();
         assert!(err.interrupted);
 
         let c = Collector::new();
         let mut j2 = TuneJournal::load(&path).unwrap();
         assert_eq!(j2.corrupt_dropped(), 1, "the corrupted line is dropped");
-        let resumed = tune_vector_resilient(
-            VectorKernel::Axpy,
+        let resumed = axpy(
             &m,
             &ResilOptions::fast(),
             &mut j2,
@@ -961,8 +1012,9 @@ mod tests {
         assert_eq!(snap.counters["resil.journal.corrupt"], 1);
         // 2 clean entries restored; the corrupted one re-evaluated.
         assert_eq!(snap.counters["resil.journal.resumed"], 2);
-        let plain = crate::tune_vector(VectorKernel::Axpy, &m).unwrap();
-        assert_eq!(resumed.best.tag(), plain.best.tag());
+        let cands = vector_candidates(VectorKernel::Axpy, &m);
+        let reference = plain(cands, &m, augem_obs::null()).unwrap();
+        assert_eq!(resumed.best.tag(), reference.best.tag());
         std::fs::remove_file(&path).unwrap();
     }
 }

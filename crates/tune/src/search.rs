@@ -1,13 +1,12 @@
-//! The search driver: evaluate every candidate (in parallel) and keep the
-//! best — the paper's "selects the best performing configurations based on
-//! the performance of their optimized code".
+//! What a sweep returns — the paper's "selects the best performing
+//! configurations based on the performance of their optimized code" —
+//! and the ranking step that produces it. The sweep itself lives in
+//! [`crate::resilient`].
 
-use crate::cache::EvalCache;
-use crate::config::{gemm_candidates, vector_candidates, GemmConfig, VectorConfig, VectorKernel};
-use crate::evaluate::{evaluate_gemm_cached, evaluate_vector_cached, Evaluation};
+use crate::config::Candidate;
+use crate::evaluate::Evaluation;
 use augem_machine::MachineSpec;
-use augem_obs::{span, stage, Histogram, Tracer, Value};
-use rayon::prelude::*;
+use augem_obs::{Histogram, Tracer, Value};
 
 /// The tuner's verdict for one kernel on one machine.
 #[derive(Debug, Clone)]
@@ -23,10 +22,38 @@ pub struct TuneResult<C> {
     /// part of the search, not an error — but the reasons are kept so a
     /// run report can show what the search rejected.
     pub failures: Vec<(String, String)>,
-    /// Wall-clock latency of every candidate evaluation in nanoseconds
-    /// (failures included — their latency is real sweep time too). Empty
-    /// for drivers that bypass the standard sweeps.
+    /// Wall-clock latency of every candidate evaluation in nanoseconds,
+    /// one sample per candidate the sweep evaluated (failures included —
+    /// their latency is real sweep time too; journal replays, breaker
+    /// skips, rejections and prunes are not evaluations).
     pub eval_latency_ns: Histogram,
+    /// What the sweep's stages did.
+    pub stats: SweepStats,
+}
+
+/// What the sweep's optional stages did to the candidate space.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SweepStats {
+    /// Candidates whose logged build the legality stage checked (the
+    /// rest were journaled already or failed in the transform passes — a
+    /// build failure the evaluation stage reports, not a verdict).
+    pub checked: usize,
+    /// Candidates rejected by a `T`-rule error.
+    pub rejected: usize,
+    /// Wall-clock time of the legality checking alone. The builds whose
+    /// logs are checked are the sweep's own, shared with the evaluation
+    /// stage through the cache, so they are not analysis cost.
+    pub check_ns: u64,
+    /// Candidates that built and went to the static analyzer.
+    pub analyzed: usize,
+    /// Evaluations skipped because the bound proved the candidate
+    /// dominated.
+    pub pruned: usize,
+    /// Wall-clock time spent computing static bounds — analysis only,
+    /// the incremental cost pruning adds to a sweep.
+    pub bound_ns: u64,
+    /// Candidates actually evaluated (simulated or served by the cache).
+    pub evaluated: usize,
 }
 
 /// Every candidate failed: the search has nothing to rank. Carries the
@@ -78,144 +105,27 @@ impl std::fmt::Display for TuneError {
 
 impl std::error::Error for TuneError {}
 
-/// Tunes the GEMM micro-kernel for `machine`.
-pub fn tune_gemm(machine: &MachineSpec) -> Result<TuneResult<GemmConfig>, TuneError> {
-    tune_gemm_traced(machine, augem_obs::null())
-}
-
-/// [`tune_gemm`] with search telemetry: the whole sweep is a `tune` span,
-/// every candidate emits a `tuner.candidate` event (its tag with either
-/// Mflops or an error), and the `tuner.generated` / `tuner.built` /
-/// `tuner.pruned` counters summarize the space.
-pub fn tune_gemm_traced(
-    machine: &MachineSpec,
-    tracer: &dyn Tracer,
-) -> Result<TuneResult<GemmConfig>, TuneError> {
-    tune_gemm_cached(machine, tracer, &EvalCache::disabled())
-}
-
-/// [`tune_gemm_traced`] with every candidate's build and measurement
-/// routed through `cache`, so later winner rebuilds and re-evaluations
-/// hit instead of re-running the pipeline.
-pub fn tune_gemm_cached(
-    machine: &MachineSpec,
-    tracer: &dyn Tracer,
-    cache: &EvalCache,
-) -> Result<TuneResult<GemmConfig>, TuneError> {
-    let _s = span(tracer, stage::TUNE);
-    let candidates = gemm_candidates(machine);
-    let timed: Vec<(GemmConfig, Result<Evaluation, String>, u64)> = candidates
-        .par_iter()
-        .map(|c| {
-            let t0 = std::time::Instant::now();
-            let r =
-                evaluate_gemm_cached(c, machine, tracer, None, cache).map_err(|e| e.to_string());
-            (*c, r, t0.elapsed().as_nanos() as u64)
-        })
-        .collect();
-    let (evaluated, latency) = split_latency(timed);
-    let mut result = rank("dgemm", machine, evaluated, |c| c.tag(), tracer)?;
-    result.eval_latency_ns = latency;
-    Ok(result)
-}
-
-/// Tunes one of the vector-style kernels for `machine`.
-pub fn tune_vector(
-    kernel: VectorKernel,
-    machine: &MachineSpec,
-) -> Result<TuneResult<VectorConfig>, TuneError> {
-    tune_vector_traced(kernel, machine, augem_obs::null())
-}
-
-/// [`tune_vector`] with search telemetry (see [`tune_gemm_traced`]).
-pub fn tune_vector_traced(
-    kernel: VectorKernel,
-    machine: &MachineSpec,
-    tracer: &dyn Tracer,
-) -> Result<TuneResult<VectorConfig>, TuneError> {
-    tune_vector_cached(kernel, machine, tracer, &EvalCache::disabled())
-}
-
-/// [`tune_vector_traced`] routed through `cache` (see
-/// [`tune_gemm_cached`]).
-pub fn tune_vector_cached(
-    kernel: VectorKernel,
-    machine: &MachineSpec,
-    tracer: &dyn Tracer,
-    cache: &EvalCache,
-) -> Result<TuneResult<VectorConfig>, TuneError> {
-    let _s = span(tracer, stage::TUNE);
-    let candidates = vector_candidates(kernel, machine);
-    let timed: Vec<(VectorConfig, Result<Evaluation, String>, u64)> = candidates
-        .par_iter()
-        .map(|c| {
-            let t0 = std::time::Instant::now();
-            let r =
-                evaluate_vector_cached(c, machine, tracer, None, cache).map_err(|e| e.to_string());
-            (*c, r, t0.elapsed().as_nanos() as u64)
-        })
-        .collect();
-    let (evaluated, latency) = split_latency(timed);
-    let mut result = rank(kernel.name(), machine, evaluated, |c| c.tag(), tracer)?;
-    result.eval_latency_ns = latency;
-    Ok(result)
-}
-
-/// One candidate's evaluation outcome, paired with its wall time in ns.
-type TimedEval<C, E> = (C, Result<Evaluation, E>, u64);
-
-/// Peels the per-candidate wall-clock samples off a timed sweep into a
-/// latency histogram.
-#[allow(clippy::type_complexity)]
-fn split_latency<C, E>(
-    timed: Vec<TimedEval<C, E>>,
-) -> (Vec<(C, Result<Evaluation, E>)>, Histogram) {
-    let mut latency = Histogram::new();
-    let evaluated = timed
-        .into_iter()
-        .map(|(c, r, ns)| {
-            latency.record(ns);
-            (c, r)
-        })
-        .collect();
-    (evaluated, latency)
-}
-
-/// Sorts the evaluated candidates and packages the result, emitting the
-/// search telemetry along the way. Shared with the resilient driver in
-/// [`crate::resilient`].
-pub(crate) fn rank<C: Copy>(
+/// Sorts the evaluated candidates (in candidate order, so the stable sort
+/// breaks ties by enumeration order) and packages the result, emitting
+/// the search telemetry along the way.
+pub(crate) fn rank<C: Candidate + Copy>(
     kernel: &str,
     machine: &MachineSpec,
     evaluated: Vec<(C, Result<Evaluation, String>)>,
-    tag: impl Fn(&C) -> String,
     tracer: &dyn Tracer,
 ) -> Result<TuneResult<C>, TuneError> {
     let generated = evaluated.len();
     let mut scored: Vec<(C, Evaluation)> = Vec::new();
     let mut failures: Vec<(String, String)> = Vec::new();
     for (c, r) in evaluated {
+        let outcome = match &r {
+            Ok(e) => ("mflops", Value::from(e.mflops)),
+            Err(why) => ("error", Value::from(why.clone())),
+        };
+        tracer.event("tuner.candidate", &[("tag", Value::from(c.tag())), outcome]);
         match r {
-            Ok(e) => {
-                tracer.event(
-                    "tuner.candidate",
-                    &[
-                        ("tag", Value::from(tag(&c))),
-                        ("mflops", Value::from(e.mflops)),
-                    ],
-                );
-                scored.push((c, e));
-            }
-            Err(why) => {
-                tracer.event(
-                    "tuner.candidate",
-                    &[
-                        ("tag", Value::from(tag(&c))),
-                        ("error", Value::from(why.clone())),
-                    ],
-                );
-                failures.push((tag(&c), why));
-            }
+            Ok(e) => scored.push((c, e)),
+            Err(why) => failures.push((c.tag(), why)),
         }
     }
     tracer.add("tuner.generated", generated as u64);
@@ -232,7 +142,7 @@ pub(crate) fn rank<C: Copy>(
     scored.sort_by(|a, b| b.1.mflops.partial_cmp(&a.1.mflops).unwrap());
     let ranking = scored.iter().map(|(c, e)| (*c, e.mflops)).collect();
     let (best, best_eval) = scored.into_iter().next().unwrap();
-    tracer.label("tuner.best", &tag(&best));
+    tracer.label("tuner.best", &best.tag());
     Ok(TuneResult {
         best,
         best_eval,
@@ -240,96 +150,6 @@ pub(crate) fn rank<C: Copy>(
         generated,
         failures,
         eval_latency_ns: Histogram::new(),
+        stats: SweepStats::default(),
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn tuned_gemm_reaches_most_of_peak_on_sandy_bridge() {
-        let m = MachineSpec::sandy_bridge();
-        let r = tune_gemm(&m).unwrap();
-        let peak = m.peak_mflops();
-        let frac = r.best_eval.mflops / peak;
-        assert!(
-            frac > 0.5,
-            "tuned GEMM only reaches {:.1}% of peak ({} of {peak})",
-            frac * 100.0,
-            r.best_eval.mflops
-        );
-        // The winner must be a vectorizable shape on AVX.
-        assert_eq!(r.best.mu % 4, 0, "winner {:?}", r.best);
-        assert!(r.ranking.len() > 4);
-        assert_eq!(r.generated, r.ranking.len() + r.failures.len());
-    }
-
-    #[test]
-    fn tuned_gemm_on_piledriver_uses_fma_era_throughput() {
-        let m = MachineSpec::piledriver();
-        let r = tune_gemm(&m).unwrap();
-        let frac = r.best_eval.mflops / m.peak_mflops();
-        assert!(
-            frac > 0.4,
-            "tuned GEMM reaches {:.1}% of Piledriver peak",
-            frac * 100.0
-        );
-    }
-
-    #[test]
-    fn tuning_orders_candidates() {
-        let m = MachineSpec::sandy_bridge();
-        let r = tune_vector(VectorKernel::Axpy, &m).unwrap();
-        for w in r.ranking.windows(2) {
-            assert!(w[0].1 >= w[1].1);
-        }
-        assert_eq!(r.best_eval.mflops, r.ranking[0].1);
-    }
-
-    #[test]
-    fn empty_search_space_reports_every_failure() {
-        // A machine with almost no vector registers cannot build any
-        // candidate; the error must name each one with a reason.
-        let mut m = MachineSpec::sandy_bridge();
-        m.regs.vector_regs = 1;
-        match tune_gemm(&m) {
-            Err(e) => {
-                assert!(!e.failures.is_empty());
-                assert_eq!(e.kernel, "dgemm");
-                for (tag, why) in &e.failures {
-                    assert!(!tag.is_empty() && !why.is_empty());
-                }
-                let msg = e.to_string();
-                assert!(msg.contains("no dgemm candidate"), "{msg}");
-            }
-            Ok(r) => {
-                // If some candidate still builds with one register, the
-                // search must at least have pruned most of the space.
-                assert!(r.failures.len() > r.ranking.len());
-            }
-        }
-    }
-
-    #[test]
-    fn traced_search_emits_candidate_events() {
-        let m = MachineSpec::sandy_bridge();
-        let c = augem_obs::Collector::new();
-        let r = tune_vector_traced(VectorKernel::Axpy, &m, &c).unwrap();
-        let snap = c.snapshot();
-        let events: Vec<_> = snap
-            .events
-            .iter()
-            .filter(|e| e.name == "tuner.candidate")
-            .collect();
-        assert_eq!(events.len(), r.generated);
-        // One latency sample per enumerated candidate, successes and
-        // failures alike.
-        assert_eq!(r.eval_latency_ns.count(), r.generated as u64);
-        assert!(r.eval_latency_ns.p50() <= r.eval_latency_ns.p99());
-        assert_eq!(snap.counters["tuner.generated"], r.generated as u64);
-        assert_eq!(snap.counters["tuner.built"], r.ranking.len() as u64);
-        assert!(snap.stages().iter().any(|s| s.name == stage::TUNE));
-        assert!(snap.stages().iter().any(|s| s.name == stage::SIM));
-    }
 }

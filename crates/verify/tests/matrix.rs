@@ -144,7 +144,7 @@ fn vector_kernel_matrix_is_error_free() {
 #[test]
 fn full_candidate_sets_are_error_free() {
     // The tuner's entire search space, as emitted by the candidate
-    // generators — exactly what `tune_gemm`/`tune_vector` will build.
+    // generators — exactly what the tuner's sweep will build.
     for machine in MachineSpec::paper_platforms() {
         for cfg in gemm_candidates(&machine) {
             if let Ok(build) = cfg.build_logged(&machine) {

@@ -29,8 +29,23 @@
 
 use augem_machine::MachineSpec;
 use augem_prof::StallCause;
-use augem_tune::{gemm_eval_args, tune_gemm_pruned, GemmConfig};
+use augem_resil::Injector;
+use augem_tune::{gemm_candidates, gemm_eval_args, sweep, EvalCache, GemmConfig, ResilOptions};
 use augem_verify::diag::Rule;
+
+/// The tuned GEMM winner, from the bound-pruned sweep (which keeps the
+/// exhaustive sweep's winner).
+fn tuned(m: &MachineSpec) -> GemmConfig {
+    let opts = ResilOptions {
+        prune: true,
+        ..ResilOptions::plain()
+    };
+    let (inj, cache, null) = (Injector::disabled(), EvalCache::new(), augem_obs::null());
+    let candidates = gemm_candidates(m);
+    sweep(candidates, m, &opts, None, &inj, null, &cache)
+        .expect("tune")
+        .best
+}
 
 /// The dynamic witness for "dependence limited": simulated cycles
 /// relative to the latency-free throughput floor.
@@ -72,8 +87,8 @@ fn analyze_cell(cfg: &GemmConfig, m: &MachineSpec) -> (Cell, augem_asm::AsmKerne
 fn p001_fires_exactly_where_the_simulator_confirms_a_latency_gap() {
     for m in [MachineSpec::sandy_bridge(), MachineSpec::piledriver()] {
         let naive = GemmConfig::fig13();
-        let (winner, _) = tune_gemm_pruned(&m).expect("tune");
-        for (name, cfg) in [("fig13", &naive), ("winner", &winner.best)] {
+        let winner = tuned(&m);
+        for (name, cfg) in [("fig13", &naive), ("winner", &winner)] {
             let (cell, _) = analyze_cell(cfg, &m);
             assert_eq!(
                 cell.fires,
@@ -90,12 +105,12 @@ fn p001_fires_exactly_where_the_simulator_confirms_a_latency_gap() {
 #[test]
 fn p001_quiet_on_the_tuned_split_accumulator_winner() {
     for m in [MachineSpec::sandy_bridge(), MachineSpec::piledriver()] {
-        let (winner, _) = tune_gemm_pruned(&m).expect("tune");
-        let (cell, _) = analyze_cell(&winner.best, &m);
+        let winner = tuned(&m);
+        let (cell, _) = analyze_cell(&winner, &m);
         assert!(
             !cell.fires,
             "P001 fired on the tuned winner {} on {:?}",
-            winner.best.tag(),
+            winner.tag(),
             m.arch
         );
     }

@@ -106,6 +106,9 @@ fn resilient_run_reports_fault_counters_under_the_resil_stage() {
     // A clean resilient run reports no resil fault counters at all.
     let clean = driver.generate_degradable(DlaKernel::Axpy, &policy, &Injector::disabled());
     assert_eq!(clean.degradation, Degradation::None);
+    // The serving path reports one evaluation latency per candidate.
+    let tuner = clean.report.tuner.as_ref().expect("tuner telemetry");
+    assert_eq!(tuner.eval_latency_ns.count(), tuner.generated);
     assert!(
         !clean
             .report

@@ -14,17 +14,19 @@
 //! is never taken, while the legacy loop only failed on execution.
 //! That difference is pinned by a test rather than papered over.
 //!
-//! A final pair of tests covers the parallel resilient sweep: with a
-//! disabled injector the sweep evaluates candidates speculatively in
-//! parallel but must commit journal entries, rankings, and counters in
-//! sweep order — byte-identical to the sequential path (which an
-//! enabled-but-never-firing injector forces).
+//! The final tests cover the parallel sweep: with a disabled injector
+//! the sweep evaluates candidates speculatively in parallel but must
+//! commit journal entries, rankings, and counters in sweep order —
+//! byte-identical to the sequential path (which an
+//! enabled-but-never-firing injector forces) — and the default-options
+//! journals must hash to pinned values.
 
 use augem::machine::MachineSpec;
 use augem::resil::{journal_header, Fault, InjectionPlan, Injector, Site, Trigger, TuneJournal};
 use augem::sim::{FuncSim, SimError, SimValue};
 use augem::tune::{
-    gemm_candidates, tune_gemm_resilient, vector_candidates, GemmConfig, ResilOptions, VectorKernel,
+    gemm_candidates, sweep, vector_candidates, Candidate, EvalCache, GemmConfig, ResilOptions,
+    VectorKernel,
 };
 use augem_asm::{AsmKernel, GpOrImm, Mem, ParamLoc, Width, XInst};
 use augem_machine::{GpReg, IsaSet, VecReg};
@@ -357,16 +359,24 @@ proptest! {
 // Parallel resilient sweep determinism.
 // ---------------------------------------------------------------------------
 
-/// One resilient gemm sweep into an in-memory journal; returns the
-/// rendered journal entries and the ranking.
-fn sweep(machine: &MachineSpec, injector: &Injector) -> (Vec<String>, Vec<(String, u64)>) {
-    let mut j = TuneJournal::in_memory(journal_header("dgemm", machine.arch.short_name()));
-    let r = tune_gemm_resilient(
+/// One sweep with `opts` into an in-memory journal; returns the rendered
+/// journal entries and the ranking.
+fn journaled<C: Candidate + Copy + Send + Sync>(
+    candidates: Vec<C>,
+    machine: &MachineSpec,
+    opts: &ResilOptions,
+    injector: &Injector,
+) -> (Vec<String>, Vec<(String, u64)>) {
+    let kernel = candidates[0].kernel().name();
+    let mut j = TuneJournal::in_memory(journal_header(kernel, machine.arch.short_name()));
+    let r = sweep(
+        candidates,
         machine,
-        &ResilOptions::fast(),
-        &mut j,
+        opts,
+        Some(&mut j),
         injector,
         augem::obs::null(),
+        &EvalCache::disabled(),
     )
     .expect("sweep completes");
     let entries = j.entries().iter().map(|e| e.render()).collect();
@@ -376,6 +386,36 @@ fn sweep(machine: &MachineSpec, injector: &Injector) -> (Vec<String>, Vec<(Strin
         .map(|(c, m)| (c.tag(), m.to_bits()))
         .collect();
     (entries, ranking)
+}
+
+/// The default-options serving sweep's journal bytes are pinned: for
+/// dgemm and daxpy on both machines, the rendered in-memory journal must
+/// hash to the recorded value. Any change to the sweep's decisions, their
+/// order, the measurements or the journal encoding shows up here.
+#[test]
+fn default_sweep_journals_match_pinned_hashes() {
+    let pinned = [
+        ("dgemm", "sandybridge", 0x3b21_8f9d_87d2_ecf4u64),
+        ("daxpy", "sandybridge", 0x25cc_bbdd_5c30_4198),
+        ("dgemm", "piledriver", 0xd0dd_d17f_360b_4d20),
+        ("daxpy", "piledriver", 0x3e9e_deb4_b9bb_d72d),
+    ];
+    let opts = ResilOptions::default();
+    let off = Injector::disabled();
+    for machine in &machines() {
+        let gemm = journaled(gemm_candidates(machine), machine, &opts, &off).0;
+        let axpy_cands = vector_candidates(VectorKernel::Axpy, machine);
+        let axpy = journaled(axpy_cands, machine, &opts, &off).0;
+        for (kernel, lines) in [("dgemm", gemm), ("daxpy", axpy)] {
+            let arch = machine.arch.short_name();
+            let hash = augem::obs::hash::mix_str(0, &lines.join("\n"));
+            let (_, _, want) = pinned
+                .iter()
+                .find(|(k, m, _)| *k == kernel && *m == arch)
+                .expect("a pinned hash per kernel and machine");
+            assert_eq!(hash, *want, "{kernel} journal bytes changed on {arch}");
+        }
+    }
 }
 
 /// The parallel sweep (disabled injector) must produce byte-identical
@@ -395,8 +435,16 @@ fn parallel_sweep_matches_sequential_journal_and_ranking() {
         ));
         assert!(sequential.is_enabled());
 
-        let (pj, pr) = sweep(machine, &parallel);
-        let (sj, sr) = sweep(machine, &sequential);
+        let sweep = |inj| {
+            journaled(
+                gemm_candidates(machine),
+                machine,
+                &ResilOptions::fast(),
+                inj,
+            )
+        };
+        let (pj, pr) = sweep(&parallel);
+        let (sj, sr) = sweep(&sequential);
         assert_eq!(
             pj,
             sj,
@@ -411,8 +459,14 @@ fn parallel_sweep_matches_sequential_journal_and_ranking() {
 /// Parallel sweeps are also self-deterministic: two runs, same bytes.
 #[test]
 fn parallel_sweep_is_reproducible() {
-    let machine = MachineSpec::sandy_bridge();
-    let a = sweep(&machine, &Injector::disabled());
-    let b = sweep(&machine, &Injector::disabled());
-    assert_eq!(a, b);
+    let m = MachineSpec::sandy_bridge();
+    let sweep = || {
+        journaled(
+            gemm_candidates(&m),
+            &m,
+            &ResilOptions::fast(),
+            &Injector::disabled(),
+        )
+    };
+    assert_eq!(sweep(), sweep());
 }
