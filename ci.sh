@@ -157,6 +157,11 @@ rm -rf "$DEPAN_TMP"
 echo "== decoded engine: differential suite (decoded == legacy, bit for bit)"
 cargo test --release -q --test sim_decoded_differential
 
+echo "== simulator + machine unit tests: cache, scoreboard, decode, reference LRU"
+# The root package's tests do not include member-crate tests; these
+# cover the timing model's parts and the cache against its reference.
+cargo test --release -q -p augem-sim -p augem-machine
+
 echo "== resilience: fault-injection matrix"
 # Every injection site x fault class scenario must terminate with a
 # verified kernel or a typed degradation — never a panic or abort.

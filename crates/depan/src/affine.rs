@@ -71,10 +71,19 @@ impl AccessMap {
     /// Scans `k` (prefetch statements are skipped: they never change
     /// program state, so they carry no dependences).
     pub fn of(k: &Kernel) -> AccessMap {
+        Self::scan(k, true)
+    }
+
+    /// The loops of `k` alone, for checks that need no accesses.
+    pub fn loops_of(k: &Kernel) -> Vec<LoopInfo> {
+        Self::scan(k, false).loops
+    }
+
+    fn scan(k: &Kernel, accesses: bool) -> AccessMap {
         let mut map = AccessMap::default();
         let mut stack = Vec::new();
         let mut pos = 0u32;
-        scan_block(&k.body, k, &mut stack, &mut pos, &mut map);
+        scan_block(&k.body, k, accesses, &mut stack, &mut pos, &mut map);
         map
     }
 
@@ -117,9 +126,12 @@ impl AccessMap {
     }
 }
 
+/// Records the loops of `stmts` and, when `accesses`, their array
+/// accesses.
 fn scan_block(
     stmts: &[Stmt],
     k: &Kernel,
+    accesses: bool,
     stack: &mut Vec<Sym>,
     pos: &mut u32,
     map: &mut AccessMap,
@@ -128,6 +140,7 @@ fn scan_block(
         let here = *pos;
         *pos += 1;
         match s {
+            Stmt::Assign { .. } if !accesses => {}
             Stmt::Assign { dst, src } => {
                 if let LValue::ArrayRef { base, index } = dst {
                     push_access(map, k, *base, index, true, here, stack);
@@ -142,8 +155,10 @@ fn scan_block(
                 step,
                 body,
             } => {
-                scan_expr(init, k, here, stack, map);
-                scan_expr(bound, k, here, stack, map);
+                if accesses {
+                    scan_expr(init, k, here, stack, map);
+                    scan_expr(bound, k, here, stack, map);
+                }
                 let loop_idx = map.loops.len();
                 map.loops.push(LoopInfo {
                     var: *var,
@@ -155,12 +170,12 @@ fn scan_block(
                     enclosing: stack.clone(),
                 });
                 stack.push(*var);
-                scan_block(body, k, stack, pos, map);
+                scan_block(body, k, accesses, stack, pos, map);
                 stack.pop();
                 map.loops[loop_idx].end = *pos;
             }
             Stmt::Region { body, .. } => {
-                scan_block(body, k, stack, pos, map);
+                scan_block(body, k, accesses, stack, pos, map);
             }
             // Prefetches never change program state: no dependence.
             Stmt::Prefetch { .. } | Stmt::Comment(_) => {}

@@ -22,6 +22,7 @@
 //! | T011 | prefetch | every prefetched pointer is actually accessed nearby |
 //! | T012 | (chain) | each snapshot continues exactly from the previous one |
 
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 
 use augem_ir::visit::{stmt_def, stmt_uses, walk_with_positions};
@@ -31,7 +32,7 @@ use augem_transforms::{PassRecord, PrefetchConfig, SrGroup, TransformLog, Transf
 use augem_verify::{Diagnostic, Rule, Span};
 
 use crate::affine::AccessMap;
-use crate::deps::{canon, dependence_on, Verdict};
+use crate::deps::{canon, decompose, dependence_between, Decomposed, Verdict};
 
 /// Replays `log` (as produced by
 /// `augem_transforms::generate_optimized_logged` on `source`) and
@@ -188,8 +189,12 @@ fn check_unroll_jam(step: &TransformStep, var: &str, factor: usize, diags: &mut 
     let trip = map.trip_of(l.var);
     let loop_vars = map.loop_vars();
     let inside: Vec<&crate::affine::Access> = map.accesses_in(l).collect();
+    let split: Vec<Option<Decomposed>> = inside
+        .iter()
+        .map(|a| a.index.as_ref().and_then(|f| decompose(f, &loop_vars)))
+        .collect();
     for (i, a) in inside.iter().enumerate() {
-        for b in &inside[i..] {
+        for (j, b) in inside.iter().enumerate().skip(i) {
             if !a.write && !b.write {
                 continue;
             }
@@ -198,8 +203,8 @@ fn check_unroll_jam(step: &TransformStep, var: &str, factor: usize, diags: &mut 
             if a.origin != b.origin {
                 continue;
             }
-            let verdict = match (&a.index, &b.index) {
-                (Some(f), Some(g)) => dependence_on(l.var, f, g, &loop_vars, trip),
+            let verdict = match (&split[i], &split[j]) {
+                (Some(f), Some(g)) => dependence_between(l.var, f, g, trip),
                 _ => Verdict::Unknown,
             };
             let word = match verdict {
@@ -267,10 +272,11 @@ fn read_before_write(
     defined: &mut HashSet<Sym>,
     bad: &mut Vec<Sym>,
 ) {
+    let mut uses = Vec::new();
     for s in stmts {
-        let mut uses = Vec::new();
+        uses.clear();
         stmt_uses(s, &mut uses);
-        for u in uses {
+        for &u in &uses {
             if candidates.contains(&u) && !defined.contains(&u) && !bad.contains(&u) {
                 bad.push(u);
             }
@@ -390,7 +396,7 @@ fn is_pure_accumulation(s: &Stmt, acc: Sym) -> bool {
 
 fn check_strength(step: &TransformStep, groups: &[SrGroup], diags: &mut Vec<Diagnostic>) {
     let k = &step.after;
-    let map = AccessMap::of(k);
+    let loops = AccessMap::loops_of(k);
     // Every self-referential pointer add `p = p + inc` in the kernel.
     let mut incs: Vec<(u32, Sym, Expr)> = Vec::new();
     walk_with_positions(&k.body, &mut |pos, s| {
@@ -441,8 +447,7 @@ fn check_strength(step: &TransformStep, groups: &[SrGroup], diags: &mut Vec<Diag
         let (pos, _, inc) = mine[0];
         // The increment must run once per iteration of the loop over
         // `g.var`, i.e. its innermost enclosing loop must be that loop.
-        let host = map
-            .loops
+        let host = loops
             .iter()
             .filter(|l| l.contains(*pos))
             .max_by_key(|l| l.pos);
@@ -466,8 +471,7 @@ fn check_strength(step: &TransformStep, groups: &[SrGroup], diags: &mut Vec<Diag
             continue;
         }
         // Stride and base offset must be invariant inside the host loop.
-        let inner_vars: Vec<Sym> = map
-            .loops
+        let inner_vars: Vec<Sym> = loops
             .iter()
             .filter(|l2| host.contains(l2.pos))
             .map(|l2| l2.var)
@@ -562,6 +566,7 @@ fn check_scalar_block(
             _ => None,
         })
         .collect();
+    let clobber_live = clobbered_and_live(k, stmts, positions);
     for (i, s) in stmts.iter().enumerate() {
         // T008: a load grouped with a later store to the same address
         // assumes memory does not change in between.
@@ -580,30 +585,75 @@ fn check_scalar_block(
         }
         // T009: a store whose source scalar was clobbered by a
         // self-referential rewrite must not leave that scalar live.
-        if let Stmt::Assign {
-            dst: LValue::ArrayRef { .. },
-            src: Expr::Var(x),
-        } = s
-        {
-            let clobbered = stmts[..i].iter().rev().find_map(|p| match p {
-                Stmt::Assign {
-                    dst: LValue::Var(v),
-                    src,
-                } if v == x => Some(expr_mentions(src, *x)),
-                _ => None,
-            });
-            if clobbered == Some(true) && live_after(k, positions[i], *x) {
-                diags.push(Diagnostic::new(
-                    Rule::ScalarClobberLive,
-                    Span::Ir(positions[i]),
-                    format!(
-                        "scalar replacement clobbered `{}`, which is still live after the store",
-                        k.syms.name(*x)
-                    ),
-                ));
+        if let Some(x) = clobber_live.get(&i) {
+            diags.push(Diagnostic::new(
+                Rule::ScalarClobberLive,
+                Span::Ir(positions[i]),
+                format!(
+                    "scalar replacement clobbered `{}`, which is still live after the store",
+                    k.syms.name(*x)
+                ),
+            ));
+        }
+    }
+}
+
+/// T009 for a whole block: the stores `A[..] = x` whose source `x` was
+/// last (re)defined in this block by a rewrite that reads `x` itself,
+/// and after which `x` is still live. Keyed by statement index.
+fn clobbered_and_live(k: &Kernel, stmts: &[Stmt], positions: &[u32]) -> HashMap<usize, Sym> {
+    let sources: HashSet<Sym> = stmts
+        .iter()
+        .filter_map(|s| match s {
+            Stmt::Assign {
+                dst: LValue::ArrayRef { .. },
+                src: Expr::Var(x),
+            } => Some(*x),
+            _ => None,
+        })
+        .collect();
+    // The latest top-level definition of each stored scalar so far:
+    // does it mention the scalar itself?
+    let mut self_ref: HashMap<Sym, bool> = HashMap::new();
+    let mut stores = Vec::new();
+    for (i, s) in stmts.iter().enumerate() {
+        match s {
+            Stmt::Assign {
+                dst: LValue::Var(v),
+                src,
+            } if sources.contains(v) => {
+                self_ref.insert(*v, expr_mentions(src, *v));
+            }
+            Stmt::Assign {
+                dst: LValue::ArrayRef { .. },
+                src: Expr::Var(x),
+            } if self_ref.get(x) == Some(&true) => stores.push((i, *x)),
+            _ => {}
+        }
+    }
+    let mut live = HashMap::new();
+    let Some(&(first, _)) = stores.first() else {
+        return live;
+    };
+    let mut scalars: Vec<Sym> = stores.iter().map(|&(_, x)| x).collect();
+    scalars.sort_unstable();
+    scalars.dedup();
+    // One backward pass per 64 tracked scalars.
+    for chunk in scalars.chunks(64) {
+        let t = Tracked::new(k, chunk);
+        let (exit, dead) =
+            block_exit(&t, &k.body, 0, positions[first], 0, 0).unwrap_or((u64::MAX, 0));
+        let mut after = exit;
+        let mut next = stmts.len();
+        for &(i, x) in stores.iter().rev() {
+            after = t.block(&stmts[i + 1..next]).apply(after);
+            next = i + 1;
+            if after & !dead & t.mask(x) != 0 {
+                live.insert(i, x);
             }
         }
     }
+    live
 }
 
 /// Proves no statement between the grouped load (`stmts[i]`) and store
@@ -641,19 +691,23 @@ fn check_load_store_gap(
     // Intervening memory writes must target provably distinct addresses.
     let mut writes = Vec::new();
     collect_writes(&stmts[i + 1..j], false, &mut writes);
+    if writes.is_empty() {
+        return;
+    }
+    let loaded = absolute(base, index, sr_facts, k);
     for (wbase, widx, nested) in writes {
         if k.origin_of(wbase) != k.origin_of(base) {
             continue;
         }
         let distinct = !nested
             && match (
-                absolute(base, index, sr_facts, k),
+                loaded.as_ref(),
                 LinearForm::of(&widx)
                     .map(canon)
                     .and_then(|f| absolute(wbase, &f, sr_facts, k)),
             ) {
                 (Some(a), Some(b)) => {
-                    let diff = crate::deps::canon(sub(&a, &b));
+                    let diff = crate::deps::canon(sub(a, &b));
                     matches!(diff.as_const(), Some(c) if c != 0)
                 }
                 _ => false,
@@ -750,38 +804,168 @@ fn sub(a: &LinearForm, b: &LinearForm) -> LinearForm {
 // liveness (backward dataflow over the structured IR)
 // ---------------------------------------------------------------------------
 
-/// Is `x` live immediately after the statement at canonical position
-/// `target`? Precise backward liveness: loop bodies are solved to a
-/// boolean fixpoint covering both the back-edge and the zero-trip exit
-/// path. Unknown positions conservatively report live.
-fn live_after(k: &Kernel, target: u32, x: Sym) -> bool {
-    locate(&k.body, 0, target, x, false).unwrap_or(true)
+/// A set of up to 64 scalars whose liveness is solved together, one bit
+/// each: bit `b` of a mask says whether the `b`-th scalar is live.
+/// Precise backward liveness over the structured IR: a loop's fixpoint
+/// covers both the back-edge and the zero-trip exit path, and is solved
+/// in closed form ([`Tracked::loop_body`]). The bits never interact, so
+/// each one is exactly the single-scalar analysis.
+struct Tracked {
+    /// Bit of each symbol id, or `NOT_TRACKED`.
+    bit: Vec<u8>,
+    /// Transfer of every loop body solved so far, by address: the
+    /// descent to a block and the pass over it meet the same bodies.
+    bodies: RefCell<HashMap<(usize, usize), Transfer>>,
 }
 
-fn locate(stmts: &[Stmt], start: u32, target: u32, x: Sym, exit_live: bool) -> Option<bool> {
+const NOT_TRACKED: u8 = u8::MAX;
+
+/// The effect of a statement or block on liveness: per bit, the scalar
+/// is live before it iff it is in `gen`, or live after it and in `pass`.
+/// Every liveness transfer has this form (a statement uses, kills or
+/// passes each scalar), and so does every composition of them.
+#[derive(Clone, Copy)]
+struct Transfer {
+    gen: u64,
+    pass: u64,
+}
+
+impl Transfer {
+    const IDENTITY: Transfer = Transfer { gen: 0, pass: !0 };
+
+    fn apply(self, live_out: u64) -> u64 {
+        self.gen | (live_out & self.pass)
+    }
+
+    /// `self` followed by `later`.
+    fn then(self, later: Transfer) -> Transfer {
+        Transfer {
+            gen: self.gen | (later.gen & self.pass),
+            pass: self.pass & later.pass,
+        }
+    }
+}
+
+impl Tracked {
+    fn new(k: &Kernel, scalars: &[Sym]) -> Self {
+        let len = scalars.iter().map(|s| s.0 as usize + 1).max().unwrap_or(0);
+        let mut bit = vec![NOT_TRACKED; len.max(k.syms.len())];
+        for (b, s) in scalars.iter().enumerate() {
+            bit[s.0 as usize] = b as u8;
+        }
+        Tracked {
+            bit,
+            bodies: RefCell::new(HashMap::new()),
+        }
+    }
+
+    fn mask(&self, s: Sym) -> u64 {
+        match self.bit.get(s.0 as usize) {
+            Some(&b) if b != NOT_TRACKED => 1 << b,
+            _ => 0,
+        }
+    }
+
+    /// Tracked scalars `e` mentions (as a variable or an array base).
+    fn expr(&self, e: &Expr) -> u64 {
+        match e {
+            Expr::Int(_) | Expr::F64(_) => 0,
+            Expr::Var(s) => self.mask(*s),
+            Expr::ArrayRef { base, index } => self.mask(*base) | self.expr(index),
+            Expr::Bin(_, l, r) => self.expr(l) | self.expr(r),
+        }
+    }
+
+    /// Tracked scalars statement `s` uses (see [`stmt_mentions`]).
+    fn uses(&self, s: &Stmt) -> u64 {
+        match s {
+            Stmt::Assign { dst, src } => {
+                let dst = match dst {
+                    LValue::ArrayRef { base, index } => self.mask(*base) | self.expr(index),
+                    LValue::Var(_) => 0,
+                };
+                dst | self.expr(src)
+            }
+            Stmt::For { init, bound, .. } => self.expr(init) | self.expr(bound),
+            Stmt::Prefetch { base, index, .. } => self.mask(*base) | self.expr(index),
+            Stmt::Region { .. } | Stmt::Comment(_) => 0,
+        }
+    }
+
+    /// The loop fixpoint in closed form, for a loop that continues to
+    /// `after`: the body's exit liveness iterates `l <- after | body(l)`
+    /// from `l = after` (the back-edge re-enters the body, the exit
+    /// reaches `after`), and the loop's entry liveness is `after |
+    /// body(l)` (the zero-trip path or the first iteration). With
+    /// `body(l) = gen | (l & pass)` the first round reaches `after | gen`
+    /// and every later round repeats it, so both the exit and the entry
+    /// liveness are `after | gen`. Returns that `gen`.
+    fn loop_body(&self, body: &[Stmt]) -> u64 {
+        let key = (body.as_ptr() as usize, body.len());
+        if let Some(t) = self.bodies.borrow().get(&key) {
+            return t.gen;
+        }
+        let t = self.block(body);
+        self.bodies.borrow_mut().insert(key, t);
+        t.gen
+    }
+
+    fn block(&self, stmts: &[Stmt]) -> Transfer {
+        stmts
+            .iter()
+            .rev()
+            .fold(Transfer::IDENTITY, |later, s| self.stmt(s).then(later))
+    }
+
+    fn stmt(&self, s: &Stmt) -> Transfer {
+        match s {
+            Stmt::For { var, body, .. } => {
+                // A header mention keeps a scalar live; otherwise the
+                // header's definition of the loop variable kills it.
+                let kill = self.mask(*var);
+                Transfer {
+                    gen: self.uses(s) | (self.loop_body(body) & !kill),
+                    pass: !kill,
+                }
+            }
+            Stmt::Region { body, .. } => self.block(body),
+            Stmt::Comment(_) => Transfer::IDENTITY,
+            _ => Transfer {
+                gen: self.uses(s),
+                pass: !stmt_def(s).map_or(0, |d| self.mask(d)),
+            },
+        }
+    }
+}
+
+/// Liveness at the exit of the block that directly holds the statement
+/// at canonical position `target`, given `exit_live` at the exit of
+/// `stmts` (which start at position `start`), plus the scalars an
+/// enclosing loop header redefines: those are dead after any statement
+/// inside the loop, whose value dies at the back-edge and is rebound
+/// on exit. `None` for an unknown position.
+fn block_exit(
+    t: &Tracked,
+    stmts: &[Stmt],
+    start: u32,
+    target: u32,
+    exit_live: u64,
+    dead: u64,
+) -> Option<(u64, u64)> {
     let mut p = start;
     for (i, s) in stmts.iter().enumerate() {
         let size = stmt_size(s);
         if (p..p + size).contains(&target) {
-            let after_here = transfer_block(&stmts[i + 1..], x, exit_live);
             if target == p {
-                return Some(after_here);
+                return Some((exit_live, dead));
             }
+            let after_here = t.block(&stmts[i + 1..]).apply(exit_live);
             return match s {
                 Stmt::For { var, body, .. } => {
-                    if *var == x {
-                        // The header redefines x every iteration; the
-                        // value after an inner statement dies at the
-                        // back-edge and the exit rebinds it too.
-                        return Some(false);
-                    }
-                    let mut l_exit = after_here;
-                    for _ in 0..2 {
-                        l_exit = after_here || transfer_block(body, x, l_exit);
-                    }
-                    locate(body, p + 1, target, x, l_exit)
+                    let l_exit = after_here | t.loop_body(body);
+                    block_exit(t, body, p + 1, target, l_exit, dead | t.mask(*var))
                 }
-                Stmt::Region { body, .. } => locate(body, p + 1, target, x, after_here),
+                Stmt::Region { body, .. } => block_exit(t, body, p + 1, target, after_here, dead),
                 _ => None,
             };
         }
@@ -796,52 +980,6 @@ fn stmt_size(s: &Stmt) -> u32 {
             1 + body.iter().map(stmt_size).sum::<u32>()
         }
         _ => 1,
-    }
-}
-
-fn transfer_block(stmts: &[Stmt], x: Sym, live_out: bool) -> bool {
-    let mut live = live_out;
-    for s in stmts.iter().rev() {
-        live = transfer_stmt(s, x, live);
-    }
-    live
-}
-
-fn transfer_stmt(s: &Stmt, x: Sym, live_out: bool) -> bool {
-    match s {
-        Stmt::For {
-            var,
-            init,
-            bound,
-            body,
-            ..
-        } => {
-            if expr_mentions(init, x) || expr_mentions(bound, x) {
-                return true;
-            }
-            if *var == x {
-                return false;
-            }
-            // Exit liveness of the body: back-edge re-enters the body,
-            // loop exit continues to live_out. Boolean fixpoint.
-            let mut l_exit = live_out;
-            for _ in 0..2 {
-                l_exit = live_out || transfer_block(body, x, l_exit);
-            }
-            // Zero-trip path (live_out) or first-iteration entry.
-            live_out || transfer_block(body, x, l_exit)
-        }
-        Stmt::Region { body, .. } => transfer_block(body, x, live_out),
-        Stmt::Comment(_) => live_out,
-        _ => {
-            if stmt_mentions(s, x) {
-                true
-            } else if stmt_def(s) == Some(x) {
-                false
-            } else {
-                live_out
-            }
-        }
     }
 }
 

@@ -315,12 +315,26 @@ pub fn dependence_on(
     loop_vars: &[Sym],
     trip: Option<i64>,
 ) -> Verdict {
-    let (Some((fc, fr)), Some((gc, gr))) = (decompose(f, loop_vars), decompose(g, loop_vars))
-    else {
-        return Verdict::Unknown;
-    };
+    match (decompose(f, loop_vars), decompose(g, loop_vars)) {
+        (Some(f), Some(g)) => dependence_between(v, &f, &g, trip),
+        _ => Verdict::Unknown,
+    }
+}
+
+/// A subscript split by [`decompose`]: per-loop-variable coefficients
+/// plus the loop-invariant rest.
+pub(crate) type Decomposed = (BTreeMap<Sym, LinearForm>, LinearForm);
+
+/// [`dependence_on`] for already decomposed subscripts, so a caller
+/// testing many pairs decomposes each subscript once.
+pub(crate) fn dependence_between(
+    v: Sym,
+    (fc, fr): &Decomposed,
+    (gc, gr): &Decomposed,
+    trip: Option<i64>,
+) -> Verdict {
     if fc == gc {
-        let sol = uniform_solution(&fc, &fr, &gr);
+        let sol = uniform_solution(fc, fr, gr);
         if !sol.feasible {
             return Verdict::Independent;
         }
@@ -337,7 +351,7 @@ pub fn dependence_on(
             // GCD-tested): a dependence may exist at any distance.
             _ => Verdict::Unknown,
         }
-    } else if nonuniform_independent(&fc, &fr, &gc, &gr) {
+    } else if nonuniform_independent(fc, fr, gc, gr) {
         Verdict::Independent
     } else {
         Verdict::Unknown

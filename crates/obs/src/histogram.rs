@@ -1,21 +1,29 @@
-//! A fixed log-bucket histogram for latency-style telemetry.
+//! A log-linear histogram for latency-style telemetry.
 //!
 //! Values are `u64` (nanoseconds, cycles, bytes — the unit is the
-//! caller's); bucket `b` spans `[2^b, 2^(b+1))` with bucket 0 holding
-//! `{0, 1}`, so 64 buckets cover the full domain with a constant-size
-//! footprint and ≤ 2x relative quantile error. Exact `min`/`max`/`sum`
-//! ride along, so the extreme quantiles stay exact and the mean is not
+//! caller's). Every power of two `[2^e, 2^(e+1))` splits into
+//! [`SUB_BUCKETS`] equal-width buckets, and values below
+//! `2 * SUB_BUCKETS` get a bucket each, so a bucket never spans more
+//! than 1/32 of its lower bound: a quantile estimate is within 3.2% of
+//! the exact nearest-rank value. Only non-empty buckets are stored, so
+//! an empty histogram allocates nothing. Exact `min`/`max`/`sum` ride
+//! along, so the extreme quantiles stay exact and the mean is not
 //! bucketed at all.
 
 use crate::json::Json;
 
-/// Number of log buckets (covers all of `u64`).
-pub const BUCKETS: usize = 64;
+/// Linear sub-buckets per power of two.
+pub const SUB_BUCKETS: usize = 32;
+const SUB_BITS: u32 = SUB_BUCKETS.trailing_zeros();
 
-/// Fixed log-bucket histogram with p50/p90/p99 quantile estimates.
+/// Number of buckets (covers all of `u64`).
+pub const BUCKETS: usize = (65 - SUB_BITS as usize) * SUB_BUCKETS;
+
+/// Log-linear histogram with p50/p90/p99 quantile estimates.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
-    counts: [u64; BUCKETS],
+    /// `(bucket, count)` of every non-empty bucket, ascending by bucket.
+    counts: Vec<(u16, u64)>,
     count: u64,
     sum: u64,
     min: u64,
@@ -28,27 +36,32 @@ impl Default for Histogram {
     }
 }
 
-/// The bucket a value lands in: `floor(log2(v))`, with 0 and 1 sharing
-/// bucket 0.
+/// The bucket a value lands in. Values below `2 * SUB_BUCKETS` are their
+/// own bucket; above, the bucket is the value's top `SUB_BITS + 1` bits
+/// plus `SUB_BUCKETS` per dropped low bit.
 fn bucket_of(v: u64) -> usize {
-    (63 - v.max(1).leading_zeros()) as usize
+    if v < 2 * SUB_BUCKETS as u64 {
+        return v as usize;
+    }
+    let shift = 63 - v.leading_zeros() - SUB_BITS;
+    shift as usize * SUB_BUCKETS + (v >> shift) as usize
 }
 
 /// Inclusive value range covered by bucket `b`.
 pub fn bucket_bounds(b: usize) -> (u64, u64) {
-    let lo = if b == 0 { 0 } else { 1u64 << b };
-    let hi = if b >= 63 {
-        u64::MAX
-    } else {
-        (1u64 << (b + 1)) - 1
-    };
-    (lo, hi)
+    if b < 2 * SUB_BUCKETS {
+        return (b as u64, b as u64);
+    }
+    let shift = (b / SUB_BUCKETS - 1) as u32;
+    let top = (b % SUB_BUCKETS + SUB_BUCKETS) as u64;
+    let lo = top << shift;
+    (lo, lo + ((1u64 << shift) - 1))
 }
 
 impl Histogram {
     pub fn new() -> Self {
         Histogram {
-            counts: [0; BUCKETS],
+            counts: Vec::new(),
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -56,9 +69,16 @@ impl Histogram {
         }
     }
 
+    fn add(&mut self, bucket: u16, n: u64) {
+        match self.counts.binary_search_by_key(&bucket, |&(b, _)| b) {
+            Ok(i) => self.counts[i].1 += n,
+            Err(i) => self.counts.insert(i, (bucket, n)),
+        }
+    }
+
     /// Records one observation.
     pub fn record(&mut self, v: u64) {
-        self.counts[bucket_of(v)] += 1;
+        self.add(bucket_of(v) as u16, 1);
         self.count += 1;
         self.sum = self.sum.saturating_add(v);
         self.min = self.min.min(v);
@@ -67,8 +87,8 @@ impl Histogram {
 
     /// Folds another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
+        for &(b, c) in &other.counts {
+            self.add(b, c);
         }
         self.count += other.count;
         self.sum = self.sum.saturating_add(other.sum);
@@ -106,18 +126,19 @@ impl Histogram {
 
     /// Estimated `q`-quantile (`0.0 ..= 1.0`): the upper bound of the
     /// bucket holding the rank-`ceil(q·count)` observation, clamped to
-    /// the exact observed `[min, max]`. Monotone in `q` by construction;
-    /// exact when a bucket holds a single distinct value.
+    /// the exact observed `[min, max]` — never below the exact
+    /// nearest-rank value and at most 3.2% above it. Monotone in `q` by
+    /// construction; exact below 64 and at the extremes.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
         let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
-        for (b, &c) in self.counts.iter().enumerate() {
+        for &(b, c) in &self.counts {
             seen += c;
             if seen >= rank {
-                let (_, hi) = bucket_bounds(b);
+                let (_, hi) = bucket_bounds(b as usize);
                 return hi.clamp(self.min, self.max);
             }
         }
@@ -138,12 +159,7 @@ impl Histogram {
 
     /// `(bucket index, count)` for every non-empty bucket.
     pub fn nonzero_buckets(&self) -> Vec<(usize, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(b, &c)| (b, c))
-            .collect()
+        self.counts.iter().map(|&(b, c)| (b as usize, c)).collect()
     }
 
     pub fn to_json(&self) -> Json {
@@ -187,10 +203,13 @@ impl Histogram {
         h.max = v.get("max")?.as_u64()?;
         for b in v.get("buckets")?.as_arr()? {
             let idx = b.get("bucket")?.as_u64()? as usize;
+            let count = b.get("count")?.as_u64()?;
             if idx >= BUCKETS {
                 return None;
             }
-            h.counts[idx] = b.get("count")?.as_u64()?;
+            if count > 0 {
+                h.add(idx as u16, count);
+            }
         }
         Some(h)
     }
@@ -203,23 +222,80 @@ mod tests {
     #[test]
     fn bucket_boundaries() {
         assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 0);
-        assert_eq!(bucket_of(2), 1);
-        assert_eq!(bucket_of(3), 1);
-        assert_eq!(bucket_of(4), 2);
-        assert_eq!(bucket_of(1023), 9);
-        assert_eq!(bucket_of(1024), 10);
-        assert_eq!(bucket_of(u64::MAX), 63);
+        assert_eq!(bucket_of(1), 1);
+        assert_eq!(bucket_of(63), 63);
+        assert_eq!(bucket_of(64), 64);
+        assert_eq!(bucket_of(65), 64);
+        assert_eq!(bucket_of(66), 65);
+        assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
+        assert_eq!(bucket_bounds(BUCKETS - 1).1, u64::MAX);
         for b in 0..BUCKETS {
             let (lo, hi) = bucket_bounds(b);
             assert!(lo <= hi);
             assert_eq!(bucket_of(lo), b);
             assert_eq!(bucket_of(hi), b);
+            // No bucket is wider than 1/32 of its lower bound.
+            assert!(
+                (hi - lo) as f64 <= lo as f64 / SUB_BUCKETS as f64,
+                "bucket {b}"
+            );
         }
         // Adjacent buckets tile the domain with no gap or overlap.
         for b in 0..BUCKETS - 1 {
             assert_eq!(bucket_bounds(b).1 + 1, bucket_bounds(b + 1).0);
         }
+    }
+
+    #[test]
+    fn quantiles_within_one_power_of_two_stay_apart() {
+        // 90 samples near 10 µs, 10 near 14 µs: one log2 bucket, but the
+        // median and the tail must still read differently.
+        let mut h = Histogram::new();
+        for i in 0..90 {
+            h.record(10_000 + i * 3);
+        }
+        for i in 0..10 {
+            h.record(14_000 + i * 7);
+        }
+        assert!(h.p50() < 10_400, "p50 {}", h.p50());
+        assert!(h.p99() >= 14_000, "p99 {}", h.p99());
+        assert_ne!(h.p50(), h.p99());
+    }
+
+    #[test]
+    fn quantiles_are_within_3_2_percent_of_nearest_rank() {
+        let mut state = 0x5eed_u64;
+        let mut next = || {
+            state = crate::hash::splitmix64(state);
+            state
+        };
+        for round in 0..40 {
+            let n = 1 + (next() % 500) as usize;
+            let scale = 1u64 << (next() % 40);
+            let values: Vec<u64> = (0..n).map(|_| next() % scale + round).collect();
+            let mut h = Histogram::new();
+            values.iter().for_each(|&v| h.record(v));
+            let mut sorted = values.clone();
+            sorted.sort_unstable();
+            for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0] {
+                let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
+                let exact = sorted[rank - 1];
+                let est = h.quantile(q);
+                assert!(est >= exact, "q{q}: {est} below exact {exact}");
+                assert!(
+                    (est - exact) as f64 <= 0.032 * exact as f64,
+                    "q{q}: {est} vs exact {exact}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn empty_histogram_allocates_nothing() {
+        let h = Histogram::new();
+        assert_eq!(h.counts.capacity(), 0);
+        let back = Histogram::from_json(&h.to_json()).unwrap();
+        assert_eq!(back.counts.capacity(), 0);
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Set-associative cache simulator with a stream prefetcher.
 //!
-//! Fed by the functional simulator's memory trace; returns a load-to-use
-//! latency per access which the timing scoreboard consumes. The hierarchy
-//! parameters come from [`augem_machine::CacheHierarchy`].
+//! Fed the memory access of each step the functional simulator executes;
+//! returns a load-to-use latency per access, which the timing scoreboard
+//! consumes. The hierarchy parameters come from
+//! [`augem_machine::CacheHierarchy`].
 
 use augem_machine::{CacheHierarchy, CacheLevel};
 
 struct Level {
-    /// `sets[set]` holds line tags in LRU order (front = most recent).
+    /// `sets[set]` holds line tags in LRU order (front = most recent),
+    /// at most `assoc` of them.
     sets: Vec<Vec<u64>>,
     assoc: usize,
     set_shift: u32,
@@ -33,25 +35,26 @@ impl Level {
         }
     }
 
-    fn set_of(&self, line: u64) -> usize {
-        (line & self.set_mask) as usize
-    }
-
-    /// Returns true on hit; updates LRU either way (fills on miss).
+    /// Returns true on hit; moves the line to the front either way (a
+    /// miss fills it, evicting the least recent line when the set is
+    /// full). Reorders in place: a full set never grows past `assoc`.
+    #[inline]
     fn access(&mut self, line: u64) -> bool {
-        let set = self.set_of(line);
-        let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|&t| t == line) {
-            let t = ways.remove(pos);
-            ways.insert(0, t);
-            true
-        } else {
-            ways.insert(0, line);
-            if ways.len() > self.assoc {
-                ways.pop();
-            }
-            false
+        let ways = &mut self.sets[(line & self.set_mask) as usize];
+        if ways.first() == Some(&line) {
+            return true;
         }
+        if let Some(pos) = ways.iter().position(|&t| t == line) {
+            ways[..=pos].rotate_right(1);
+            return true;
+        }
+        if ways.len() < self.assoc {
+            ways.push(line);
+        } else if let Some(lru) = ways.last_mut() {
+            *lru = line;
+        }
+        ways.rotate_right(1);
+        false
     }
 
     /// Fill without latency accounting (prefetch).
@@ -156,6 +159,14 @@ impl CacheSim {
             last_line: line,
             valid: true,
         };
+    }
+
+    /// Zeroes the access and miss counters, keeping the cache contents
+    /// (the end of a warm-up pass).
+    pub fn clear_counters(&mut self) {
+        self.accesses = 0;
+        self.l1_misses = 0;
+        self.llc_misses = 0;
     }
 
     /// Software prefetch: fills the line into every level.

@@ -15,8 +15,12 @@
 //! step counts, `StepLimit` behavior and recorded [`Trace`] contents
 //! are bit-for-bit identical to the legacy interpreter's by
 //! construction. `tests/sim_decoded_differential.rs` proves it.
+//!
+//! The loop hands every executed step to a `StepSink`: nothing for a
+//! plain run, a [`Trace`] when recording, the cache warm-up or the
+//! timing scoreboard when measuring.
 
-use crate::func::{MemAccess, SimError, State};
+use crate::func::{MemAccess, SimError, State, Trace};
 use augem_asm::{AsmKernel, GpOrImm, Width, XInst};
 
 const ARRAY_SHIFT: u32 = 40;
@@ -586,29 +590,42 @@ fn resolve(arrays: &[Vec<f64>], addr: i64, elems: usize) -> Result<(usize, usize
     Ok((arr, elem))
 }
 
-/// Executes a decoded program against prepared [`State`]. Semantics —
-/// step counting, trace contents, error variants — match the legacy
-/// interpreter loop exactly.
-///
-/// Dispatches to a monomorphized loop so the untraced path (the
-/// tuner's inner loop) carries no per-step trace bookkeeping at all.
-pub(crate) fn exec(
-    prog: &DecodedProgram,
-    st: &mut State,
-    step_limit: u64,
-    collect_trace: bool,
-) -> Result<(), SimError> {
-    if collect_trace {
-        exec_impl::<true>(prog, st, step_limit)
-    } else {
-        exec_impl::<false>(prog, st, step_limit)
+/// Consumer of a decoded run's dynamic steps, called once per executed
+/// step with its pc and the memory access it performed. Labels and
+/// comments are steps (with no access); the final `Ret` is not.
+pub(crate) trait StepSink {
+    fn step(&mut self, pc: u32, access: Option<MemAccess>);
+}
+
+/// Discards every step: a plain functional run carries no per-step
+/// bookkeeping at all.
+pub(crate) struct NoSink;
+
+impl StepSink for NoSink {
+    #[inline(always)]
+    fn step(&mut self, _pc: u32, _access: Option<MemAccess>) {}
+}
+
+impl StepSink for Trace {
+    #[inline]
+    fn step(&mut self, pc: u32, access: Option<MemAccess>) {
+        self.inst_indices.push(pc);
+        self.accesses.push(access);
     }
 }
 
-fn exec_impl<const TRACE: bool>(
+/// Executes a decoded program against prepared [`State`], feeding each
+/// step to `sink`. Semantics — step counting, step contents, error
+/// variants — match the legacy interpreter loop exactly.
+///
+/// Monomorphized per sink, so the plain run ([`NoSink`]) computes no
+/// access records and the timing model's scoreboard runs inline with
+/// execution instead of over a recorded trace.
+pub(crate) fn exec<S: StepSink>(
     prog: &DecodedProgram,
     st: &mut State,
     step_limit: u64,
+    sink: &mut S,
 ) -> Result<(), SimError> {
     let ops = &prog.ops[..];
     let n = ops.len();
@@ -649,14 +666,12 @@ fn exec_impl<const TRACE: bool>(
                     d[2] = 0.0;
                     d[3] = 0.0;
                 }
-                if TRACE {
-                    access = Some(MemAccess {
-                        addr,
-                        bytes: (lanes * 8) as u8,
-                        write: false,
-                        prefetch: false,
-                    });
-                }
+                access = Some(MemAccess {
+                    addr,
+                    bytes: (lanes * 8) as u8,
+                    write: false,
+                    prefetch: false,
+                });
             }
             DecodedOp::FLoad4 { dst, base, disp } => {
                 let addr = st.gp[(base & 15) as usize].wrapping_add(disp);
@@ -664,27 +679,23 @@ fn exec_impl<const TRACE: bool>(
                 let src = &st.arrays[arr][elem..elem + 4];
                 let d = &mut st.vec[(dst & 15) as usize];
                 *d = [src[0], src[1], src[2], src[3]];
-                if TRACE {
-                    access = Some(MemAccess {
-                        addr,
-                        bytes: 32,
-                        write: false,
-                        prefetch: false,
-                    });
-                }
+                access = Some(MemAccess {
+                    addr,
+                    bytes: 32,
+                    write: false,
+                    prefetch: false,
+                });
             }
             DecodedOp::FStore { src, base, disp } => {
                 let addr = st.gp[(base & 15) as usize].wrapping_add(disp);
                 let (arr, elem) = resolve(&st.arrays, addr, 1).map_err(|f| f.into_error())?;
                 st.arrays[arr][elem] = st.vec[(src & 15) as usize][0];
-                if TRACE {
-                    access = Some(MemAccess {
-                        addr,
-                        bytes: 8,
-                        write: true,
-                        prefetch: false,
-                    });
-                }
+                access = Some(MemAccess {
+                    addr,
+                    bytes: 8,
+                    write: true,
+                    prefetch: false,
+                });
             }
             DecodedOp::FStore2 { src, base, disp } => {
                 let addr = st.gp[(base & 15) as usize].wrapping_add(disp);
@@ -693,14 +704,12 @@ fn exec_impl<const TRACE: bool>(
                 let d = &mut st.arrays[arr][elem..elem + 2];
                 d[0] = s[0];
                 d[1] = s[1];
-                if TRACE {
-                    access = Some(MemAccess {
-                        addr,
-                        bytes: 16,
-                        write: true,
-                        prefetch: false,
-                    });
-                }
+                access = Some(MemAccess {
+                    addr,
+                    bytes: 16,
+                    write: true,
+                    prefetch: false,
+                });
             }
             DecodedOp::FStore4 { src, base, disp } => {
                 let addr = st.gp[(base & 15) as usize].wrapping_add(disp);
@@ -711,14 +720,12 @@ fn exec_impl<const TRACE: bool>(
                 d[1] = s[1];
                 d[2] = s[2];
                 d[3] = s[3];
-                if TRACE {
-                    access = Some(MemAccess {
-                        addr,
-                        bytes: 32,
-                        write: true,
-                        prefetch: false,
-                    });
-                }
+                access = Some(MemAccess {
+                    addr,
+                    bytes: 32,
+                    write: true,
+                    prefetch: false,
+                });
             }
             DecodedOp::FDup {
                 dst,
@@ -736,28 +743,24 @@ fn exec_impl<const TRACE: bool>(
                     d[2] = 0.0;
                     d[3] = 0.0;
                 }
-                if TRACE {
-                    access = Some(MemAccess {
-                        addr,
-                        bytes: 8,
-                        write: false,
-                        prefetch: false,
-                    });
-                }
+                access = Some(MemAccess {
+                    addr,
+                    bytes: 8,
+                    write: false,
+                    prefetch: false,
+                });
             }
             DecodedOp::FDup4 { dst, base, disp } => {
                 let addr = st.gp[(base & 15) as usize].wrapping_add(disp);
                 let (arr, elem) = resolve(&st.arrays, addr, 1).map_err(|f| f.into_error())?;
                 let v = st.arrays[arr][elem];
                 st.vec[(dst & 15) as usize] = [v; 4];
-                if TRACE {
-                    access = Some(MemAccess {
-                        addr,
-                        bytes: 8,
-                        write: false,
-                        prefetch: false,
-                    });
-                }
+                access = Some(MemAccess {
+                    addr,
+                    bytes: 8,
+                    write: false,
+                    prefetch: false,
+                });
             }
             DecodedOp::FMov {
                 dst,
@@ -999,28 +1002,24 @@ fn exec_impl<const TRACE: bool>(
                 let addr = st.gp[(base & 15) as usize].wrapping_add(disp);
                 let (arr, elem) = resolve(&st.arrays, addr, 1).map_err(|f| f.into_error())?;
                 st.gp[(dst & 15) as usize] = st.arrays[arr][elem].to_bits() as i64;
-                if TRACE {
-                    access = Some(MemAccess {
-                        addr,
-                        bytes: 8,
-                        write: false,
-                        prefetch: false,
-                    });
-                }
+                access = Some(MemAccess {
+                    addr,
+                    bytes: 8,
+                    write: false,
+                    prefetch: false,
+                });
             }
             DecodedOp::IStore { src, base, disp } => {
                 let addr = st.gp[(base & 15) as usize].wrapping_add(disp);
                 let v = f64::from_bits(st.gp[(src & 15) as usize] as u64);
                 let (arr, elem) = resolve(&st.arrays, addr, 1).map_err(|f| f.into_error())?;
                 st.arrays[arr][elem] = v;
-                if TRACE {
-                    access = Some(MemAccess {
-                        addr,
-                        bytes: 8,
-                        write: true,
-                        prefetch: false,
-                    });
-                }
+                access = Some(MemAccess {
+                    addr,
+                    bytes: 8,
+                    write: true,
+                    prefetch: false,
+                });
             }
             DecodedOp::CmpR { a, b } => {
                 st.cmp = (st.gp[(a & 15) as usize], st.gp[(b & 15) as usize]);
@@ -1041,22 +1040,17 @@ fn exec_impl<const TRACE: bool>(
             DecodedOp::Jmp { target } => pc = target as usize,
             DecodedOp::Ret => break,
             DecodedOp::Prefetch { base, write, disp } => {
-                // No architectural effect; recorded for the cache model.
-                if TRACE {
-                    let addr = st.gp[(base & 15) as usize].wrapping_add(disp);
-                    access = Some(MemAccess {
-                        addr,
-                        bytes: 64,
-                        write,
-                        prefetch: true,
-                    });
-                }
+                // No architectural effect; reported for the cache model.
+                let addr = st.gp[(base & 15) as usize].wrapping_add(disp);
+                access = Some(MemAccess {
+                    addr,
+                    bytes: 64,
+                    write,
+                    prefetch: true,
+                });
             }
         }
-        if TRACE {
-            st.trace.inst_indices.push(cur as u32);
-            st.trace.accesses.push(access);
-        }
+        sink.step(cur as u32, access);
         pc += 1;
     }
     Ok(())

@@ -47,7 +47,7 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// One memory access in the recorded trace.
+/// The memory access one executed step performed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemAccess {
     pub addr: i64,
@@ -56,8 +56,10 @@ pub struct MemAccess {
     pub prefetch: bool,
 }
 
-/// Execution trace for the timing model: the sequence of executed
-/// instruction indices plus their memory accesses.
+/// Recorded execution trace ([`FuncSim::with_trace`]): the sequence of
+/// executed instruction indices plus their memory accesses. The timing
+/// model does not need one — it consumes steps as they execute — but
+/// [`crate::replay`] times a recorded trace with the same scoreboard.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     pub inst_indices: Vec<u32>,
@@ -86,7 +88,6 @@ pub(crate) struct State {
     pub(crate) vec: [[f64; 4]; 16],
     pub(crate) arrays: Vec<Vec<f64>>,
     pub(crate) cmp: (i64, i64),
-    pub(crate) trace: Trace,
 }
 
 impl State {
@@ -109,7 +110,6 @@ impl State {
             vec: [[0.0; 4]; 16],
             arrays: Vec::new(),
             cmp: (0, 0),
-            trace: Trace::default(),
         };
         for ((_, loc), arg) in kernel.params.iter().zip(args) {
             match (loc, arg) {
@@ -188,10 +188,29 @@ impl FuncSim {
         kernel: &AsmKernel,
         args: Vec<SimValue>,
     ) -> Result<(Vec<Vec<f64>>, Trace), SimError> {
+        let mut trace = Trace::default();
+        let arrays = if self.collect_trace {
+            self.run_into(prog, kernel, args, &mut trace)?
+        } else {
+            self.run_into(prog, kernel, args, &mut crate::decode::NoSink)?
+        };
+        Ok((arrays, trace))
+    }
+
+    /// [`FuncSim::run_decoded`] feeding every executed step to `sink`
+    /// (the timing model's scoreboard or cache warm-up) instead of
+    /// recording a [`Trace`]. Returns the final user arrays.
+    pub(crate) fn run_into<S: crate::decode::StepSink>(
+        &self,
+        prog: &crate::decode::DecodedProgram,
+        kernel: &AsmKernel,
+        args: Vec<SimValue>,
+        sink: &mut S,
+    ) -> Result<Vec<Vec<f64>>, SimError> {
         let (mut st, user_arrays) = State::setup(kernel, args)?;
-        crate::decode::exec(prog, &mut st, self.step_limit, self.collect_trace)?;
+        crate::decode::exec(prog, &mut st, self.step_limit, sink)?;
         st.arrays.truncate(user_arrays);
-        Ok((st.arrays, st.trace))
+        Ok(st.arrays)
     }
 
     /// The original string-dispatching interpreter loop, kept as the
@@ -203,6 +222,7 @@ impl FuncSim {
         args: Vec<SimValue>,
     ) -> Result<(Vec<Vec<f64>>, Trace), SimError> {
         let (mut st, user_arrays) = State::setup(kernel, args)?;
+        let mut trace = Trace::default();
 
         // Label map.
         let mut labels: HashMap<&str, usize> = HashMap::new();
@@ -495,14 +515,14 @@ impl FuncSim {
                 XInst::Label(_) | XInst::Comment(_) => {}
             }
             if self.collect_trace {
-                st.trace.inst_indices.push(cur as u32);
-                st.trace.accesses.push(access);
+                trace.inst_indices.push(cur as u32);
+                trace.accesses.push(access);
             }
             pc += 1;
         }
 
         st.arrays.truncate(user_arrays);
-        Ok((st.arrays, st.trace))
+        Ok((st.arrays, trace))
     }
 
     fn gp_or_imm(&self, st: &State, v: GpOrImm) -> i64 {

@@ -12,14 +12,16 @@
 //! * [`decode`] — a **pre-decoded engine**: a one-time [`decode`] pass
 //!   lowers the instruction stream into a dense, string-free
 //!   [`DecodedOp`] table (labels resolved to pc indices, VEX rules baked
-//!   in) driven by a tight dispatch loop. [`FuncSim::run`] uses it;
-//!   `FuncSim::run_legacy` keeps the original loop as the reference.
+//!   in) driven by a tight dispatch loop that hands each executed step
+//!   to a sink. [`FuncSim::run`] uses it; `FuncSim::run_legacy` keeps the
+//!   original loop as the reference.
 //! * [`cache`] — a set-associative write-allocate cache simulator with a
-//!   stream prefetcher, fed by the functional simulator's memory trace.
-//! * [`timing`] — a **cycle-approximate timing model**: replays the
-//!   dynamic instruction trace through an issue-width + execution-port
-//!   scoreboard with data-dependence latencies and cache-modeled load
-//!   latencies, yielding cycles and Mflops for a kernel invocation.
+//!   stream prefetcher, fed the functional simulator's memory accesses.
+//! * [`timing`] — a **cycle-approximate timing model**: an issue-width +
+//!   execution-port scoreboard with data-dependence latencies and
+//!   cache-modeled load latencies that times each dynamic step as the
+//!   decoded engine executes it (or replays a recorded [`Trace`]),
+//!   yielding cycles and Mflops for a kernel invocation.
 //!
 //! The timing model captures the first-order effects the paper's
 //! optimizations target — SIMD width, FMA fusion, false dependences from

@@ -1,13 +1,18 @@
 //! Cycle-approximate timing model.
 //!
-//! Replays the functional simulator's dynamic instruction trace through an
-//! out-of-order scoreboard: the front end delivers `issue_width`
-//! instructions per cycle into a reorder window of [`ROB_WINDOW`] entries;
-//! within the window, an instruction issues as soon as its inputs are
-//! ready and an execution port is free (register renaming is implicit —
-//! only true RAW dependences stall), and results become available after
-//! their class latency (loads: the cache simulator's latency for that
-//! address). Total cycles = completion of the last instruction.
+//! Times the functional simulator's dynamic instruction stream with an
+//! out-of-order scoreboard. The scoreboard consumes each step as the
+//! decoded engine executes it, so a measurement keeps no trace and its
+//! memory does not grow with the step count; [`replay`] feeds a recorded
+//! [`Trace`] through the same scoreboard.
+//!
+//! The front end delivers `issue_width` instructions per cycle into a
+//! reorder window of [`ROB_WINDOW`] entries; within the window, an
+//! instruction issues as soon as its inputs are ready and an execution
+//! port is free (register renaming is implicit — only true RAW
+//! dependences stall), and results become available after their class
+//! latency (loads: the cache simulator's latency for that address).
+//! Total cycles = completion of the last instruction.
 //!
 //! This captures the effects the AUGEM paper's optimizations target:
 //!
@@ -18,9 +23,10 @@
 //! * software prefetch converts demand misses into hits.
 
 use crate::cache::CacheSim;
-use crate::func::{FuncSim, SimError, SimValue, Trace};
+use crate::decode::{decode, StepSink};
+use crate::func::{FuncSim, MemAccess, SimError, SimValue, Trace};
 use augem_asm::{AsmKernel, GpOrImm, XInst};
-use augem_machine::{InstClass, MachineSpec, SimdMode};
+use augem_machine::{InstClass, IsaFeature, MachineSpec};
 
 /// Reorder-window size: between the scheduler capacity and the reorder
 /// buffer of the modeled cores (SNB: 54-entry scheduler / 168-entry ROB;
@@ -149,12 +155,27 @@ fn gp_output(inst: &XInst) -> Option<u8> {
     }
 }
 
-/// Static per-instruction facts the replay loop needs, computed once per
-/// kernel instead of per dynamic step (`vec_uses` allocates a `Vec`;
-/// `class`/`gp_uses`/`gp_output` re-match the `XInst` every call).
+/// How a step reaches the cache and where its latency comes from.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// Labels and comments: executed steps, but no instruction.
+    Inert,
+    /// Loads and broadcasts: latency is the cache's service time.
+    Load,
+    /// Stores: a write access at the class's fixed latency.
+    Store,
+    /// Software prefetch: fills every level at the class's latency.
+    Prefetch,
+    /// Everything else: the class's fixed latency, no cache traffic.
+    Compute,
+}
+
+/// Static per-pc facts the scoreboard needs, computed once per kernel
+/// instead of per dynamic step: the operand registers and the machine's
+/// latency, µop count and allowed ports for the instruction's class.
 #[derive(Clone, Copy)]
 struct InstMeta {
-    class: Option<(InstClass, SimdMode)>,
+    kind: Kind,
     flops: u16,
     vec_uses: [u8; 3],
     n_vec: u8,
@@ -162,17 +183,30 @@ struct InstMeta {
     n_gp: u8,
     vec_def: u8,
     gp_def: u8,
+    /// The class's result latency (a load's L1-hit latency).
+    latency: u32,
+    /// µops that each take one port-cycle; zero when no allowed port
+    /// exists on this machine.
+    uops: u32,
+    /// Allowed ports, clipped to the machine's `num_ports`.
+    ports: u8,
 }
 
 const NO_REG: u8 = 0xFF;
 
-fn decode_meta(insts: &[XInst]) -> Vec<InstMeta> {
+fn decode_meta(insts: &[XInst], machine: &MachineSpec) -> Vec<InstMeta> {
+    let num_ports = u32::from(machine.timing.num_ports);
+    let port_mask = if num_ports >= 8 {
+        u8::MAX
+    } else {
+        ((1u32 << num_ports) - 1) as u8
+    };
     let mut gp_in = Vec::with_capacity(4);
     insts
         .iter()
         .map(|inst| {
             let mut m = InstMeta {
-                class: inst.class(),
+                kind: Kind::Inert,
                 flops: flops_of(inst) as u16,
                 vec_uses: [0; 3],
                 n_vec: 0,
@@ -180,7 +214,22 @@ fn decode_meta(insts: &[XInst]) -> Vec<InstMeta> {
                 n_gp: 0,
                 vec_def: inst.vec_def().map_or(NO_REG, |r| r.0),
                 gp_def: gp_output(inst).unwrap_or(NO_REG),
+                latency: 0,
+                uops: 0,
+                ports: 0,
             };
+            if let Some((class, mode)) = inst.class() {
+                let t = machine.timing.timing(class, mode);
+                m.kind = match class {
+                    InstClass::Load | InstClass::Broadcast => Kind::Load,
+                    InstClass::Store => Kind::Store,
+                    InstClass::Prefetch => Kind::Prefetch,
+                    _ => Kind::Compute,
+                };
+                m.latency = t.latency;
+                m.ports = t.ports.0 & port_mask;
+                m.uops = if m.ports == 0 { 0 } else { t.uops };
+            }
             for (i, r) in inst.vec_uses().iter().take(3).enumerate() {
                 m.vec_uses[i] = r.0;
                 m.n_vec = (i + 1) as u8;
@@ -284,27 +333,246 @@ impl PcProfile {
     }
 }
 
-fn timed(
+/// Trains the cache on a run's access stream without timing anything:
+/// the steady-state regime's warm-up pass.
+struct Warmup<'a>(&'a mut CacheSim);
+
+impl StepSink for Warmup<'_> {
+    #[inline]
+    fn step(&mut self, _pc: u32, access: Option<MemAccess>) {
+        if let Some(a) = access {
+            if a.prefetch {
+                self.0.prefetch(a.addr);
+            } else {
+                self.0.access(a.addr, a.bytes, a.write);
+            }
+        }
+    }
+}
+
+/// The out-of-order scoreboard (see module docs): one dynamic step at a
+/// time, fed live by the decoded engine or from a recorded [`Trace`].
+/// `PROF = true` adds the per-pc attribution of [`PcProfile`];
+/// `PROF = false` monomorphizes every profiling probe away.
+struct Scoreboard<const PROF: bool> {
+    meta: Vec<InstMeta>,
+    cache: CacheSim,
+    num_ports: usize,
+    issue_width: u64,
+    vec_ready: [u64; 16],
+    gp_ready: [u64; 16],
+    // Each port serves one µop per cycle. `PortSet` is a byte, so no
+    // machine uses more than eight.
+    port_free: [u64; 8],
+    port_uops: [u64; 8],
+    last_complete: u64,
+    flops: u64,
+    dyn_insts: u64,
+    // The front end fetches `issue_width` instructions per cycle:
+    // instruction k is fetched no earlier than cycle k / issue_width.
+    fetch_cycle: u64,
+    fetch_slot: u64,
+    store_ready_floor: u64, // stores retire in order w.r.t. loads
+    // Reorder window: issue cycle of the last `ROB_WINDOW` instructions
+    // as a ring (zero before the window first fills); an instruction
+    // cannot issue until the one `ROB_WINDOW` ahead of it has issued.
+    window: [u64; ROB_WINDOW],
+    head: usize,
+    prof: PcProfile,
+}
+
+impl<const PROF: bool> Scoreboard<PROF> {
+    fn new(kernel: &AsmKernel, machine: &MachineSpec, cache: CacheSim) -> Self {
+        let num_ports = machine.timing.num_ports as usize;
+        let pcs = if PROF { kernel.insts.len() } else { 0 };
+        Scoreboard {
+            meta: decode_meta(&kernel.insts, machine),
+            cache,
+            num_ports,
+            issue_width: machine.timing.issue_width.max(1) as u64,
+            vec_ready: [0; 16],
+            gp_ready: [0; 16],
+            port_free: [0; 8],
+            port_uops: [0; 8],
+            last_complete: 0,
+            flops: 0,
+            dyn_insts: 0,
+            fetch_cycle: 0,
+            fetch_slot: 0,
+            store_ready_floor: 0,
+            window: [0; ROB_WINDOW],
+            head: 0,
+            prof: PcProfile::new(pcs, num_ports),
+        }
+    }
+
+    fn finish(self) -> (TimingReport, PcProfile) {
+        let mut port_uops = vec![0u64; self.num_ports];
+        for (dst, src) in port_uops.iter_mut().zip(self.port_uops) {
+            *dst = src;
+        }
+        let report = TimingReport {
+            cycles: self.last_complete,
+            dyn_insts: self.dyn_insts,
+            flops: self.flops,
+            mem_accesses: self.cache.accesses,
+            l1_misses: self.cache.l1_misses,
+            llc_misses: self.cache.llc_misses,
+            port_uops,
+        };
+        (report, self.prof)
+    }
+}
+
+impl<const PROF: bool> StepSink for Scoreboard<PROF> {
+    #[inline]
+    fn step(&mut self, pc: u32, access: Option<MemAccess>) {
+        let pc = pc as usize;
+        let m = self.meta[pc];
+        if m.kind == Kind::Inert {
+            return;
+        }
+        self.dyn_insts += 1;
+        self.flops += u64::from(m.flops);
+
+        // Data readiness (true dependences only — renaming is implicit).
+        let mut ready = 0u64;
+        for &r in &m.vec_uses[..m.n_vec as usize] {
+            ready = ready.max(self.vec_ready[(r & 15) as usize]);
+        }
+        for &r in &m.gp_uses[..m.n_gp as usize] {
+            ready = ready.max(self.gp_ready[(r & 15) as usize]);
+        }
+        if m.kind == Kind::Store {
+            ready = ready.max(self.store_ready_floor);
+        }
+
+        // Front end: instruction k is fetched no earlier than k/width.
+        let fetched = self.fetch_cycle;
+        self.fetch_slot += 1;
+        if self.fetch_slot == self.issue_width {
+            self.fetch_slot = 0;
+            self.fetch_cycle += 1;
+        }
+        // Window: wait for the instruction ROB_WINDOW back to have issued.
+        let window_floor = self.window[self.head];
+        let pre_port = ready.max(fetched).max(window_floor);
+        let mut issue = pre_port;
+
+        // Port scheduling: each µop takes the allowed port that frees
+        // up first (lowest index on ties).
+        for _ in 0..m.uops {
+            let mut best_port = 0;
+            let mut best_cycle = u64::MAX;
+            let mut ports = m.ports;
+            while ports != 0 {
+                let p = ports.trailing_zeros() as usize;
+                ports &= ports - 1;
+                let c = self.port_free[p].max(issue);
+                if c < best_cycle {
+                    best_cycle = c;
+                    best_port = p;
+                }
+            }
+            self.port_free[best_port] = best_cycle + 1;
+            self.port_uops[best_port] += 1;
+            issue = issue.max(best_cycle);
+            if PROF {
+                self.prof.port_uops[pc * self.num_ports + best_port] += 1;
+            }
+        }
+        self.window[self.head] = issue;
+        self.head += 1;
+        if self.head == ROB_WINDOW {
+            self.head = 0;
+        }
+
+        // Latency: loads ask the cache model.
+        let cache = &mut self.cache;
+        let pre_access = if PROF {
+            (cache.accesses, cache.l1_misses, cache.llc_misses)
+        } else {
+            (0, 0, 0)
+        };
+        let latency = match (m.kind, access) {
+            (Kind::Load, Some(a)) => cache.access(a.addr, a.bytes, a.write),
+            (Kind::Store, Some(a)) => {
+                cache.access(a.addr, a.bytes, true);
+                m.latency
+            }
+            (Kind::Prefetch, Some(a)) => {
+                cache.prefetch(a.addr);
+                m.latency
+            }
+            _ => m.latency,
+        } as u64;
+
+        let complete = issue + latency;
+        if PROF {
+            let prof = &mut self.prof;
+            prof.execs[pc] += 1;
+            // Attribute the slice of the critical frontier this dynamic
+            // instruction extends; the slices telescope to total cycles.
+            prof.cycles[pc] += complete.saturating_sub(self.last_complete);
+            // Stall taxonomy: which floor dominated the issue cycle, and
+            // by how much it exceeded the others.
+            prof.stall_dep[pc] += ready.saturating_sub(fetched.max(window_floor));
+            prof.stall_front[pc] += window_floor.saturating_sub(ready.max(fetched));
+            prof.stall_port[pc] += issue - pre_port;
+            prof.stall_mem[pc] += latency.saturating_sub(u64::from(m.latency));
+            // Cache behavior of this access site (demand accesses only).
+            let (a0, l1m0, llcm0) = pre_access;
+            let demand = cache.accesses - a0;
+            let l1m = cache.l1_misses - l1m0;
+            prof.l1_hits[pc] += demand.saturating_sub(l1m.min(demand));
+            prof.l1_misses[pc] += l1m;
+            prof.llc_misses[pc] += cache.llc_misses - llcm0;
+        }
+        self.last_complete = self.last_complete.max(complete);
+        if m.vec_def != NO_REG {
+            self.vec_ready[(m.vec_def & 15) as usize] = complete;
+        }
+        if m.gp_def != NO_REG {
+            self.gp_ready[(m.gp_def & 15) as usize] = complete;
+        }
+        if m.kind == Kind::Store {
+            self.store_ready_floor = self.store_ready_floor.max(issue);
+        }
+    }
+}
+
+/// Runs `kernel` once with the scoreboard consuming every step. The
+/// steady-state regime (`warm`) first runs it into the cache alone, on
+/// its own copy of `args` so outputs the kernel accumulates into (GEMM's
+/// `C`) start from the same values in the timed run.
+fn timed<const PROF: bool>(
     kernel: &AsmKernel,
     args: Vec<SimValue>,
     machine: &MachineSpec,
     warm: bool,
     step_limit: Option<u64>,
-) -> Result<(TimingReport, Vec<Vec<f64>>), SimError> {
-    let mut sim = FuncSim::new(machine.isa).with_trace();
+) -> Result<(TimingReport, PcProfile, Vec<Vec<f64>>), SimError> {
+    let mut sim = FuncSim::new(machine.isa);
     if let Some(limit) = step_limit {
         sim = sim.with_step_limit(limit);
     }
-    let (arrays, trace) = sim.run(kernel, args)?;
-    let report = replay(kernel, &trace, machine, warm);
-    Ok((report, arrays))
+    let prog = decode(kernel, machine.isa.has(IsaFeature::Avx))?;
+    let mut cache = CacheSim::new(&machine.caches);
+    if warm {
+        sim.run_into(&prog, kernel, args.clone(), &mut Warmup(&mut cache))?;
+        cache.clear_counters();
+    }
+    let mut board = Scoreboard::<PROF>::new(kernel, machine, cache);
+    let arrays = sim.run_into(&prog, kernel, args, &mut board)?;
+    let (report, prof) = board.finish();
+    Ok((report, prof, arrays))
 }
 
-/// Profiled twin of the `simulate_timing*` family: runs the functional
-/// simulator with tracing, then replays through [`replay_profiled`].
-/// `warm` selects the steady-state (pre-warmed cache) regime and
-/// `step_limit` bounds the dynamic trace, exactly as in the unprofiled
-/// entry points.
+/// Profiled twin of the `simulate_timing*` family: the same streamed
+/// measurement with [`replay_profiled`]'s per-pc attribution. `warm`
+/// selects the steady-state (pre-warmed cache) regime and `step_limit`
+/// bounds the dynamic step count, exactly as in the unprofiled entry
+/// points.
 pub fn simulate_timing_profiled(
     kernel: &AsmKernel,
     args: Vec<SimValue>,
@@ -312,27 +580,21 @@ pub fn simulate_timing_profiled(
     warm: bool,
     step_limit: Option<u64>,
 ) -> Result<(TimingReport, PcProfile, Vec<Vec<f64>>), SimError> {
-    let mut sim = FuncSim::new(machine.isa).with_trace();
-    if let Some(limit) = step_limit {
-        sim = sim.with_step_limit(limit);
-    }
-    let (arrays, trace) = sim.run(kernel, args)?;
-    let (report, prof) = replay_profiled(kernel, &trace, machine, warm);
-    Ok((report, prof, arrays))
+    timed::<true>(kernel, args, machine, warm, step_limit)
 }
 
-/// Runs the functional simulator with tracing and replays the trace
-/// through the scoreboard. Returns the timing report and final arrays.
+/// Runs the functional simulator with the scoreboard timing each step
+/// as it executes. Returns the timing report and final arrays.
 pub fn simulate_timing(
     kernel: &AsmKernel,
     args: Vec<SimValue>,
     machine: &MachineSpec,
 ) -> Result<(TimingReport, Vec<Vec<f64>>), SimError> {
-    timed(kernel, args, machine, false, None)
+    timed::<false>(kernel, args, machine, false, None).map(|(r, _, a)| (r, a))
 }
 
-/// Steady-state variant: the cache is pre-warmed with the trace's own
-/// access stream before the timed replay, so cold-start misses don't
+/// Steady-state variant: the cache is pre-warmed with the run's own
+/// access stream before the timed run, so cold-start misses don't
 /// pollute micro-kernel measurements (the tuner's view of a kernel whose
 /// packed operands already sit in cache, as in the Goto algorithm).
 pub fn simulate_timing_steady(
@@ -340,20 +602,20 @@ pub fn simulate_timing_steady(
     args: Vec<SimValue>,
     machine: &MachineSpec,
 ) -> Result<(TimingReport, Vec<Vec<f64>>), SimError> {
-    timed(kernel, args, machine, true, None)
+    timed::<false>(kernel, args, machine, true, None).map(|(r, _, a)| (r, a))
 }
 
 /// [`simulate_timing`] under an explicit per-candidate instruction
-/// budget: a kernel whose dynamic trace exceeds `step_limit` instructions
-/// fails with [`SimError::StepLimit`] instead of monopolizing the sweep
-/// (the tuner maps this to its budget-exhausted evaluation class).
+/// budget: a kernel whose dynamic step count exceeds `step_limit` fails
+/// with [`SimError::StepLimit`] instead of monopolizing the sweep (the
+/// tuner maps this to its budget-exhausted evaluation class).
 pub fn simulate_timing_budgeted(
     kernel: &AsmKernel,
     args: Vec<SimValue>,
     machine: &MachineSpec,
     step_limit: u64,
 ) -> Result<(TimingReport, Vec<Vec<f64>>), SimError> {
-    timed(kernel, args, machine, false, Some(step_limit))
+    timed::<false>(kernel, args, machine, false, Some(step_limit)).map(|(r, _, a)| (r, a))
 }
 
 /// [`simulate_timing_steady`] under an explicit per-candidate budget;
@@ -364,22 +626,39 @@ pub fn simulate_timing_steady_budgeted(
     machine: &MachineSpec,
     step_limit: u64,
 ) -> Result<(TimingReport, Vec<Vec<f64>>), SimError> {
-    timed(kernel, args, machine, true, Some(step_limit))
+    timed::<false>(kernel, args, machine, true, Some(step_limit)).map(|(r, _, a)| (r, a))
 }
 
-/// Scoreboard replay of a recorded trace (see module docs). With `warm`,
-/// the cache is pre-trained on the access stream first.
+/// Feeds a recorded trace through the scoreboard, after training the
+/// cache on the trace's access stream when `warm`.
+fn replay_impl<const PROF: bool>(
+    kernel: &AsmKernel,
+    trace: &Trace,
+    machine: &MachineSpec,
+    warm: bool,
+) -> (TimingReport, PcProfile) {
+    let steps = || trace.inst_indices.iter().zip(&trace.accesses);
+    let mut cache = CacheSim::new(&machine.caches);
+    if warm {
+        let mut warm_up = Warmup(&mut cache);
+        steps().for_each(|(&pc, &a)| warm_up.step(pc, a));
+        cache.clear_counters();
+    }
+    let mut board = Scoreboard::<PROF>::new(kernel, machine, cache);
+    steps().for_each(|(&pc, &a)| board.step(pc, a));
+    board.finish()
+}
+
+/// Scoreboard timing of a recorded trace (see module docs): the same
+/// scoreboard the `simulate_timing*` entry points drive live. With
+/// `warm`, the cache is pre-trained on the access stream first.
 pub fn replay(
     kernel: &AsmKernel,
     trace: &Trace,
     machine: &MachineSpec,
     warm: bool,
 ) -> TimingReport {
-    // `PROF = false` monomorphizes every profiling probe away (the same
-    // pattern as `exec_impl::<TRACE>` in `decode`): the unprofiled replay
-    // is bit-for-bit and instruction-for-instruction the pre-profiler
-    // loop.
-    replay_impl::<false>(kernel, trace, machine, warm, None)
+    replay_impl::<false>(kernel, trace, machine, warm).0
 }
 
 /// [`replay`] with per-pc attribution: cycles on the critical frontier,
@@ -393,175 +672,7 @@ pub fn replay_profiled(
     machine: &MachineSpec,
     warm: bool,
 ) -> (TimingReport, PcProfile) {
-    let mut prof = PcProfile::new(kernel.insts.len(), machine.timing.num_ports as usize);
-    let report = replay_impl::<true>(kernel, trace, machine, warm, Some(&mut prof));
-    (report, prof)
-}
-
-fn replay_impl<const PROF: bool>(
-    kernel: &AsmKernel,
-    trace: &Trace,
-    machine: &MachineSpec,
-    warm: bool,
-    mut prof: Option<&mut PcProfile>,
-) -> TimingReport {
-    let mut cache = CacheSim::new(&machine.caches);
-    if warm {
-        for a in trace.accesses.iter().flatten() {
-            if a.prefetch {
-                cache.prefetch(a.addr);
-            } else {
-                cache.access(a.addr, a.bytes, a.write);
-            }
-        }
-        cache.accesses = 0;
-        cache.l1_misses = 0;
-        cache.llc_misses = 0;
-    }
-    let num_ports = machine.timing.num_ports as usize;
-    let issue_width = machine.timing.issue_width.max(1) as u64;
-
-    let mut vec_ready = [0u64; 16];
-    let mut gp_ready = [0u64; 16];
-    // Each port serves one µop per cycle.
-    let mut port_free = vec![0u64; num_ports];
-    let mut port_uops = vec![0u64; num_ports];
-    let mut last_complete = 0u64;
-    let mut flops = 0u64;
-    let mut dyn_insts = 0u64;
-    let mut store_ready_floor = 0u64; // stores retire in order w.r.t. loads
-                                      // Reorder window: issue cycle of each in-flight instruction, oldest
-                                      // first; an instruction cannot issue until the one `ROB_WINDOW` ahead
-                                      // of it has issued.
-    let mut window: std::collections::VecDeque<u64> =
-        std::collections::VecDeque::with_capacity(ROB_WINDOW);
-
-    let meta = decode_meta(&kernel.insts);
-    for (k, &idx) in trace.inst_indices.iter().enumerate() {
-        let pc = idx as usize;
-        let m = &meta[pc];
-        let Some((class, mode)) = m.class else {
-            continue;
-        };
-        dyn_insts += 1;
-        flops += u64::from(m.flops);
-
-        let t = machine.timing.timing(class, mode);
-
-        // Data readiness (true dependences only — renaming is implicit).
-        let mut ready = 0u64;
-        for &r in &m.vec_uses[..m.n_vec as usize] {
-            ready = ready.max(vec_ready[(r & 15) as usize]);
-        }
-        for &r in &m.gp_uses[..m.n_gp as usize] {
-            ready = ready.max(gp_ready[(r & 15) as usize]);
-        }
-        if matches!(class, InstClass::Store) {
-            ready = ready.max(store_ready_floor);
-        }
-
-        // Front end: instruction k is fetched no earlier than k/width.
-        let fetched = (dyn_insts - 1) / issue_width;
-        // Window: wait for the instruction ROB_WINDOW back to have issued.
-        let window_floor = if window.len() >= ROB_WINDOW {
-            window.pop_front().unwrap()
-        } else {
-            0
-        };
-        let pre_port = ready.max(fetched).max(window_floor);
-        let mut issue = pre_port;
-
-        // Port scheduling: each µop needs a free cycle on an allowed port.
-        for _ in 0..t.uops {
-            let mut best_port = None;
-            let mut best_cycle = u64::MAX;
-            for p in t.ports.ports() {
-                let p = p as usize;
-                if p >= num_ports {
-                    continue;
-                }
-                let c = port_free[p].max(issue);
-                if c < best_cycle {
-                    best_cycle = c;
-                    best_port = Some(p);
-                }
-            }
-            if let Some(p) = best_port {
-                port_free[p] = best_cycle + 1;
-                port_uops[p] += 1;
-                issue = issue.max(best_cycle);
-                if PROF {
-                    let prof = prof.as_deref_mut().unwrap();
-                    prof.port_uops[pc * num_ports + p] += 1;
-                }
-            }
-        }
-        window.push_back(issue);
-
-        // Latency: loads ask the cache model.
-        let pre_access = if PROF {
-            (cache.accesses, cache.l1_misses, cache.llc_misses)
-        } else {
-            (0, 0, 0)
-        };
-        let access = trace.accesses[k];
-        let latency = match (class, access) {
-            (InstClass::Load | InstClass::Broadcast, Some(a)) => {
-                cache.access(a.addr, a.bytes, a.write)
-            }
-            (InstClass::Store, Some(a)) => {
-                cache.access(a.addr, a.bytes, true);
-                t.latency
-            }
-            (InstClass::Prefetch, Some(a)) => {
-                cache.prefetch(a.addr);
-                t.latency
-            }
-            _ => t.latency,
-        } as u64;
-
-        let complete = issue + latency;
-        if PROF {
-            let prof = prof.as_deref_mut().unwrap();
-            prof.execs[pc] += 1;
-            // Attribute the slice of the critical frontier this dynamic
-            // instruction extends; the slices telescope to total cycles.
-            prof.cycles[pc] += complete.saturating_sub(last_complete);
-            // Stall taxonomy: which floor dominated the issue cycle, and
-            // by how much it exceeded the others.
-            prof.stall_dep[pc] += ready.saturating_sub(fetched.max(window_floor));
-            prof.stall_front[pc] += window_floor.saturating_sub(ready.max(fetched));
-            prof.stall_port[pc] += issue - pre_port;
-            prof.stall_mem[pc] += latency.saturating_sub(u64::from(t.latency));
-            // Cache behavior of this access site (demand accesses only).
-            let (a0, l1m0, llcm0) = pre_access;
-            let demand = cache.accesses - a0;
-            let l1m = cache.l1_misses - l1m0;
-            prof.l1_hits[pc] += demand.saturating_sub(l1m.min(demand));
-            prof.l1_misses[pc] += l1m;
-            prof.llc_misses[pc] += cache.llc_misses - llcm0;
-        }
-        last_complete = last_complete.max(complete);
-        if m.vec_def != NO_REG {
-            vec_ready[(m.vec_def & 15) as usize] = complete;
-        }
-        if m.gp_def != NO_REG {
-            gp_ready[(m.gp_def & 15) as usize] = complete;
-        }
-        if matches!(class, InstClass::Store) {
-            store_ready_floor = store_ready_floor.max(issue);
-        }
-    }
-
-    TimingReport {
-        cycles: last_complete,
-        dyn_insts,
-        flops,
-        mem_accesses: cache.accesses,
-        l1_misses: cache.l1_misses,
-        llc_misses: cache.llc_misses,
-        port_uops,
-    }
+    replay_impl::<true>(kernel, trace, machine, warm)
 }
 
 #[cfg(test)]

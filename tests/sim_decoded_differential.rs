@@ -14,6 +14,11 @@
 //! is never taken, while the legacy loop only failed on execution.
 //! That difference is pinned by a test rather than papered over.
 //!
+//! The timing tests pin the streamed timing model: hashes of every
+//! tuner candidate's timing report, output arrays and per-pc profile,
+//! recorded on the trace-then-replay implementation it replaced, plus
+//! streamed == replayed-trace and `StepLimit` at the functional step.
+//!
 //! The final tests cover the parallel sweep: with a disabled injector
 //! the sweep evaluates candidates speculatively in parallel but must
 //! commit journal entries, rankings, and counters in sweep order —
@@ -414,6 +419,217 @@ fn default_sweep_journals_match_pinned_hashes() {
                 .find(|(k, m, _)| *k == kernel && *m == arch)
                 .expect("a pinned hash per kernel and machine");
             assert_eq!(hash, *want, "{kernel} journal bytes changed on {arch}");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Timing model: every candidate the tuner measures, pinned.
+// ---------------------------------------------------------------------------
+
+/// One splitmix64 round per folded word.
+fn mix(h: u64, v: u64) -> u64 {
+    augem::obs::hash::splitmix64(h ^ v)
+}
+
+fn mix_report(mut h: u64, r: &augem::sim::TimingReport) -> u64 {
+    for v in [
+        r.cycles,
+        r.dyn_insts,
+        r.flops,
+        r.mem_accesses,
+        r.l1_misses,
+        r.llc_misses,
+        r.port_uops.len() as u64,
+    ] {
+        h = mix(h, v);
+    }
+    r.port_uops.iter().fold(h, |h, &v| mix(h, v))
+}
+
+fn mix_arrays(h: u64, arrays: &[Vec<f64>]) -> u64 {
+    arrays.iter().fold(mix(h, arrays.len() as u64), |h, a| {
+        a.iter()
+            .fold(mix(h, a.len() as u64), |h, v| mix(h, v.to_bits()))
+    })
+}
+
+fn mix_profile(h: u64, p: &augem::sim::PcProfile) -> u64 {
+    [
+        &p.execs,
+        &p.cycles,
+        &p.stall_dep,
+        &p.stall_port,
+        &p.stall_front,
+        &p.stall_mem,
+        &p.port_uops,
+        &p.l1_hits,
+        &p.l1_misses,
+        &p.llc_misses,
+    ]
+    .iter()
+    .fold(mix(h, p.num_ports as u64), |h, col| {
+        col.iter().fold(mix(h, col.len() as u64), |h, &v| mix(h, v))
+    })
+}
+
+/// Every buildable gemm and vector candidate on both paper machines, as
+/// the tuner measures it: tag, machine, kernel, arguments, and regime
+/// (steady state for gemm, cold for the vector kernels).
+fn measured_candidates() -> Vec<(String, MachineSpec, AsmKernel, Vec<SimValue>, bool)> {
+    let mut out = Vec::new();
+    for machine in machines() {
+        let mut cands: Vec<(String, Box<dyn Candidate>)> = gemm_candidates(&machine)
+            .into_iter()
+            .map(|c| {
+                (
+                    format!("dgemm {}", c.tag()),
+                    Box::new(c) as Box<dyn Candidate>,
+                )
+            })
+            .collect();
+        for kernel in [
+            VectorKernel::Axpy,
+            VectorKernel::Dot,
+            VectorKernel::Gemv,
+            VectorKernel::Ger,
+            VectorKernel::Scal,
+        ] {
+            for c in vector_candidates(kernel, &machine) {
+                cands.push((c.tag(), Box::new(c)));
+            }
+        }
+        for (tag, c) in cands {
+            let Ok(build) = c.build_logged_traced(&machine, augem::obs::null()) else {
+                continue;
+            };
+            out.push((tag, machine.clone(), build.asm, c.eval_args().0, c.warm()));
+        }
+    }
+    out
+}
+
+/// The timing model is pinned for every candidate the tuner measures
+/// (192 runs: 36 gemm and 60 vector candidates per machine): one hash
+/// over each run's tag, full `TimingReport` and output-array bits, and
+/// one over each profiled run's `PcProfile`. Both hashes were recorded
+/// on the trace-then-replay implementation the streamed scoreboard
+/// replaced. Each streamed result must also equal a replay of the
+/// recorded trace of the same run, report and arrays alike.
+#[test]
+fn every_candidate_timing_matches_pinned_hashes() {
+    const PINNED_TIMING: u64 = 0x179d_4664_85c4_4dc3;
+    const PINNED_PROFILES: u64 = 0x645e_b1b0_6759_9812;
+    let (mut timing, mut profiles, mut runs) = (0u64, 0u64, 0usize);
+    for (tag, machine, asm, args, warm) in measured_candidates() {
+        let name = format!("{tag} on {}", machine.arch.short_name());
+        let streamed = if warm {
+            augem::sim::simulate_timing_steady(&asm, args.clone(), &machine)
+        } else {
+            augem::sim::simulate_timing(&asm, args.clone(), &machine)
+        };
+        let (report, arrays) = streamed.unwrap_or_else(|e| panic!("{name}: {e}"));
+        timing = mix_arrays(
+            mix_report(augem::obs::hash::mix_str(timing, &tag), &report),
+            &arrays,
+        );
+
+        let (prof_report, prof, prof_arrays) =
+            augem::sim::simulate_timing_profiled(&asm, args.clone(), &machine, warm, None)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(prof_report, report, "{name}: profiled report differs");
+        assert_eq!(
+            mix_arrays(0, &prof_arrays),
+            mix_arrays(0, &arrays),
+            "{name}"
+        );
+        profiles = mix_profile(augem::obs::hash::mix_str(profiles, &tag), &prof);
+
+        let (rec_arrays, trace) = FuncSim::new(machine.isa)
+            .with_trace()
+            .run(&asm, args)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let replayed = augem::sim::replay(&asm, &trace, &machine, warm);
+        assert_eq!(
+            replayed, report,
+            "{name}: replay of the recorded trace differs"
+        );
+        assert_eq!(mix_arrays(0, &rec_arrays), mix_arrays(0, &arrays), "{name}");
+        let (rep_report, rep_prof) = augem::sim::replay_profiled(&asm, &trace, &machine, warm);
+        assert_eq!(rep_report, report, "{name}: profiled replay report differs");
+        assert_eq!(
+            rep_prof, prof,
+            "{name}: profiled replay attribution differs"
+        );
+        runs += 1;
+    }
+    assert_eq!(runs, 192, "candidate count changed");
+    assert_eq!(
+        timing, PINNED_TIMING,
+        "timing reports or arrays changed: {timing:#x}"
+    );
+    assert_eq!(
+        profiles, PINNED_PROFILES,
+        "per-pc profiles changed: {profiles:#x}"
+    );
+}
+
+/// Under a step budget, the timed entry points fail on exactly the step
+/// the functional simulator does, in the cold and the steady regime and
+/// with or without profiling: a budget of `steps` passes, `steps - 1`
+/// fails with `StepLimit(steps - 1)`.
+#[test]
+fn timed_step_limit_fires_on_the_functional_step() {
+    let all = measured_candidates();
+    for arch in ["sandybridge", "piledriver"] {
+        for prefix in ["dgemm 8x", "daxpy u4 "] {
+            let (tag, machine, asm, args, _) = all
+                .iter()
+                .find(|(tag, m, ..)| m.arch.short_name() == arch && tag.starts_with(prefix))
+                .expect("candidate present");
+            let (_, trace) = FuncSim::new(machine.isa)
+                .with_trace()
+                .run(asm, args.clone())
+                .expect("runs");
+            // The final `Ret` takes a step but is not recorded.
+            let traced = trace.len() as u64;
+            let steps = (traced..traced + 8)
+                .find(|&limit| {
+                    FuncSim::new(machine.isa)
+                        .with_step_limit(limit)
+                        .run(asm, args.clone())
+                        .is_ok()
+                })
+                .expect("step count within 8 of trace length");
+            for warm in [false, true] {
+                for limit in [steps, steps - 1] {
+                    let plain = if warm {
+                        augem::sim::simulate_timing_steady_budgeted(
+                            asm,
+                            args.clone(),
+                            machine,
+                            limit,
+                        )
+                    } else {
+                        augem::sim::simulate_timing_budgeted(asm, args.clone(), machine, limit)
+                    };
+                    let profiled = augem::sim::simulate_timing_profiled(
+                        asm,
+                        args.clone(),
+                        machine,
+                        warm,
+                        Some(limit),
+                    );
+                    let name = format!("{tag} on {arch} warm={warm} limit={limit}");
+                    if limit == steps {
+                        assert!(plain.is_ok(), "{name}: should pass");
+                        assert!(profiled.is_ok(), "{name}: profiled should pass");
+                    } else {
+                        assert_eq!(plain.err(), Some(SimError::StepLimit(limit)), "{name}");
+                        assert_eq!(profiled.err(), Some(SimError::StepLimit(limit)), "{name}");
+                    }
+                }
+            }
         }
     }
 }
