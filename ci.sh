@@ -32,6 +32,13 @@ echo "== sweep + facade unit tests: crash/resume, breaker, prune-resume, degrada
 # tuner's single sweep and the facade's degradation chain live there.
 cargo test --release -q -p augem-tune -p augem
 
+echo "== remaining member-crate unit tests: every crate no other step tests"
+# The root package's tests do not include member-crate unit tests; the
+# crates tested by their own steps below are not repeated here.
+cargo test --release -q -p augem-obs -p augem-resil -p augem-ir \
+  -p augem-transforms -p augem-templates -p augem-opt -p augem-asm \
+  -p augem-kernels -p augem-blas -p augem-cost -p augem-bench
+
 echo "== benchmark crate: builds against the facade and passes its tests"
 # benchmark/ is outside the workspace, so a facade break would otherwise
 # surface only when the benchmark pipeline runs.

@@ -135,13 +135,26 @@ impl std::fmt::Debug for TimingModel {
         table
             .field("num_ports", &self.num_ports)
             .field("issue_width", &self.issue_width);
-        for class in InstClass::ALL {
-            for mode in [SimdMode::Sse, SimdMode::Avx] {
-                table.field(&format!("{class:?}/{mode:?}"), &(self.lookup)(class, mode));
-            }
+        for (slot, timing) in self.table().iter().enumerate() {
+            let (class, mode) = table_slot(slot);
+            table.field(&format!("{class:?}/{mode:?}"), timing);
         }
         table.finish()
     }
+}
+
+/// SIMD modes the lookup table distinguishes, in rendering order.
+const TABLE_MODES: [SimdMode; 2] = [SimdMode::Sse, SimdMode::Avx];
+
+/// Entries in a full lookup table: every class in every mode.
+pub(crate) const TABLE_LEN: usize = InstClass::ALL.len() * TABLE_MODES.len();
+
+/// The `(class, mode)` pair held in slot `slot` of [`TimingModel::table`].
+fn table_slot(slot: usize) -> (InstClass, SimdMode) {
+    (
+        InstClass::ALL[slot / TABLE_MODES.len()],
+        TABLE_MODES[slot % TABLE_MODES.len()],
+    )
 }
 
 impl TimingModel {
@@ -161,6 +174,15 @@ impl TimingModel {
     #[inline]
     pub fn timing(&self, class: InstClass, mode: SimdMode) -> InstTiming {
         (self.lookup)(class, mode)
+    }
+
+    /// The whole lookup table, class-major: exactly the entries `Debug`
+    /// renders, so comparing tables compares renderings.
+    pub(crate) fn table(&self) -> [InstTiming; TABLE_LEN] {
+        std::array::from_fn(|slot| {
+            let (class, mode) = table_slot(slot);
+            self.timing(class, mode)
+        })
     }
 
     /// Peak double-precision FLOPs per cycle in `mode` (2 lanes/SSE, 4/AVX;

@@ -14,6 +14,7 @@
 
 use augem_resil::{Fault, InjectionPlan, Injector, Site, Trigger};
 use augem_serve::{serve_lines, ServeConfig, Server};
+use std::io::BufWriter;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -98,7 +99,10 @@ fn run() -> Result<ExitCode, String> {
     let server =
         Server::open(config, injector).map_err(|e| format!("cannot open kernel store: {e}"))?;
     let stdin = std::io::stdin();
-    let summary = serve_lines(Arc::new(server), stdin.lock(), std::io::stdout())
+    // `Stdout` is line-buffered, which would make every response line
+    // its own write(2); `serve_lines` flushes after each batch instead.
+    let stdout = BufWriter::new(std::io::stdout());
+    let summary = serve_lines(Arc::new(server), stdin.lock(), stdout)
         .map_err(|e| format!("serve I/O: {e}"))?;
     eprintln!(
         "augem-serve: {} responses, shutdown={}, crashed={}",

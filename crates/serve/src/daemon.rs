@@ -475,14 +475,8 @@ pub fn serve_lines(
 
     let (crashed, written) = std::thread::scope(|scope| -> std::io::Result<(bool, u64)> {
         let write_line = &write_line;
-        let writer = scope.spawn(move || -> std::io::Result<u64> {
-            let mut written = 0u64;
-            for resp in rx.iter() {
-                write_line(&resp)?;
-                written += 1;
-            }
-            Ok(written)
-        });
+        let sink = &sink;
+        let writer = scope.spawn(move || write_responses(&rx, sink));
 
         let mut reader_result: std::io::Result<()> = Ok(());
         for line in input.lines() {
@@ -539,4 +533,102 @@ pub fn serve_lines(
         output.flush()?;
     }
     Ok(summary)
+}
+
+/// The writer thread of [`serve_lines`]: blocks for the next response,
+/// writes it and every response already queued behind it, then flushes
+/// once. A burst shares one flush, so behind a `BufWriter` it costs one
+/// `write(2)`; a lone response is flushed before the loop blocks again,
+/// so a quiet daemon adds no latency. Returns the responses written.
+fn write_responses<W: std::io::Write>(
+    rx: &mpsc::Receiver<Response>,
+    sink: &Mutex<W>,
+) -> std::io::Result<u64> {
+    let mut written = 0u64;
+    while let Ok(first) = rx.recv() {
+        let mut out = sink.lock().unwrap_or_else(|e| e.into_inner());
+        for resp in std::iter::once(first).chain(rx.try_iter()) {
+            writeln!(out, "{}", resp.to_json().render())?;
+            written += 1;
+        }
+        out.flush()?;
+    }
+    Ok(written)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Write;
+
+    /// A sink that records its bytes and reports each flush, with the
+    /// line count at that moment, on a channel.
+    struct FlushProbe {
+        bytes: Vec<u8>,
+        flushes: mpsc::Sender<usize>,
+    }
+
+    impl Write for FlushProbe {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            let lines = self.bytes.iter().filter(|&&b| b == b'\n').count();
+            let _ = self.flushes.send(lines);
+            Ok(())
+        }
+    }
+
+    fn probe() -> (Mutex<FlushProbe>, mpsc::Receiver<usize>) {
+        let (flushes, seen) = mpsc::channel();
+        let sink = FlushProbe {
+            bytes: Vec::new(),
+            flushes,
+        };
+        (Mutex::new(sink), seen)
+    }
+
+    fn response(i: usize) -> Response {
+        Response::new(&format!("r{i}"), Status::Ok)
+    }
+
+    #[test]
+    fn queued_responses_are_written_whole_then_flushed_once() {
+        let (tx, rx) = mpsc::channel();
+        for i in 0..5 {
+            tx.send(response(i)).unwrap();
+        }
+        drop(tx);
+        let (sink, flushes) = probe();
+        assert_eq!(write_responses(&rx, &sink).unwrap(), 5);
+        assert_eq!(flushes.try_iter().collect::<Vec<_>>(), [5], "one flush");
+        let sink = sink.into_inner().unwrap();
+        let text = String::from_utf8(sink.bytes).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 5);
+        for (i, line) in lines.iter().enumerate() {
+            assert_eq!(*line, response(i).to_json().render());
+        }
+    }
+
+    #[test]
+    fn a_lone_response_is_flushed_before_the_writer_waits_again() {
+        let (tx, rx) = mpsc::channel();
+        let (sink, flushes) = probe();
+        let wait = Duration::from_secs(30);
+        std::thread::scope(|s| {
+            let sink = &sink;
+            let writer = s.spawn(move || write_responses(&rx, sink));
+            // The sender stays open: the writer must flush each
+            // response without waiting for company.
+            tx.send(response(0)).unwrap();
+            assert_eq!(flushes.recv_timeout(wait), Ok(1));
+            tx.send(response(1)).unwrap();
+            assert_eq!(flushes.recv_timeout(wait), Ok(2));
+            drop(tx);
+            assert_eq!(writer.join().unwrap().unwrap(), 2);
+        });
+    }
 }

@@ -661,4 +661,22 @@ mod tests {
             "budget 0 and no budget are distinct keys"
         );
     }
+
+    #[test]
+    fn store_keys_are_pinned_so_existing_stores_keep_hitting() {
+        let snb = MachineSpec::sandy_bridge();
+        let pd = MachineSpec::piledriver();
+        let budget = Some(1 << 26);
+        let pinned = [
+            ("dgemm", &snb, "4c3f5c521bf0e554"),
+            ("daxpy", &snb, "ac731b082b555e30"),
+            ("dgemm", &pd, "1d4f2e63063b06a7"),
+            ("daxpy", &pd, "a5d89899fd07b8f2"),
+        ];
+        for _ in 0..2 {
+            for (kernel, machine, want) in pinned {
+                assert_eq!(store_key(kernel, machine, budget), want, "{kernel}");
+            }
+        }
+    }
 }
