@@ -29,7 +29,9 @@ cargo test -q
 
 echo "== sweep + facade unit tests: crash/resume, breaker, prune-resume, degradation ladder"
 # The root package's tests do not include member-crate unit tests; the
-# tuner's single sweep and the facade's degradation chain live there.
+# tuner's single sweep and the facade's degradation chain live there,
+# and crates/augem/tests/outcomes.rs pins every shipped kernel of
+# Augem::run (release mode: it tunes 24 times).
 cargo test --release -q -p augem-tune -p augem
 
 echo "== remaining member-crate unit tests: every crate no other step tests"
@@ -46,9 +48,9 @@ cargo test --release --manifest-path benchmark/Cargo.toml
 
 echo "== verify: static kernel verification across the kernel x ISA matrix"
 # The generated winner for every kernel on every paper platform must pass
-# the static verifier AND the translation validator (--verify now runs
-# both; augem-gen exits non-zero on any error diagnostic or when the
-# warning count exceeds --max-warnings).
+# the static verifier AND the translation validator (--verify runs both;
+# a winner with any error diagnostic does not ship, a fallback does and
+# augem-gen exits 3, and a warning count above --max-warnings exits 1).
 for machine in sandybridge piledriver; do
   for kernel in gemm gemv ger axpy dot scal; do
     echo "-- verify $kernel on $machine"
@@ -160,6 +162,19 @@ DEPAN_TMP=$(mktemp -d)
   --check-transforms -o /dev/null 2>"$DEPAN_TMP/tchecks.txt"
 grep -q 'transform legality: 0 error(s)' "$DEPAN_TMP/tchecks.txt"
 rm -rf "$DEPAN_TMP"
+
+echo "== augem-gen: every analysis combines in one run"
+# The flags map onto one Augem::run: the fault-tolerant sweep, the lints,
+# the transform replay and the profiler combine, and so do --naive and
+# --verify. Each run must exit 0.
+COMBO_TMP=$(mktemp -d)
+./target/release/augem-gen --kernel gemm --machine sandybridge --degrade --lint \
+  --check-transforms --profile="$COMBO_TMP/p.json" -o /dev/null 2>"$COMBO_TMP/combo.txt"
+grep -q 'transform legality: 0 error(s)' "$COMBO_TMP/combo.txt"
+grep -q '0 performance warning(s)' "$COMBO_TMP/combo.txt"
+grep -q '"schema": "augem.profile/v1"' "$COMBO_TMP/p.json"
+./target/release/augem-gen --kernel gemm --machine piledriver --naive --verify -o /dev/null
+rm -rf "$COMBO_TMP"
 
 echo "== decoded engine: differential suite (decoded == legacy, bit for bit)"
 cargo test --release -q --test sim_decoded_differential

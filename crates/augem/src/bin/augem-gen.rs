@@ -10,57 +10,64 @@
 //! augem-gen --list                                         # kernels & machines
 //! ```
 //!
+//! Every `--emit asm` run is one [`Augem::run`]. It tunes, then ships
+//! the first rung of the degradation ladder that passes: the winner, the
+//! next three ranked candidates, the paper default. `--naive` builds the
+//! paper-default configuration (the Figure-13 starting point for GEMM)
+//! alone instead. The flags below combine freely, except that `--naive`
+//! has no sweep to checkpoint, resume or crash.
+//!
+//! `--verify` checks each rung with the static kernel verifier
+//! (`augem-verify`): register-allocation replay, dataflow, SIMD
+//! width/ISA typing, memory bounds, and — unless `--no-equiv` is given —
+//! the translation validator, which symbolically executes the source
+//! kernel and the generated assembly and proves every output location
+//! computes the same expression. A kernel with an `error:`-severity
+//! diagnostic never ships: the next rung does. The shipped kernel's
+//! diagnostics go to stderr; a warning count above `--max-warnings N`
+//! makes the exit status non-zero.
+//!
+//! `--degrade` runs the sweep fault-tolerantly — candidate evaluation
+//! sandboxed and budgeted, with retry and circuit breaking — and
+//! verifies each rung like `--verify`. `--checkpoint FILE` journals every
+//! completed measurement there; `--resume` continues from an interrupted
+//! journal, skipping completed work (both imply `--degrade`).
+//! `--inject-crash N` simulates the process dying at the N-th evaluated
+//! candidate — the hook the resilience smoke tests use.
+//!
+//! `--profile[=PATH]` profiles the shipped kernel on the timing
+//! simulator with per-instruction cycle attribution (stall causes, port
+//! occupancy, cache behaviour), prints the annotated listing to stderr,
+//! and writes the `augem.profile/v1` JSON artifact to PATH (default
+//! `<kernel>_<machine>.profile.json`); the run report's `profile`
+//! section carries the region rollup.
+//!
 //! `--lint` runs the static performance lints (the `augem-cost`
 //! P-rules: accumulator-chain serialization, port oversubscription,
 //! loop spills, narrow SIMD, missing prefetch, dead remainder code)
 //! over the shipped kernel, prints them to stderr and embeds them in
 //! the run report. Lints are advisory — they never change the exit
-//! status. `--naive` skips tuning and ships the paper-default
-//! configuration (the Figure-13 starting point for GEMM) instead; the
-//! pair `--naive --lint` shows what the paper's hand analysis shows:
-//! the untuned kernel stalls on its accumulator chain (P001), the
-//! tuned winner is clean.
+//! status. The pair `--naive --lint` shows what the paper's hand
+//! analysis shows: the untuned kernel stalls on its accumulator chain
+//! (P001), the tuned winner is clean. `--check-transforms` replays the
+//! shipped kernel's transform log through the `augem-depan` legality
+//! checker.
 //!
-//! `--verify` reruns the winning configuration through the pipeline with
-//! binding-event logging and runs the static kernel verifier
-//! (`augem-verify`) over the result: register-allocation replay, dataflow,
-//! SIMD width/ISA typing, memory bounds, and — unless `--no-equiv` is
-//! given — the translation validator, which symbolically executes the
-//! source kernel and the generated assembly and proves every output
-//! location computes the same expression. Diagnostics go to stderr; any
-//! `error:`-severity diagnostic makes the exit status non-zero, as does
-//! a warning count above `--max-warnings N`.
-//!
-//! `--profile[=PATH]` profiles the winning kernel on the timing
-//! simulator with per-instruction cycle attribution (stall causes, port
-//! occupancy, cache behaviour), prints the annotated listing to stderr,
-//! and writes the `augem.profile/v1` JSON artifact to PATH (default
-//! `<kernel>_<machine>.profile.json`). Works with or without
-//! `--verify`; the run report's `profile` section carries the region
-//! rollup either way.
-//!
-//! `--degrade` switches to the fault-tolerant driver: candidate
-//! evaluation is sandboxed and budgeted, the winner is verified, and on
-//! failure the pipeline falls back (next-ranked candidate → paper
-//! default → report only) instead of erroring. `--checkpoint FILE`
-//! journals every completed measurement there; `--resume` continues from
-//! an interrupted journal, skipping completed work (both imply
-//! `--degrade`). `--inject-crash N` simulates the process dying at the
-//! N-th evaluated candidate — the hook the resilience smoke tests use.
-//!
-//! Exit status: 0 on success; 1 when generation fails, verification
-//! reports errors, warnings exceed `--max-warnings`, a degraded run
-//! ships nothing, or an interrupted run leaves only a checkpoint; 2 on
-//! usage errors; 3 when `--degrade` ships a kernel through a fallback
-//! (degraded success).
+//! Exit status: 0 on success; 1 when the shipped kernel has transform
+//! legality errors, verifier warnings above `--max-warnings`, or a
+//! profile that fails, when nothing ships, or when an interrupted run
+//! leaves only a checkpoint; 2 on usage errors; 3 when a fallback rung
+//! shipped (degraded success).
 
 use augem::ir::print::print_kernel;
 use augem::machine::{MachineSpec, Microarch};
 use augem::resil::{write_atomic, Fault, InjectionPlan, Injector, Site, Trigger};
 use augem::templates::identify;
 use augem::transforms::{generate_optimized, OptimizeConfig};
-use augem::{Augem, Degradation, DegradationPolicy, DlaKernel, VerifyOptions};
+use augem::tune::ResilOptions;
+use augem::{Augem, Degradation, DlaKernel, RunOptions, Target, Verify};
 use std::io::Write as _;
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Args {
@@ -72,7 +79,7 @@ struct Args {
     trace: bool,
     /// Write the machine-readable JSON run report here.
     report: Option<String>,
-    /// Run the static kernel verifier on the winning configuration.
+    /// Run the static kernel verifier on each rung of the ladder.
     verify: bool,
     /// Skip the translation-validation stage of `--verify`.
     no_equiv: bool,
@@ -81,7 +88,7 @@ struct Args {
     profile: Option<Option<String>>,
     /// Fail (exit 1) when `--verify` emits more than this many warnings.
     max_warnings: Option<usize>,
-    /// Use the fault-tolerant driver with graceful degradation.
+    /// Sweep fault-tolerantly and verify each rung.
     degrade: bool,
     /// Journal completed measurements to this path.
     checkpoint: Option<String>,
@@ -91,8 +98,8 @@ struct Args {
     inject_crash: Option<u64>,
     /// Run the performance lints over the shipped kernel.
     lint: bool,
-    /// Replay the winner's transform log through the depan legality
-    /// checker (`T`-rule errors fail the run).
+    /// Replay the shipped kernel's transform log through the depan
+    /// legality checker (`T`-rule errors fail the run).
     check_transforms: bool,
     /// Ship the paper-default configuration instead of tuning.
     naive: bool,
@@ -245,8 +252,8 @@ fn parse() -> Result<Option<Args>, ExitCode> {
     let (Some(kernel), Some(machine)) = (kernel, machine) else {
         return Err(usage());
     };
-    // Checkpointing, resuming, and crash injection all need the
-    // fault-tolerant driver.
+    // Checkpointing, resuming, and crash injection all imply the
+    // fault-tolerant sweep.
     let degrade = degrade || checkpoint.is_some() || resume || inject_crash.is_some();
     Ok(Some(Args {
         kernel,
@@ -303,28 +310,6 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(2);
     }
-    if args.naive
-        && (args.verify || args.degrade || args.profile.is_some() || args.check_transforms)
-    {
-        eprintln!(
-            "--naive does not combine with --verify/--profile/--degrade/--check-transforms (it skips tuning)"
-        );
-        return ExitCode::from(2);
-    }
-    if args.lint && args.degrade {
-        eprintln!("--lint does not combine with --degrade (lint the shipped kernel separately)");
-        return ExitCode::from(2);
-    }
-    if args.check_transforms && args.degrade {
-        eprintln!(
-            "--check-transforms does not combine with --degrade (check the winner separately)"
-        );
-        return ExitCode::from(2);
-    }
-    if args.profile.is_some() && args.degrade {
-        eprintln!("--profile does not combine with --degrade (profile the winner separately)");
-        return ExitCode::from(2);
-    }
     if (args.no_equiv || args.max_warnings.is_some()) && !(args.verify || args.degrade) {
         eprintln!("--no-equiv/--max-warnings only apply together with --verify/--degrade");
         return ExitCode::from(2);
@@ -333,130 +318,18 @@ fn main() -> ExitCode {
         eprintln!("--resume needs --checkpoint FILE to resume from");
         return ExitCode::from(2);
     }
-    if args.degrade {
-        return run_degradable(&args);
+    if args.naive && (args.checkpoint.is_some() || args.inject_crash.is_some()) {
+        eprintln!(
+            "--naive does not combine with --checkpoint/--resume/--inject-crash (there is no sweep to journal)"
+        );
+        return ExitCode::from(2);
     }
 
-    let mut verify_errors = 0usize;
-    let mut verify_warnings = 0usize;
-    let mut tcheck_errors = 0usize;
-    let text = match args.emit {
-        Emit::Asm => {
-            let driver = Augem::new(args.machine.clone());
-            let generated = if args.verify {
-                let opts = VerifyOptions {
-                    equivalence: !args.no_equiv,
-                    profile: args.profile.is_some(),
-                };
-                driver
-                    .generate_report_verified_profiled_with(args.kernel, &opts)
-                    .map(|(g, run, diags, prof)| {
-                        for d in &diags {
-                            eprintln!("{d}");
-                        }
-                        verify_errors = augem::verify::errors(&diags).len();
-                        verify_warnings = diags.len() - verify_errors;
-                        eprintln!(
-                            "verify: {} error(s), {} warning(s) for {} on {}",
-                            verify_errors,
-                            verify_warnings,
-                            g.config_tag,
-                            args.machine.arch.short_name()
-                        );
-                        (g, run, prof)
-                    })
-            } else if args.profile.is_some() {
-                driver
-                    .generate_report_profiled(args.kernel)
-                    .map(|(g, run, prof)| (g, run, Some(prof)))
-            } else if args.naive {
-                driver
-                    .generate_naive_report(args.kernel)
-                    .map(|(g, run)| (g, run, None))
-            } else {
-                driver
-                    .generate_report(args.kernel)
-                    .map(|(g, run)| (g, run, None))
-            };
-            match generated {
-                Ok((g, mut run, prof)) => {
-                    if args.lint {
-                        let lints = driver.lint_generated(&g);
-                        for d in &lints {
-                            eprintln!("{d}");
-                        }
-                        eprintln!(
-                            "lint: {} performance warning(s) for {} on {}",
-                            lints.len(),
-                            g.config_tag,
-                            args.machine.arch.short_name()
-                        );
-                        run.lints = lints.iter().map(|d| d.to_string()).collect();
-                    }
-                    if args.check_transforms {
-                        // All cache hits on this driver: the sweep is not
-                        // re-run and the winner is not rebuilt.
-                        let null = augem::obs::null();
-                        let tchecks = match driver.check_transforms_traced(args.kernel, null) {
-                            Ok(d) => d,
-                            Err(e) => {
-                                eprintln!("transform check failed: {e}");
-                                return ExitCode::FAILURE;
-                            }
-                        };
-                        for d in &tchecks {
-                            eprintln!("{d}");
-                        }
-                        tcheck_errors = augem::verify::errors(&tchecks).len();
-                        eprintln!(
-                            "transform legality: {} error(s), {} warning(s) for {} on {}",
-                            tcheck_errors,
-                            tchecks.len() - tcheck_errors,
-                            g.config_tag,
-                            args.machine.arch.short_name()
-                        );
-                        run.tchecks = tchecks.iter().map(|d| d.to_string()).collect();
-                    }
-                    if args.trace {
-                        eprint!("{}", run.render_text());
-                    }
-                    if let Some(path) = &args.report {
-                        let json = run.to_json().render_pretty();
-                        if let Err(e) = write_atomic(path, json + "\n") {
-                            eprintln!("cannot write {path}: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                    if let (Some(dest), Some(p)) = (&args.profile, &prof) {
-                        let path = dest.clone().unwrap_or_else(|| {
-                            format!(
-                                "{}_{}.profile.json",
-                                args.kernel.name(),
-                                args.machine.arch.short_name()
-                            )
-                        });
-                        let json = p.to_json().render_pretty();
-                        if let Err(e) = write_atomic(&path, json + "\n") {
-                            eprintln!("cannot write {path}: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                        eprint!("{}", p.annotated_listing());
-                        eprintln!("profile artifact written to {path}");
-                    }
-                    format!(
-                        "# {} configuration: {} ({:.0} Mflops steady-state)\n{}",
-                        if args.naive { "paper-default" } else { "tuned" },
-                        g.config_tag,
-                        g.mflops,
-                        g.assembly_text()
-                    )
-                }
-                Err(e) => {
-                    eprintln!("generation failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
+    let (text, code) = match args.emit {
+        Emit::Asm => match generate(&args) {
+            Ok(shipped) => shipped,
+            Err(code) => return code,
+        },
         Emit::C | Emit::Tagged => {
             let cfg = default_config(args.kernel, &args.machine);
             let mut k = match generate_optimized(&args.kernel.build(), &cfg) {
@@ -469,7 +342,7 @@ fn main() -> ExitCode {
             if args.emit == Emit::Tagged {
                 identify(&mut k);
             }
-            print_kernel(&k)
+            (print_kernel(&k), ExitCode::SUCCESS)
         }
     };
 
@@ -484,34 +357,30 @@ fn main() -> ExitCode {
             let _ = std::io::stdout().write_all(text.as_bytes());
         }
     }
-    if verify_errors > 0 {
-        eprintln!("verification failed: {verify_errors} error(s)");
-        return ExitCode::FAILURE;
-    }
-    if tcheck_errors > 0 {
-        eprintln!("transform legality failed: {tcheck_errors} error(s)");
-        return ExitCode::FAILURE;
-    }
-    if let Some(max) = args.max_warnings {
-        if verify_warnings > max {
-            eprintln!(
-                "verification failed: {verify_warnings} warning(s) exceed --max-warnings {max}"
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+    code
 }
 
-/// The `--degrade` path: the fault-tolerant driver with checkpointing
-/// and graceful fallback. Exit codes: 0 verified winner, 3 degraded
-/// success (a fallback kernel shipped), 1 interrupted or report-only.
-fn run_degradable(args: &Args) -> ExitCode {
-    let policy = DegradationPolicy {
-        equivalence: !args.no_equiv,
-        checkpoint: args.checkpoint.as_ref().map(std::path::PathBuf::from),
+/// The `--emit asm` path: one [`Augem::run`] with the options the flags
+/// select, its diagnostics and artifacts, and the exit status the
+/// shipped kernel gets. `Err` carries the exit status when nothing
+/// ships.
+fn generate(args: &Args) -> Result<(String, ExitCode), ExitCode> {
+    let verify = match (args.verify || args.degrade, args.no_equiv) {
+        (false, _) => Verify::Off,
+        (true, true) => Verify::Structural,
+        (true, false) => Verify::Equivalence,
+    };
+    let opts = RunOptions {
+        resil: if args.degrade {
+            ResilOptions::default()
+        } else {
+            ResilOptions::plain()
+        },
+        verify,
+        profile: args.profile.is_some(),
+        check_transforms: args.check_transforms,
+        checkpoint: args.checkpoint.as_ref().map(PathBuf::from),
         resume: args.resume,
-        ..DegradationPolicy::default()
     };
     let injector = match args.inject_crash {
         Some(n) => {
@@ -520,11 +389,57 @@ fn run_degradable(args: &Args) -> ExitCode {
         None => Injector::disabled(),
     };
     let driver = Augem::new(args.machine.clone());
-    let r = driver.generate_degradable(args.kernel, &policy, &injector);
+    let naive = args.naive.then(|| driver.paper_default(args.kernel));
+    let target = match &naive {
+        Some(c) => Target::Config(&**c),
+        None => Target::Tune(args.kernel),
+    };
+    let mut r = driver.run(target, &opts, &injector);
+    let machine = args.machine.arch.short_name();
 
-    if args.verify {
-        for d in &r.diagnostics {
-            eprintln!("{d}");
+    let mut failed = false;
+    if let Some(g) = &r.generated {
+        if verify != Verify::Off {
+            for d in &r.diagnostics {
+                eprintln!("{d}");
+            }
+            // A kernel with error diagnostics never ships.
+            let warnings = r.diagnostics.len();
+            eprintln!(
+                "verify: 0 error(s), {warnings} warning(s) for {} on {machine}",
+                g.config_tag
+            );
+            if let Some(max) = args.max_warnings.filter(|&max| warnings > max) {
+                eprintln!("verification failed: {warnings} warning(s) exceed --max-warnings {max}");
+                failed = true;
+            }
+        }
+        if args.lint {
+            let lints = augem::cost::lint(&g.asm, &args.machine);
+            for d in &lints {
+                eprintln!("{d}");
+            }
+            eprintln!(
+                "lint: {} performance warning(s) for {} on {machine}",
+                lints.len(),
+                g.config_tag
+            );
+            r.report.lints = lints.iter().map(|d| d.to_string()).collect();
+        }
+        if args.check_transforms {
+            for d in &r.tchecks {
+                eprintln!("{d}");
+            }
+            let errors = augem::verify::errors(&r.tchecks).len();
+            eprintln!(
+                "transform legality: {errors} error(s), {} warning(s) for {} on {machine}",
+                r.tchecks.len() - errors,
+                g.config_tag
+            );
+            if errors > 0 {
+                eprintln!("transform legality failed: {errors} error(s)");
+                failed = true;
+            }
         }
     }
     if args.trace {
@@ -534,65 +449,58 @@ fn run_degradable(args: &Args) -> ExitCode {
         let json = r.report.to_json().render_pretty();
         if let Err(e) = write_atomic(path, json + "\n") {
             eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
+            return Err(ExitCode::FAILURE);
         }
     }
-    if let Some(max) = args.max_warnings {
-        let warnings = r.diagnostics.len() - augem::verify::errors(&r.diagnostics).len();
-        if warnings > max {
-            eprintln!("verification failed: {warnings} warning(s) exceed --max-warnings {max}");
-            return ExitCode::FAILURE;
+    match (&args.profile, &r.profile) {
+        (Some(dest), Some(Ok(p))) => {
+            let path = dest
+                .clone()
+                .unwrap_or_else(|| format!("{}_{machine}.profile.json", args.kernel.name()));
+            let json = p.to_json().render_pretty();
+            if let Err(e) = write_atomic(&path, json + "\n") {
+                eprintln!("cannot write {path}: {e}");
+                return Err(ExitCode::FAILURE);
+            }
+            eprint!("{}", p.annotated_listing());
+            eprintln!("profile artifact written to {path}");
         }
+        (_, Some(Err(e))) => {
+            eprintln!("profiling failed: {e}");
+            failed = true;
+        }
+        _ => {}
     }
 
-    match (&r.generated, &r.degradation) {
-        (Some(g), degradation) => {
-            let mut text = format!(
-                "# tuned configuration: {} ({:.0} Mflops steady-state)\n",
-                g.config_tag, g.mflops
-            );
-            if !matches!(degradation, Degradation::None) {
-                text.push_str(&format!("# DEGRADED: {degradation}\n"));
-            }
-            text.push_str(&g.assembly_text());
-            match &args.output {
-                Some(path) => {
-                    if let Err(e) = write_atomic(path, text) {
-                        eprintln!("cannot write {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-                None => {
-                    let _ = std::io::stdout().write_all(text.as_bytes());
-                }
-            }
-            if matches!(degradation, Degradation::None) {
-                ExitCode::SUCCESS
-            } else {
-                eprintln!(
-                    "degraded success: {degradation} (cause: {})",
-                    r.cause.as_deref().unwrap_or("unknown")
-                );
-                ExitCode::from(3)
-            }
-        }
-        (None, Degradation::Interrupted) => {
-            eprintln!(
-                "tuning interrupted: {}",
-                r.cause.as_deref().unwrap_or("crash")
-            );
+    let cause = r.cause.as_deref().unwrap_or("unknown");
+    let Some(g) = &r.generated else {
+        if r.degradation == Degradation::Interrupted {
+            eprintln!("tuning interrupted: {cause}");
             if let Some(path) = &args.checkpoint {
                 eprintln!("checkpoint saved; rerun with --checkpoint {path} --resume");
             }
-            ExitCode::FAILURE
+        } else {
+            eprintln!("generation failed ({}): {cause}", r.degradation);
         }
-        (None, _) => {
-            eprintln!(
-                "generation failed ({}): {}",
-                r.degradation,
-                r.cause.as_deref().unwrap_or("unknown")
-            );
-            ExitCode::FAILURE
-        }
+        return Err(ExitCode::FAILURE);
+    };
+    let mut text = format!(
+        "# {} configuration: {} ({:.0} Mflops steady-state)\n",
+        if args.naive { "paper-default" } else { "tuned" },
+        g.config_tag,
+        g.mflops
+    );
+    if r.is_degraded() {
+        text.push_str(&format!("# DEGRADED: {}\n", r.degradation));
+        eprintln!("degraded success: {} (cause: {cause})", r.degradation);
     }
+    text.push_str(&g.assembly_text());
+    let code = if failed {
+        ExitCode::FAILURE
+    } else if r.is_degraded() {
+        ExitCode::from(3)
+    } else {
+        ExitCode::SUCCESS
+    };
+    Ok((text, code))
 }

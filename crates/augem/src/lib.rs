@@ -6,15 +6,17 @@
 //! implementation of a DLA kernel into a fully optimized assembly kernel,
 //! with no manual intervention.
 //!
-//! This crate is the facade: [`Augem`] drives the whole pipeline
+//! This crate is the facade: [`Augem::run`] drives the whole pipeline
 //! (Figure 1 of the paper) and re-exports the component crates.
 //!
 //! ```
-//! use augem::{Augem, DlaKernel};
+//! use augem::{Augem, DlaKernel, RunOptions, Target};
 //! use augem::machine::MachineSpec;
+//! use augem::resil::Injector;
 //!
-//! let machine = MachineSpec::sandy_bridge();
-//! let result = Augem::new(machine).generate(DlaKernel::Axpy).unwrap();
+//! let driver = Augem::new(MachineSpec::sandy_bridge());
+//! let run = driver.run(Target::Tune(DlaKernel::Axpy), &RunOptions::plain(), &Injector::disabled());
+//! let result = run.generated.expect("axpy tunes");
 //! println!("{}", result.assembly_text());           // AT&T .s text
 //! assert!(result.mflops > 0.0);                     // simulated speed
 //! ```
@@ -64,9 +66,11 @@ use augem_resil::{sandboxed, Injector, Site, TuneJournal};
 use augem_sim::TimingReport;
 use augem_tune::config::{GemmConfig, LoggedBuild, VectorConfig, VectorKernel};
 use augem_tune::{
-    evaluate, gemm_candidates, profile, sweep, vector_candidates, BuildError, Candidate, EvalCache,
-    EvalError, Evaluation, ResilOptions, TuneError, TuneResult,
+    evaluate, gemm_candidates, profile, sweep, vector_candidates, Candidate, EvalCache, EvalError,
+    Evaluation, ResilOptions, TuneError, TuneResult,
 };
+use augem_verify::Diagnostic;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 /// A fully generated, tuned, simulated kernel.
@@ -90,32 +94,6 @@ impl Generated {
     /// The AT&T-syntax `.s` text — the paper's output artifact.
     pub fn assembly_text(&self) -> String {
         augem_asm::emit::emit_att(&self.asm, &self.machine.isa)
-    }
-}
-
-/// Pipeline failure.
-#[derive(Debug)]
-pub enum AugemError {
-    Eval(EvalError),
-    /// The empirical search had no viable candidate (carries the
-    /// per-candidate failure reasons).
-    Tune(TuneError),
-}
-
-impl std::fmt::Display for AugemError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AugemError::Eval(e) => write!(f, "{e}"),
-            AugemError::Tune(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for AugemError {}
-
-impl From<BuildError> for AugemError {
-    fn from(e: BuildError) -> Self {
-        AugemError::Eval(EvalError::Build(e))
     }
 }
 
@@ -156,77 +134,103 @@ fn sim_counters(r: &TimingReport) -> SimCounters {
     }
 }
 
-/// A finished sweep with the candidate family erased: everything the
-/// entry points need from the tuner, winners kept so the verifier and
-/// profiler can rebuild exactly the measured kernel.
+/// What a sweep hands the ladder, with the candidate family erased:
+/// empty when no sweep ran or the sweep found nothing.
+#[derive(Default)]
 struct Tuned {
-    best: Box<dyn Candidate>,
-    best_eval: Evaluation,
     /// Every ranked candidate, best first.
     ranking: Vec<Box<dyn Candidate>>,
-    telemetry: TunerTelemetry,
+    /// The winner's measurement.
+    best_eval: Option<Evaluation>,
+    telemetry: Option<TunerTelemetry>,
 }
 
-/// Which verification stages
-/// [`Augem::generate_report_verified_profiled_with`] runs over the
-/// winning configuration.
+/// What [`Augem::run`] generates.
+#[derive(Clone, Copy)]
+pub enum Target<'a> {
+    /// Sweep the kernel's tuning space and ship the first rung of the
+    /// degradation ladder that passes.
+    Tune(DlaKernel),
+    /// Build and measure exactly this configuration: no sweep, no
+    /// fallback. [`Augem::paper_default`] is the untuned "before".
+    Config(&'a dyn Candidate),
+}
+
+/// Which checks gate each rung of [`Augem::run`]'s ladder. A kernel with
+/// an error diagnostic never ships.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verify {
+    /// No checks: the first rung that builds and measures ships.
+    Off,
+    /// The structural checks ([`verify::check`]) over the rung's logged
+    /// build.
+    Structural,
+    /// The structural checks, then the translation validator
+    /// ([`verify::check_equivalence`]) at the rung's own problem shape.
+    Equivalence,
+}
+
+/// What [`Augem::run`] does around the pipeline. `default()` is the
+/// serving policy: a resilient sweep and full verification. `plain()`
+/// is the exhaustive, unverified sweep.
 #[derive(Debug, Clone)]
-pub struct VerifyOptions {
-    /// Run the translation validator ([`verify::check_equivalence`]) in
-    /// addition to the structural checks. On by default.
-    pub equivalence: bool,
-    /// Profile the winning kernel (per-pc cycle attribution via
-    /// `augem-prof`) and embed the region rollup in the run report. On
-    /// by default; a cache hit replays a stored profile instead of
-    /// re-simulating.
-    pub profile: bool,
-}
-
-impl Default for VerifyOptions {
-    fn default() -> Self {
-        VerifyOptions {
-            equivalence: true,
-            profile: true,
-        }
-    }
-}
-
-/// How [`Augem::generate_degradable`] degrades when the primary path
-/// fails: tuner resilience knobs, how far down the ranking to fall back,
-/// and where (if anywhere) to checkpoint the sweep.
-#[derive(Debug, Clone)]
-pub struct DegradationPolicy {
-    /// Sandbox / budget / retry / breaker knobs for the tuning sweep.
+pub struct RunOptions {
+    /// Sandbox / budget / retry / breaker knobs for the sweep and for
+    /// each rung's evaluation.
     pub resil: ResilOptions,
-    /// Run the translation validator over each candidate winner, in
-    /// addition to the structural checks. On by default.
-    pub equivalence: bool,
-    /// How many next-ranked candidates to try when the winner fails
-    /// verification, before falling back to the paper default.
-    pub max_next_ranked: usize,
+    /// The checks each rung must pass to ship.
+    pub verify: Verify,
+    /// Profile the shipped kernel (per-pc attribution via `augem-prof`)
+    /// and embed the region rollup in the run report. A cache hit
+    /// replays a stored profile instead of re-simulating.
+    pub profile: bool,
+    /// Replay the shipped kernel's transform log through the [`depan`]
+    /// legality checker.
+    pub check_transforms: bool,
     /// Journal path for checkpoint/resume (`None` = in-memory only).
-    pub checkpoint: Option<std::path::PathBuf>,
+    pub checkpoint: Option<PathBuf>,
     /// Resume from an existing journal at `checkpoint` instead of
     /// starting the sweep over.
     pub resume: bool,
 }
 
-impl Default for DegradationPolicy {
+impl Default for RunOptions {
     fn default() -> Self {
-        DegradationPolicy {
+        RunOptions {
             resil: ResilOptions::default(),
-            equivalence: true,
-            max_next_ranked: 3,
+            verify: Verify::Equivalence,
+            profile: false,
+            check_transforms: false,
             checkpoint: None,
             resume: false,
         }
     }
 }
 
-/// How far [`Augem::generate_degradable`] had to fall.
+impl RunOptions {
+    /// The exhaustive sweep ([`ResilOptions::plain`]) with no
+    /// verification: the winner ships as measured.
+    pub fn plain() -> Self {
+        RunOptions {
+            resil: ResilOptions::plain(),
+            verify: Verify::Off,
+            ..Self::default()
+        }
+    }
+}
+
+/// [`RunOptions`] under the name [`Augem::generate_degradable`] takes.
+pub type DegradationPolicy = RunOptions;
+
+/// How many next-ranked candidates the ladder tries when the winner
+/// fails, before it falls back to the paper default.
+const MAX_NEXT_RANKED: usize = 3;
+
+/// Which rung of [`Augem::run`]'s ladder shipped.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Degradation {
-    /// The tuned winner verified cleanly — no degradation.
+    /// The tuned winner (or the explicit configuration) passed — no
+    /// degradation.
     None,
     /// The winner failed; a lower-ranked verified candidate shipped
     /// instead (`rank` is its 0-based position in the tuner's ranking).
@@ -257,27 +261,45 @@ impl std::fmt::Display for Degradation {
     }
 }
 
-/// The infallible outcome of [`Augem::generate_degradable`]: either a
-/// verified kernel ([`Degradation::None`]) or a typed degradation — never
-/// a panic, never an abort.
+/// The infallible outcome of [`Augem::run`]: a kernel that passed its
+/// rung, or a typed degradation — never a panic, never an abort.
 #[derive(Debug)]
-pub struct DegradedResult {
-    /// The shipped kernel, when any fallback level produced one.
+pub struct RunOutcome {
+    /// The shipped kernel, when any rung produced one.
     pub generated: Option<Generated>,
     /// The run report — always produced, even report-only.
     pub report: RunReport,
-    /// Verifier diagnostics for the shipped kernel (empty if none).
-    pub diagnostics: Vec<augem_verify::Diagnostic>,
-    /// Which fallback level (if any) the result came from.
+    /// Verifier diagnostics for the shipped kernel: warnings only, since
+    /// a kernel with errors never ships.
+    pub diagnostics: Vec<Diagnostic>,
+    /// `T`-rule diagnostics from replaying the shipped kernel's transform
+    /// log (empty unless `check_transforms` was set).
+    pub tchecks: Vec<Diagnostic>,
+    /// The shipped kernel's full profile (per-pc attribution, annotated
+    /// listing, `augem.profile/v1` artifact), when `profile` was set.
+    pub profile: Option<Result<Profile, EvalError>>,
+    /// Which rung (if any) the kernel came from.
     pub degradation: Degradation,
-    /// Why the primary path failed (`None` when not degraded).
+    /// Why the first rung failed (`None` when not degraded).
     pub cause: Option<String>,
 }
 
-impl DegradedResult {
+impl RunOutcome {
     /// Did any fallback fire?
     pub fn is_degraded(&self) -> bool {
         !matches!(self.degradation, Degradation::None)
+    }
+
+    fn unshipped(report: RunReport, degradation: Degradation, cause: Option<String>) -> Self {
+        RunOutcome {
+            generated: None,
+            report,
+            diagnostics: Vec::new(),
+            tchecks: Vec::new(),
+            profile: None,
+            degradation,
+            cause,
+        }
     }
 }
 
@@ -288,8 +310,8 @@ impl DegradedResult {
 pub struct Augem {
     machine: MachineSpec,
     /// The driver's evaluation cache: every build and measurement in the
-    /// sweep, the winner rebuild, verification and the degradation chain
-    /// is content-addressed here, so one pipeline run per unique
+    /// sweep, the ladder, verification and profiling is
+    /// content-addressed here, so one pipeline run per unique
     /// `(configuration, machine, budget)` is all that ever happens.
     /// Clones of the driver share the cache.
     cache: Arc<EvalCache>,
@@ -321,20 +343,178 @@ impl Augem {
         &self.cache
     }
 
+    /// The conservative, always-supported configuration: the paper's
+    /// Figure-13 starting point for GEMM, the narrowest vectorizable
+    /// unroll with no prefetching for the vector kernels. It is the last
+    /// rung of every tuned run's ladder and, as [`Target::Config`], the
+    /// "before" side of the paper's naive-vs-tuned comparisons — the
+    /// kernel the performance lints ([`cost::lint`]) complain about.
+    pub fn paper_default(&self, kernel: DlaKernel) -> Box<dyn Candidate> {
+        match VectorKernel::of(kernel) {
+            None => Box::new(GemmConfig::fig13()),
+            Some(kernel) => Box::new(VectorConfig {
+                kernel,
+                unroll: self.machine.simd_mode().f64_lanes(),
+                prefetch: augem_transforms::PrefetchConfig::disabled(),
+                schedule: true,
+            }),
+        }
+    }
+
+    /// Runs the pipeline for `target` and packages everything it saw
+    /// into an `augem.run-report/v1` [`RunReport`].
+    ///
+    /// [`Target::Tune`] sweeps the kernel's space (per `opts.resil`,
+    /// journaling to `opts.checkpoint`), then walks the degradation
+    /// ladder: the winner, the next three ranked candidates, the
+    /// paper-default configuration. [`Target::Config`]'s ladder is that
+    /// one configuration. The first rung that evaluates (a cache hit for
+    /// ranked candidates), rebuilds (a hit) and passes `opts.verify`
+    /// ships; every step is sandboxed, so a panic fails the rung, not
+    /// the run. The shipped kernel is then profiled and its transform
+    /// log replayed through [`depan`] when asked. Every path ends in a
+    /// kernel or a typed [`Degradation`]. `injector` plants
+    /// deterministic faults for the resilience suites; pass
+    /// [`Injector::disabled`] otherwise.
+    pub fn run(&self, target: Target<'_>, opts: &RunOptions, injector: &Injector) -> RunOutcome {
+        let collector = Collector::new();
+        let mut cause = None;
+        let (kernel, tuned) = match target {
+            Target::Config(c) => (c.kernel(), Tuned::default()),
+            Target::Tune(kernel) => match self.tune(kernel, opts, injector, &collector) {
+                Ok(t) => (kernel, t),
+                Err(e) if e.interrupted => {
+                    let report = self.finish_report(&collector, kernel, None, None);
+                    let cause = Some(e.to_string());
+                    return RunOutcome::unshipped(report, Degradation::Interrupted, cause);
+                }
+                // Empty search space: straight to the paper default.
+                Err(e) => {
+                    cause = Some(e.to_string());
+                    (kernel, Tuned::default())
+                }
+            },
+        };
+        let default = self.paper_default(kernel);
+        let rungs: Vec<&dyn Candidate> = match target {
+            Target::Config(c) => vec![c],
+            Target::Tune(_) => tuned
+                .ranking
+                .iter()
+                .take(1 + MAX_NEXT_RANKED)
+                .map(|c| &**c)
+                .chain([&*default])
+                .collect(),
+        };
+
+        for (rank, &w) in rungs.iter().enumerate() {
+            let tag = w.tag();
+            let is_default = matches!(target, Target::Tune(_)) && rank + 1 == rungs.len();
+            if is_default {
+                collector.add(augem_resil::counter::FALLBACK_DEFAULT, 1);
+                collector.add(augem_resil::counter::DEGRADED, 1);
+                collector.event(
+                    "resil.fallback",
+                    &[("kind", "default".into()), ("tag", tag.as_str().into())],
+                );
+            } else if rank > 0 {
+                collector.add(augem_resil::counter::FALLBACK_NEXT_RANKED, 1);
+                collector.event(
+                    "resil.fallback",
+                    &[("kind", "next_ranked".into()), ("tag", tag.as_str().into())],
+                );
+            }
+            let known = tuned.best_eval.as_ref().filter(|_| rank == 0);
+            let (g, logged, diagnostics) = match self.try_rung(w, known, opts, injector, &collector)
+            {
+                Ok(shipped) => shipped,
+                Err(why) => {
+                    collector.event(
+                        "resil.verify.failed",
+                        &[("tag", tag.as_str().into()), ("error", why.as_str().into())],
+                    );
+                    cause = Some(match cause {
+                        Some(c) if is_default => format!("{c}; paper default {tag}: {why}"),
+                        Some(c) => c,
+                        None => format!("{tag}: {why}"),
+                    });
+                    continue;
+                }
+            };
+            let degradation = if is_default {
+                Degradation::PaperDefault { tag }
+            } else if rank > 0 {
+                collector.add(augem_resil::counter::DEGRADED, 1);
+                Degradation::NextRanked { rank, tag }
+            } else {
+                Degradation::None
+            };
+
+            let profile = opts.profile.then(|| self.profile_of(w, &collector));
+            // `logged.kernel` is post-`identify` (Regions added), so the
+            // log's snapshot chain ends one stage earlier: no final kernel.
+            let tchecks = if opts.check_transforms {
+                augem_depan::check_transforms_traced(&logged.source, &logged.tlog, None, &collector)
+            } else {
+                Vec::new()
+            };
+            let mut report = self.finish_report(&collector, kernel, Some(&g), tuned.telemetry);
+            report.profile = profile
+                .as_ref()
+                .and_then(|p| p.as_ref().ok())
+                .map(Profile::summary);
+            report.tchecks = tchecks.iter().map(|d| d.to_string()).collect();
+            return RunOutcome {
+                generated: Some(g),
+                report,
+                diagnostics,
+                tchecks,
+                profile,
+                degradation,
+                cause,
+            };
+        }
+
+        // Every rung failed, and each failure recorded a cause.
+        let report = self.finish_report(&collector, kernel, None, tuned.telemetry);
+        RunOutcome::unshipped(report, Degradation::ReportOnly, cause)
+    }
+
+    /// [`run`](Augem::run) on [`Target::Tune`]`(kernel)`, under the name
+    /// its callers used before `run` existed.
+    pub fn generate_degradable(
+        &self,
+        kernel: DlaKernel,
+        policy: &DegradationPolicy,
+        injector: &Injector,
+    ) -> RunOutcome {
+        self.run(Target::Tune(kernel), policy, injector)
+    }
+
     /// Sweeps `kernel`'s tuning space — the one place the facade
     /// dispatches on the kernel family.
     fn tune(
         &self,
         kernel: DlaKernel,
-        opts: &ResilOptions,
-        journal: Option<&mut TuneJournal>,
+        opts: &RunOptions,
         injector: &Injector,
         tracer: &dyn Tracer,
     ) -> Result<Tuned, TuneError> {
         let m = &self.machine;
+        let mut journal = opts.checkpoint.as_ref().and_then(|path| {
+            let header = augem_resil::journal_header(kernel.name(), m.arch.short_name());
+            // An unusable journal (wrong header, I/O error) degrades to
+            // an uncheckpointed sweep, not a crash.
+            TuneJournal::load_or_create(path, header, opts.resume)
+                .map_err(|e| {
+                    tracer.event("resil.journal.unusable", &[("error", e.to_string().into())])
+                })
+                .ok()
+        });
+        let (resil, journal) = (&opts.resil, journal.as_mut());
         match VectorKernel::of(kernel) {
-            None => self.tune_space(gemm_candidates(m), opts, journal, injector, tracer),
-            Some(vk) => self.tune_space(vector_candidates(vk, m), opts, journal, injector, tracer),
+            None => self.tune_space(gemm_candidates(m), resil, journal, injector, tracer),
+            Some(vk) => self.tune_space(vector_candidates(vk, m), resil, journal, injector, tracer),
         }
     }
 
@@ -349,382 +529,34 @@ impl Augem {
         let (m, cache) = (&self.machine, &*self.cache);
         let t = sweep(candidates, m, opts, journal, injector, tracer, cache)?;
         Ok(Tuned {
-            best: Box::new(t.best),
-            telemetry: telemetry_of(&t),
+            telemetry: Some(telemetry_of(&t)),
             ranking: t
                 .ranking
                 .iter()
                 .map(|(c, _)| Box::new(*c) as Box<dyn Candidate>)
                 .collect(),
-            best_eval: t.best_eval,
+            best_eval: Some(t.best_eval),
         })
     }
 
-    /// Runs the full pipeline with empirical tuning for `kernel`.
-    pub fn generate(&self, kernel: DlaKernel) -> Result<Generated, AugemError> {
-        self.generate_traced(kernel, augem_obs::null())
-    }
-
-    /// [`generate`](Augem::generate) with every stage instrumented
-    /// through `tracer`: per-stage spans and counters from the whole
-    /// tuning sweep, then a cache hit on the winner that replays its
-    /// build labels (so last-write labels like `opt.simd_strategy`
-    /// describe the winning configuration, not whichever candidate
-    /// happened to finish last — without rebuilding it).
-    pub fn generate_traced(
-        &self,
-        kernel: DlaKernel,
-        tracer: &dyn Tracer,
-    ) -> Result<Generated, AugemError> {
-        self.generate_inner(kernel, tracer).map(|(g, _, _)| g)
-    }
-
-    /// Runs a traced generation and packages everything the collector and
-    /// the tuner saw into an `augem.run-report/v1` [`RunReport`].
-    pub fn generate_report(&self, kernel: DlaKernel) -> Result<(Generated, RunReport), AugemError> {
-        let collector = Collector::new();
-        let (g, tuner, _) = self.generate_inner(kernel, &collector)?;
-        let report = self.finish_report(&collector, kernel, Some(&g), Some(tuner));
-        Ok((g, report))
-    }
-
-    /// [`generate_report`](Augem::generate_report), then runs the static
-    /// kernel verifier ([`verify::check`]) over the winning
-    /// configuration's logged build, followed — unless
-    /// `opts.equivalence` is off — by the translation validator
-    /// ([`verify::check_equivalence`]) proving the assembly computes the
-    /// same expressions as the pre-transform source kernel at a shape
-    /// derived from the winner's unroll factors. Diagnostics are returned
-    /// and also land in the run report as `verify.diagnostic` /
-    /// `equiv.diagnostic` events plus `verify.errors` / `verify.warnings`
-    /// / `equiv.errors` counters. With `opts.profile` the winning
-    /// kernel's full [`Profile`] (per-pc attribution, annotated listing
-    /// and `augem.profile/v1` artifact) is returned too, and the run
-    /// report carries its region rollup (`report.profile`).
-    pub fn generate_report_verified_profiled_with(
-        &self,
-        kernel: DlaKernel,
-        opts: &VerifyOptions,
-    ) -> Result<
-        (
-            Generated,
-            RunReport,
-            Vec<augem_verify::Diagnostic>,
-            Option<Profile>,
-        ),
-        AugemError,
-    > {
-        let collector = Collector::new();
-        let (g, tuner, winner) = self.generate_inner(kernel, &collector)?;
-        // The sweep already built the winner; this is a cache hit, not a
-        // third pipeline run.
-        let logged = self.cache.logged(&*winner, &self.machine, &collector)?;
-        let diags = self.verify(&*winner, &logged, opts.equivalence, &collector);
-        let profile = if opts.profile {
-            Some(
-                self.profile_winner(&*winner, &collector)
-                    .map_err(AugemError::Eval)?,
-            )
-        } else {
-            None
-        };
-        let mut report = self.finish_report(&collector, kernel, Some(&g), Some(tuner));
-        if let Some(p) = &profile {
-            report.profile = Some(p.summary());
-        }
-        Ok((g, report, diags, profile))
-    }
-
-    /// The structural checks over a candidate's logged build, followed by
-    /// the translation validator at the candidate's own problem shape
-    /// when `equivalence` is set.
-    fn verify(
-        &self,
-        c: &dyn Candidate,
-        logged: &LoggedBuild,
-        equivalence: bool,
-        tracer: &dyn Tracer,
-    ) -> Vec<augem_verify::Diagnostic> {
-        let mut diags =
-            augem_verify::check_traced(&logged.kernel, &logged.asm, &logged.log, tracer);
-        if equivalence {
-            diags.extend(augem_verify::check_equivalence_traced(
-                &logged.source,
-                &logged.asm,
-                self.machine.isa,
-                &c.equiv_spec(),
-                tracer,
-            ));
-        }
-        diags
-    }
-
-    /// Replays the tuned winner's transform recipe through the
-    /// [`depan`] proof-carrying legality checker: every pass the
-    /// pipeline applied must re-derive from its recorded facts against
-    /// an independent dependence analysis of the snapshot it ran on.
-    /// Returns the `T`-rule diagnostics (empty for a legal recipe); the
-    /// replay is instrumented through `tracer` (a `depan` stage span,
-    /// `depan.errors` / `depan.warnings` counters, and one
-    /// `depan.diagnostic` event per finding).
-    ///
-    /// After a `generate*` call on the same driver this is all cache
-    /// hits — the sweep is not re-run and the winner is not rebuilt.
-    pub fn check_transforms_traced(
-        &self,
-        kernel: DlaKernel,
-        tracer: &dyn Tracer,
-    ) -> Result<Vec<augem_verify::Diagnostic>, AugemError> {
-        let (_, _, winner) = self.generate_inner(kernel, tracer)?;
-        let logged = self.cache.logged(&*winner, &self.machine, tracer)?;
-        // `logged.kernel` is post-`identify` (Regions added), so the
-        // log's snapshot chain ends one stage earlier: no final kernel.
-        Ok(augem_depan::check_transforms_traced(
-            &logged.source,
-            &logged.tlog,
-            None,
-            tracer,
-        ))
-    }
-
-    /// Runs a traced generation like
-    /// [`generate_report`](Augem::generate_report), then profiles the
-    /// winner and returns the full [`Profile`] alongside the report
-    /// (whose `profile` field carries the region rollup). The
-    /// `augem-gen --profile` path when verification is off.
-    pub fn generate_report_profiled(
-        &self,
-        kernel: DlaKernel,
-    ) -> Result<(Generated, RunReport, Profile), AugemError> {
-        let collector = Collector::new();
-        let (g, tuner, winner) = self.generate_inner(kernel, &collector)?;
-        let profile = self
-            .profile_winner(&*winner, &collector)
-            .map_err(AugemError::Eval)?;
-        let mut report = self.finish_report(&collector, kernel, Some(&g), Some(tuner));
-        report.profile = Some(profile.summary());
-        Ok((g, report, profile))
-    }
-
-    /// Profiles a winning configuration through the evaluation cache
-    /// (the sweep already built it — the build is a hit; the profiled
-    /// replay is cached under `cache.profile.*` so repeated reports
-    /// replay the stored attribution) and rolls the raw per-pc counters
-    /// up into an [`augem_prof::Profile`].
-    fn profile_winner(&self, w: &dyn Candidate, tracer: &dyn Tracer) -> Result<Profile, EvalError> {
-        let pe = profile(w, &self.machine, tracer, None, &self.cache)?;
-        Ok(Profile::build(
-            &pe.build.asm,
-            &self.machine,
-            &pe.report,
-            &pe.pcs,
-            Some(&pe.build.log),
-        ))
-    }
-
-    /// The fault-tolerant end-to-end driver: tunes resiliently
-    /// (sandboxed + budgeted evaluation, retry, circuit breaking,
-    /// checkpoint journal per `policy`), then verifies the winner and
-    /// *degrades gracefully* instead of failing — in order: the winner,
-    /// the next-ranked verified candidates, the paper-default
-    /// configuration, and finally a report-only result. Infallible by
-    /// construction: every path terminates with either a verified kernel
-    /// or a typed [`DegradedResult`]. `injector` plants deterministic
-    /// faults for the resilience suite; pass
-    /// [`Injector::disabled`](augem_resil::Injector::disabled) in
-    /// production.
-    pub fn generate_degradable(
-        &self,
-        kernel: DlaKernel,
-        policy: &DegradationPolicy,
-        injector: &Injector,
-    ) -> DegradedResult {
-        let collector = Collector::new();
-        let header = augem_resil::journal_header(kernel.name(), self.machine.arch.short_name());
-        let mut journal = match &policy.checkpoint {
-            Some(path) => {
-                match TuneJournal::load_or_create(path, header.clone(), policy.resume) {
-                    Ok(j) => j,
-                    Err(e) => {
-                        // An unusable journal (wrong header, I/O error)
-                        // degrades to an uncheckpointed sweep, not a crash.
-                        collector
-                            .event("resil.journal.unusable", &[("error", e.to_string().into())]);
-                        TuneJournal::in_memory(header)
-                    }
-                }
-            }
-            None => TuneJournal::in_memory(header),
-        };
-
-        let tuned = self.tune(
-            kernel,
-            &policy.resil,
-            Some(&mut journal),
-            injector,
-            &collector,
-        );
-        let t = match tuned {
-            Ok(t) => t,
-            Err(e) if e.interrupted => {
-                let report = self.finish_report(&collector, kernel, None, None);
-                return DegradedResult {
-                    generated: None,
-                    report,
-                    diagnostics: Vec::new(),
-                    degradation: Degradation::Interrupted,
-                    cause: Some(e.to_string()),
-                };
-            }
-            Err(e) => {
-                // Empty search space: straight to the paper default.
-                return self.degrade_to_default(
-                    kernel,
-                    policy,
-                    injector,
-                    &collector,
-                    None,
-                    e.to_string(),
-                );
-            }
-        };
-
-        let mut cause: Option<String> = None;
-        for (rank, w) in t
-            .ranking
-            .iter()
-            .take(1 + policy.max_next_ranked)
-            .enumerate()
-        {
-            let tag = w.tag();
-            if rank > 0 {
-                collector.add(augem_resil::counter::FALLBACK_NEXT_RANKED, 1);
-                collector.event(
-                    "resil.fallback",
-                    &[("kind", "next_ranked".into()), ("tag", tag.as_str().into())],
-                );
-            }
-            let known = if rank == 0 { Some(&t.best_eval) } else { None };
-            match self.try_winner(&**w, known, policy, injector, &collector) {
-                Ok((g, diags)) => {
-                    let degradation = if rank == 0 {
-                        Degradation::None
-                    } else {
-                        Degradation::NextRanked { rank, tag }
-                    };
-                    if !matches!(degradation, Degradation::None) {
-                        collector.add(augem_resil::counter::DEGRADED, 1);
-                    }
-                    let report =
-                        self.finish_report(&collector, kernel, Some(&g), Some(t.telemetry));
-                    return DegradedResult {
-                        generated: Some(g),
-                        report,
-                        diagnostics: diags,
-                        degradation,
-                        cause,
-                    };
-                }
-                Err(why) => {
-                    collector.event(
-                        "resil.verify.failed",
-                        &[("tag", tag.as_str().into()), ("error", why.as_str().into())],
-                    );
-                    cause.get_or_insert(format!("{tag}: {why}"));
-                }
-            }
-        }
-
-        let cause = cause.unwrap_or_else(|| "no candidate survived verification".to_string());
-        self.degrade_to_default(
-            kernel,
-            policy,
-            injector,
-            &collector,
-            Some(t.telemetry),
-            cause,
-        )
-    }
-
-    /// The conservative, always-supported configuration the pipeline
-    /// falls back to when the tuned ranking fails: the paper's Figure-13
-    /// starting point for GEMM, the narrowest vectorizable unroll with
-    /// no prefetching for the vector kernels.
-    fn paper_default(&self, kernel: DlaKernel) -> Box<dyn Candidate> {
-        match VectorKernel::of(kernel) {
-            None => Box::new(GemmConfig::fig13()),
-            Some(kernel) => Box::new(VectorConfig {
-                kernel,
-                unroll: self.machine.simd_mode().f64_lanes(),
-                prefetch: augem_transforms::PrefetchConfig::disabled(),
-                schedule: true,
-            }),
-        }
-    }
-
-    fn degrade_to_default(
-        &self,
-        kernel: DlaKernel,
-        policy: &DegradationPolicy,
-        injector: &Injector,
-        collector: &Collector,
-        telemetry: Option<TunerTelemetry>,
-        cause: String,
-    ) -> DegradedResult {
-        let w = self.paper_default(kernel);
-        let tag = w.tag();
-        collector.add(augem_resil::counter::FALLBACK_DEFAULT, 1);
-        collector.add(augem_resil::counter::DEGRADED, 1);
-        collector.event(
-            "resil.fallback",
-            &[("kind", "default".into()), ("tag", tag.as_str().into())],
-        );
-        match self.try_winner(&*w, None, policy, injector, collector) {
-            Ok((g, diags)) => {
-                let report = self.finish_report(collector, kernel, Some(&g), telemetry);
-                DegradedResult {
-                    generated: Some(g),
-                    report,
-                    diagnostics: diags,
-                    degradation: Degradation::PaperDefault { tag },
-                    cause: Some(cause),
-                }
-            }
-            Err(why) => {
-                collector.event(
-                    "resil.verify.failed",
-                    &[("tag", tag.as_str().into()), ("error", why.as_str().into())],
-                );
-                let report = self.finish_report(collector, kernel, None, telemetry);
-                DegradedResult {
-                    generated: None,
-                    report,
-                    diagnostics: Vec::new(),
-                    degradation: Degradation::ReportOnly,
-                    cause: Some(format!("{cause}; paper default {tag}: {why}")),
-                }
-            }
-        }
-    }
-
-    /// Evaluates (if needed), rebuilds, and verifies one configuration —
-    /// every step sandboxed, so a panic anywhere becomes an `Err` and
-    /// the degradation chain moves on to the next fallback.
-    fn try_winner(
+    /// Evaluates (unless the sweep already measured it), rebuilds and
+    /// verifies one rung — every step sandboxed, so a panic anywhere
+    /// becomes an `Err` and the ladder moves on to the next rung.
+    fn try_rung(
         &self,
         w: &dyn Candidate,
         known_eval: Option<&Evaluation>,
-        policy: &DegradationPolicy,
+        opts: &RunOptions,
         injector: &Injector,
         collector: &Collector,
-    ) -> Result<(Generated, Vec<augem_verify::Diagnostic>), String> {
+    ) -> Result<(Generated, Arc<LoggedBuild>, Vec<Diagnostic>), String> {
         let tag = w.tag();
         let eval = match known_eval {
             Some(e) => e.clone(),
             // A next-ranked candidate was already measured by the sweep
             // under the same budget — this is an eval-cache hit.
             None => sandboxed(|| {
-                let limit = policy.resil.step_limit;
+                let limit = opts.resil.step_limit;
                 evaluate(w, &self.machine, collector, limit, &self.cache)
             })
             .map_err(|p| format!("evaluation panicked: {p}"))?
@@ -735,11 +567,14 @@ impl Augem {
             if injector.fault(Site::Verify, &tag, 0).is_some() {
                 panic!("injected fault: verification of {tag} panicked");
             }
+            // The evaluation built through the cache: this is a hit that
+            // replays the build's labels, so last-write state (e.g.
+            // `opt.simd_strategy`) describes the shipped kernel.
             let logged = self
                 .cache
                 .logged(w, &self.machine, collector)
                 .map_err(|e| format!("build failed: {e}"))?;
-            let diags = self.verify(w, &logged, policy.equivalence, collector);
+            let diags = self.verify(w, &logged, opts.verify, collector);
             Ok::<_, String>((logged, diags))
         })
         .map_err(|p| format!("verification panicked: {p}"))??;
@@ -755,20 +590,55 @@ impl Augem {
             ));
         }
 
-        Ok((self.generated(w, &logged, eval), diags))
-    }
-
-    /// A candidate's kernel: the assembly of its build and its
-    /// measurement.
-    fn generated(&self, c: &dyn Candidate, logged: &LoggedBuild, eval: Evaluation) -> Generated {
-        Generated {
-            kernel: c.kernel(),
+        let g = Generated {
+            kernel: w.kernel(),
             machine: self.machine.clone(),
             asm: logged.asm.clone(),
-            config_tag: c.tag(),
+            config_tag: tag,
             report: eval.report,
             mflops: eval.mflops,
+        };
+        Ok((g, logged, diags))
+    }
+
+    /// The checks `verify` selects over a candidate's logged build.
+    fn verify(
+        &self,
+        c: &dyn Candidate,
+        logged: &LoggedBuild,
+        verify: Verify,
+        tracer: &dyn Tracer,
+    ) -> Vec<Diagnostic> {
+        if verify == Verify::Off {
+            return Vec::new();
         }
+        let mut diags =
+            augem_verify::check_traced(&logged.kernel, &logged.asm, &logged.log, tracer);
+        if verify == Verify::Equivalence {
+            diags.extend(augem_verify::check_equivalence_traced(
+                &logged.source,
+                &logged.asm,
+                self.machine.isa,
+                &c.equiv_spec(),
+                tracer,
+            ));
+        }
+        diags
+    }
+
+    /// Profiles a shipped configuration through the evaluation cache
+    /// (the build is a hit; the profiled replay is cached under
+    /// `cache.profile.*` so repeated runs replay the stored attribution)
+    /// and rolls the raw per-pc counters up into a [`Profile`].
+    fn profile_of(&self, w: &dyn Candidate, tracer: &dyn Tracer) -> Result<Profile, EvalError> {
+        let pe = profile(w, &self.machine, tracer, None, &self.cache)?;
+        Ok(Profile::build(
+            &pe.build.asm,
+            &self.machine,
+            &pe.report,
+            &pe.pcs,
+            Some(&pe.build.log),
+        ))
     }
 
     fn finish_report(
@@ -794,80 +664,33 @@ impl Augem {
         report.tuner = tuner;
         report
     }
-
-    /// The exhaustive sweep for `kernel` and its winner's assembly.
-    fn generate_inner(
-        &self,
-        kernel: DlaKernel,
-        tracer: &dyn Tracer,
-    ) -> Result<(Generated, TunerTelemetry, Box<dyn Candidate>), AugemError> {
-        let t = self
-            .tune(
-                kernel,
-                &ResilOptions::plain(),
-                None,
-                &Injector::disabled(),
-                tracer,
-            )
-            .map_err(AugemError::Tune)?;
-        // Cache hit: the sweep built the winner already; the hit replays
-        // its labels so last-write state (e.g. `opt.simd_strategy`)
-        // describes the winning config.
-        let logged = self.cache.logged(&*t.best, &self.machine, tracer)?;
-        let g = self.generated(&*t.best, &logged, t.best_eval);
-        Ok((g, t.telemetry, t.best))
-    }
-
-    /// Runs the pipeline for the paper-default configuration *without*
-    /// tuning: the Figure-13 starting-point kernel for GEMM, the
-    /// narrowest vectorizable unroll with no prefetching for the vector
-    /// kernels. This is the "before" side of the paper's
-    /// naive-vs-tuned comparisons — and the kernel the performance
-    /// lints ([`Augem::lint_generated`]) are expected to complain
-    /// about.
-    pub fn generate_naive(&self, kernel: DlaKernel) -> Result<Generated, AugemError> {
-        self.generate_with(&*self.paper_default(kernel))
-    }
-
-    /// [`generate_naive`](Augem::generate_naive) with a run report
-    /// (stages, counters, sim measurement of the untuned kernel).
-    pub fn generate_naive_report(
-        &self,
-        kernel: DlaKernel,
-    ) -> Result<(Generated, RunReport), AugemError> {
-        let collector = Collector::new();
-        let g = self.generate_naive(kernel)?;
-        let report = self.finish_report(&collector, kernel, Some(&g), None);
-        Ok((g, report))
-    }
-
-    /// Runs the static performance lints (the `augem-cost` P-rules) over
-    /// a generated kernel: accumulator-chain serialization, port
-    /// oversubscription, loop spills, narrow SIMD, missing prefetch,
-    /// dead remainder code.
-    pub fn lint_generated(&self, g: &Generated) -> Vec<augem_verify::Diagnostic> {
-        augem_cost::lint(&g.asm, &self.machine)
-    }
-
-    /// Runs the pipeline for one explicit configuration (no tuning).
-    pub fn generate_with(&self, cfg: &dyn Candidate) -> Result<Generated, AugemError> {
-        let eval = evaluate(cfg, &self.machine, augem_obs::null(), None, &self.cache)
-            .map_err(AugemError::Eval)?;
-        // The evaluation above built through the cache; reuse it.
-        let logged = self.cache.logged(cfg, &self.machine, augem_obs::null())?;
-        Ok(self.generated(cfg, &logged, eval))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use augem_obs::stage;
+    use augem_resil::{Fault, InjectionPlan, Trigger};
+
+    fn run(driver: &Augem, kernel: DlaKernel, opts: &RunOptions, inj: &Injector) -> RunOutcome {
+        driver.run(Target::Tune(kernel), opts, inj)
+    }
+
+    fn fast() -> RunOptions {
+        RunOptions {
+            resil: ResilOptions::fast(),
+            ..RunOptions::default()
+        }
+    }
 
     #[test]
     fn facade_generates_all_four_kernels() {
         let driver = Augem::new(MachineSpec::sandy_bridge());
         for k in DlaKernel::ALL {
-            let g = driver.generate(k).unwrap_or_else(|e| panic!("{k:?}: {e}"));
+            let r = run(&driver, k, &RunOptions::plain(), &Injector::disabled());
+            let g = r
+                .generated
+                .unwrap_or_else(|| panic!("{k:?}: {:?}", r.cause));
             assert!(g.mflops > 0.0);
             let text = g.assembly_text();
             assert!(text.contains(&format!(".globl {}", k.name())), "{text}");
@@ -878,45 +701,48 @@ mod tests {
     #[test]
     fn verified_generation_is_error_free() {
         let driver = Augem::new(MachineSpec::sandy_bridge());
-        let (g, report, diags, _) = driver
-            .generate_report_verified_profiled_with(DlaKernel::Gemv, &VerifyOptions::default())
-            .expect("gemv generates");
+        let opts = RunOptions {
+            verify: Verify::Equivalence,
+            profile: true,
+            ..RunOptions::plain()
+        };
+        let r = run(&driver, DlaKernel::Gemv, &opts, &Injector::disabled());
+        // The tuned winner itself passed: nothing fell back.
+        assert_eq!(r.degradation, Degradation::None, "{:?}", r.cause);
+        let g = r.generated.expect("gemv generates");
         assert!(g.mflops > 0.0);
-        assert!(report.mflops > 0.0);
-        let errs = augem_verify::errors(&diags);
+        assert!(r.report.mflops > 0.0);
+        let errs = augem_verify::errors(&r.diagnostics);
         assert!(errs.is_empty(), "verifier errors on tuned winner: {errs:?}");
+        assert!(matches!(r.profile, Some(Ok(_))));
+        assert!(r.report.profile.is_some());
     }
 
     #[test]
     fn winner_transform_log_is_provably_legal() {
         let driver = Augem::new(MachineSpec::sandy_bridge());
-        let collector = Collector::new();
-        let diags = driver
-            .check_transforms_traced(DlaKernel::Axpy, &collector)
-            .expect("axpy tunes");
-        assert!(diags.is_empty(), "depan rejects tuned winner: {diags:?}");
-        let snap = collector.snapshot();
+        let opts = RunOptions {
+            check_transforms: true,
+            ..RunOptions::plain()
+        };
+        let r = run(&driver, DlaKernel::Axpy, &opts, &Injector::disabled());
+        assert!(r.generated.is_some(), "axpy tunes");
         assert!(
-            snap.stages()
-                .iter()
-                .any(|s| s.name == augem_obs::stage::DEPAN),
+            r.tchecks.is_empty(),
+            "depan rejects tuned winner: {:?}",
+            r.tchecks
+        );
+        assert!(
+            r.report.stages.iter().any(|s| s.name == stage::DEPAN),
             "no depan stage span recorded"
         );
-        assert_eq!(snap.counters.get("depan.errors").copied(), Some(0));
+        assert_eq!(r.report.counters.get("depan.errors").copied(), Some(0));
     }
 
     #[test]
     fn degradable_path_without_faults_is_not_degraded() {
         let driver = Augem::new(MachineSpec::sandy_bridge());
-        let policy = DegradationPolicy {
-            resil: ResilOptions::fast(),
-            ..DegradationPolicy::default()
-        };
-        let r = driver.generate_degradable(
-            DlaKernel::Axpy,
-            &policy,
-            &augem_resil::Injector::disabled(),
-        );
+        let r = run(&driver, DlaKernel::Axpy, &fast(), &Injector::disabled());
         assert_eq!(r.degradation, Degradation::None);
         assert!(!r.is_degraded());
         assert!(r.cause.is_none());
@@ -924,22 +750,22 @@ mod tests {
         assert!(g.mflops > 0.0);
         assert_eq!(r.report.mflops, g.mflops);
         // The clean winner matches the plain pipeline's.
-        let plain = driver.generate(DlaKernel::Axpy).unwrap();
-        assert_eq!(g.config_tag, plain.config_tag);
+        let plain = run(
+            &driver,
+            DlaKernel::Axpy,
+            &RunOptions::plain(),
+            &Injector::disabled(),
+        );
+        assert_eq!(g.config_tag, plain.generated.unwrap().config_tag);
     }
 
     #[test]
     fn injected_verify_panic_falls_back_to_next_ranked() {
-        use augem_resil::{Fault, InjectionPlan, Injector, Site, Trigger};
         let driver = Augem::new(MachineSpec::sandy_bridge());
-        let policy = DegradationPolicy {
-            resil: ResilOptions::fast(),
-            ..DegradationPolicy::default()
-        };
         // Panic verification of the winner only; rank 1 verifies fine.
         let inj =
             Injector::new(InjectionPlan::new(0).with(Site::Verify, Fault::Panic, Trigger::Nth(1)));
-        let r = driver.generate_degradable(DlaKernel::Axpy, &policy, &inj);
+        let r = run(&driver, DlaKernel::Axpy, &fast(), &inj);
         assert!(
             matches!(r.degradation, Degradation::NextRanked { rank: 1, .. }),
             "{:?}",
@@ -955,21 +781,14 @@ mod tests {
 
     #[test]
     fn exhausted_ranking_falls_back_to_paper_default_then_report_only() {
-        use augem_resil::{Fault, InjectionPlan, Injector, Site, Trigger};
         let driver = Augem::new(MachineSpec::sandy_bridge());
-        let policy = DegradationPolicy {
-            resil: ResilOptions::fast(),
-            max_next_ranked: 1,
-            ..DegradationPolicy::default()
-        };
-        // Panic the winner's and rank-1's verification; the 3rd verify
-        // probe is the paper default, which passes.
-        let inj = Injector::new(
-            InjectionPlan::new(0)
-                .with(Site::Verify, Fault::Panic, Trigger::Nth(1))
-                .with(Site::Verify, Fault::Panic, Trigger::Nth(2)),
-        );
-        let r = driver.generate_degradable(DlaKernel::Axpy, &policy, &inj);
+        // Panic the verification of the winner and the three next-ranked
+        // candidates; the 5th verify probe is the paper default, which
+        // passes.
+        let plan = (1..=4).fold(InjectionPlan::new(0), |plan, n| {
+            plan.with(Site::Verify, Fault::Panic, Trigger::Nth(n))
+        });
+        let r = run(&driver, DlaKernel::Axpy, &fast(), &Injector::new(plan));
         assert!(
             matches!(r.degradation, Degradation::PaperDefault { .. }),
             "{:?}",
@@ -985,7 +804,7 @@ mod tests {
             Fault::Panic,
             Trigger::Rate(1.0),
         ));
-        let r = driver.generate_degradable(DlaKernel::Axpy, &policy, &all);
+        let r = run(&driver, DlaKernel::Axpy, &fast(), &all);
         assert_eq!(r.degradation, Degradation::ReportOnly);
         assert!(r.generated.is_none());
         assert!(r.report.counters["resil.degraded"] >= 1);
@@ -995,49 +814,92 @@ mod tests {
     #[test]
     fn verified_generation_builds_each_unique_config_exactly_once() {
         let driver = Augem::new(MachineSpec::sandy_bridge());
-        let collector = Collector::new();
-        let (_, tuner, winner) = driver
-            .generate_inner(DlaKernel::Axpy, &collector)
-            .expect("axpy generates");
-        // Winner verification on top of the traced generation: both the
-        // rebuild in generate_inner and this one come from the cache.
-        driver
-            .cache
-            .logged(&*winner, &driver.machine, &collector)
-            .unwrap();
-        let snap = collector.snapshot();
+        let opts = RunOptions {
+            verify: Verify::Equivalence,
+            ..RunOptions::plain()
+        };
+        let r = run(&driver, DlaKernel::Axpy, &opts, &Injector::disabled());
+        assert!(r.generated.is_some(), "axpy generates");
+        let generated = r.report.tuner.as_ref().expect("tuner telemetry").generated;
         // Every successful candidate built once; failures died before
         // akg or inside it, so akg spans never exceed generated count.
-        let akg = snap
-            .stages()
-            .into_iter()
-            .find(|s| s.name == augem_obs::stage::AKG)
+        let akg = r
+            .report
+            .stages
+            .iter()
+            .find(|s| s.name == stage::AKG)
             .expect("akg stage traced");
         assert_eq!(
-            akg.calls, tuner.generated,
+            akg.calls, generated,
             "one akg span per enumerated candidate — winner rebuilds must hit the cache"
         );
-        // Two winner lookups (generate_inner + verify) both hit.
-        assert_eq!(snap.counters["cache.build.hit"], 2);
+        // One winner lookup (rebuild + verify of rank 0), and it hits.
+        assert_eq!(r.report.counters["cache.build.hit"], 1);
         assert_eq!(
-            snap.counters["cache.build.miss"], tuner.generated,
+            r.report.counters["cache.build.miss"], generated,
             "every unique config missed exactly once"
         );
         // The hit re-asserted the winner's strategy label.
-        assert!(snap.labels.contains_key("opt.simd_strategy"));
+        assert!(r.report.labels.contains_key("opt.simd_strategy"));
     }
 
     #[test]
     fn explicit_config_path_works() {
         let driver = Augem::new(MachineSpec::piledriver());
-        let g = driver
-            .generate_with(&GemmConfig {
-                mu: 8,
-                nu: 2,
-                ..GemmConfig::fig13()
-            })
-            .unwrap();
+        let cfg = GemmConfig {
+            mu: 8,
+            nu: 2,
+            ..GemmConfig::fig13()
+        };
+        let r = driver.run(
+            Target::Config(&cfg),
+            &RunOptions::plain(),
+            &Injector::disabled(),
+        );
+        let g = r.generated.unwrap();
         assert!(g.config_tag.contains("8x2"));
         assert!(g.assembly_text().contains("vfmadd231pd"));
+    }
+
+    #[test]
+    fn paper_default_run_traces_every_stage_into_its_report() {
+        let driver = Augem::new(MachineSpec::sandy_bridge());
+        let naive = driver.paper_default(DlaKernel::Gemm);
+        let r = driver.run(
+            Target::Config(&*naive),
+            &RunOptions::plain(),
+            &Injector::disabled(),
+        );
+        assert_eq!(r.degradation, Degradation::None);
+        for name in [stage::CGEN, stage::IDENTIFY, stage::AKG, stage::SIM] {
+            let s = r
+                .report
+                .stages
+                .iter()
+                .find(|s| s.name == name)
+                .unwrap_or_else(|| panic!("stage `{name}` missing from {:?}", r.report.stages));
+            assert_eq!(s.calls, 1, "stage `{name}`");
+            assert!(s.wall_ns > 0, "stage `{name}` has zero wall time");
+        }
+        assert!(!r.report.simd_strategy.is_empty());
+        assert!(r.report.sim.as_ref().expect("sim counters").cycles > 0);
+    }
+
+    #[test]
+    fn failing_explicit_config_is_report_only() {
+        // Every verification panics: the one rung fails and there is no
+        // fallback to take.
+        let driver = Augem::new(MachineSpec::sandy_bridge());
+        let naive = driver.paper_default(DlaKernel::Axpy);
+        let all = Injector::new(InjectionPlan::new(0).with(
+            Site::Verify,
+            Fault::Panic,
+            Trigger::Rate(1.0),
+        ));
+        let r = driver.run(Target::Config(&*naive), &fast(), &all);
+        assert_eq!(r.degradation, Degradation::ReportOnly);
+        assert!(r.generated.is_none());
+        assert!(r.cause.unwrap().contains(&naive.tag()));
+        assert!(!r.report.counters.contains_key("resil.fallback.default"));
     }
 }

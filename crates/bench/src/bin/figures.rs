@@ -5,7 +5,6 @@
 //! cargo run --release -p augem-bench --bin figures -- fig18 fig19
 //! cargo run --release -p augem-bench --bin figures -- table6 ablations
 //! cargo run --release -p augem-bench --bin figures -- asm      # dump tuned kernels
-//! cargo run --release -p augem-bench --bin figures -- pipeline # BENCH_pipeline.json
 //! cargo run --release -p augem-bench --bin figures -- verify   # BENCH_verify.json
 //! cargo run --release -p augem-bench --bin figures -- tune     # BENCH_tune.json
 //! cargo run --release -p augem-bench --bin figures -- prof     # BENCH_prof.json
@@ -17,7 +16,7 @@
 use augem::obs::Json;
 use augem::resil::write_atomic;
 use augem::resil::Injector;
-use augem::{Augem, VerifyOptions};
+use augem::{Augem, RunOptions, Target, Verify};
 use augem_asm::AsmKernel;
 use augem_bench::{ablations, format_figure, Models};
 use augem_kernels::DlaKernel;
@@ -28,35 +27,6 @@ use augem_tune::{
     TuneResult, VectorConfig, VectorKernel,
 };
 use std::time::Instant;
-
-/// Runs a traced generation per kernel × platform and writes the run
-/// reports to `BENCH_pipeline.json` — the machine-readable perf
-/// trajectory (stage wall times, tuner telemetry, sim counters).
-fn emit_pipeline_reports(platforms: &[MachineSpec]) {
-    let mut entries = Vec::new();
-    for machine in platforms {
-        let driver = Augem::new(machine.clone());
-        for k in DlaKernel::ALL {
-            match driver.generate_report(k) {
-                Ok((_, run)) => entries.push(run.to_json()),
-                Err(e) => eprintln!(
-                    "pipeline report failed for {} on {}: {e}",
-                    k.name(),
-                    machine.arch.short_name()
-                ),
-            }
-        }
-    }
-    let doc = Json::obj(vec![
-        ("schema", Json::str("augem.bench-pipeline/v1")),
-        ("runs", Json::Arr(entries)),
-    ]);
-    let path = "BENCH_pipeline.json";
-    match write_atomic(path, doc.render_pretty() + "\n") {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("cannot write {path}: {e}"),
-    }
-}
 
 /// Runs both verifier stages — the structural checks and the
 /// translation validator — over a representative configuration per
@@ -207,18 +177,21 @@ fn engine_entry(
 fn sweep_entry(machine: &MachineSpec, kernel: DlaKernel) -> Option<Json> {
     let driver = Augem::new(machine.clone());
     let t0 = Instant::now();
-    let (g, report, _findings, _) =
-        match driver.generate_report_verified_profiled_with(kernel, &VerifyOptions::default()) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!(
-                    "tune bench: verified generation failed for {} on {}: {e}",
-                    kernel.name(),
-                    machine.arch.short_name()
-                );
-                return None;
-            }
-        };
+    let opts = RunOptions {
+        verify: Verify::Equivalence,
+        profile: true,
+        ..RunOptions::plain()
+    };
+    let r = driver.run(Target::Tune(kernel), &opts, &Injector::disabled());
+    let (Some(g), report) = (r.generated, r.report) else {
+        eprintln!(
+            "tune bench: verified generation failed for {} on {}: {}",
+            kernel.name(),
+            machine.arch.short_name(),
+            r.cause.unwrap_or_default()
+        );
+        return None;
+    };
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let c = |name: &str| report.counters.get(name).copied().unwrap_or(0);
     let rate = |hits: u64, misses: u64| {
@@ -1112,13 +1085,6 @@ fn main() {
 
     let platforms = MachineSpec::paper_platforms();
 
-    if want("pipeline") && args.iter().any(|a| a == "pipeline" || a == "all") {
-        emit_pipeline_reports(&platforms);
-        if args.iter().all(|a| a == "pipeline") {
-            return;
-        }
-    }
-
     if want("verify") && args.iter().any(|a| a == "verify" || a == "all") {
         emit_verify_reports(&platforms);
         if args.iter().all(|a| a == "verify") {
@@ -1175,7 +1141,10 @@ fn main() {
         for machine in &platforms {
             let driver = Augem::new(machine.clone());
             for k in DlaKernel::ALL {
-                let g = driver.generate(k).expect("generation");
+                let g = driver
+                    .run(Target::Tune(k), &RunOptions::plain(), &Injector::disabled())
+                    .generated
+                    .expect("generation");
                 println!(
                     "### {} on {} ({}, {:.0} Mflops steady-state)\n",
                     k.name(),

@@ -68,7 +68,7 @@ fn run() -> Result<ExitCode, String> {
             }
             "--breaker" => config.breaker_threshold = parse_num(&mut args, "--breaker")? as u32,
             "--step-limit" => {
-                config.policy.resil.step_limit = Some(parse_num(&mut args, "--step-limit")?)
+                config.run.resil.step_limit = Some(parse_num(&mut args, "--step-limit")?)
             }
             "--inject-crash-commit" => {
                 crash_nth = Some(parse_num(&mut args, "--inject-crash-commit")?)

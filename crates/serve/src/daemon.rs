@@ -13,8 +13,8 @@
 //!
 //! 1. **Persistent store hit** — answer from the crash-safe kernel
 //!    cache, no tuning at all (the warm-start path).
-//! 2. **Tuned winner** — `Augem::generate_degradable`, which itself
-//!    degrades: next-ranked verified candidate, then the paper-default
+//! 2. **Tuned winner** — `Augem::run`, which itself degrades:
+//!    next-ranked verified candidate, then the paper-default
 //!    configuration.
 //! 3. **Typed error** — report-only outcomes become `status: "error"`
 //!    responses carrying the run report; the daemon never hangs and
@@ -29,7 +29,7 @@
 use crate::counter;
 use crate::proto::{Op, Reject, Request, Response, Status};
 use crate::store::{store_key, KernelStore, StoreError, StoredKernel};
-use augem::{Augem, Degradation, DegradationPolicy};
+use augem::{Augem, Degradation, RunOptions, Target};
 use augem_obs::{Collector, RunReport, Tracer};
 use augem_resil::{sandboxed, CircuitBreaker, Injector};
 use augem_tune::{cache_enabled, note_cache_disabled, EvalCache};
@@ -52,8 +52,8 @@ pub struct ServeConfig {
     /// Consecutive failures before a kernel×machine family's circuit
     /// opens (0 disables the breaker).
     pub breaker_threshold: u32,
-    /// Degradation policy for cache-miss tuning runs.
-    pub policy: DegradationPolicy,
+    /// Options for cache-miss tuning runs.
+    pub run: RunOptions,
     /// Persistent store directory (`None` = in-memory only).
     pub cache_dir: Option<PathBuf>,
     /// On an injected commit-window crash, kill the process with exit
@@ -69,7 +69,7 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             default_deadline_ms: None,
             breaker_threshold: 3,
-            policy: DegradationPolicy::default(),
+            run: RunOptions::default(),
             cache_dir: None,
             crash_is_fatal: false,
         }
@@ -169,7 +169,7 @@ impl Server {
             self.counters.add(counter::REJECT_BREAKER, 1);
             return Ok(Response::rejected(&req.id, Reject::Breaker));
         }
-        let step_limit = req.step_limit.or(self.config.policy.resil.step_limit);
+        let step_limit = req.step_limit.or(self.config.run.resil.step_limit);
         let key = store_key(req.kernel.name(), &req.machine, step_limit);
 
         if let Some(hit) = lock(&self.store).get(&key).cloned() {
@@ -181,9 +181,9 @@ impl Server {
         // Tune outside the store lock: concurrent misses on the same
         // key race benignly (commit is idempotent, first write wins).
         let driver = self.driver_for(req);
-        let mut policy = self.config.policy.clone();
-        policy.resil.step_limit = step_limit;
-        let result = driver.generate_degradable(req.kernel, &policy, &self.injector);
+        let mut opts = self.config.run.clone();
+        opts.resil.step_limit = step_limit;
+        let result = driver.run(Target::Tune(req.kernel), &opts, &self.injector);
 
         let ok = result.generated.is_some();
         if self.config.breaker_threshold > 0 && self.breaker.record(&family, ok) {

@@ -24,8 +24,8 @@
 //!   recovery compacts the journal back to exactly the replayable
 //!   prefix — bit-identical to the pre-crash state.
 //! - **Graceful degradation**: a cache hit answers without re-tuning; a
-//!   miss runs `Augem::generate_degradable`, whose ladder (tuned winner
-//!   → next-ranked verified → paper default → report-only) maps onto
+//!   miss runs `Augem::run`, whose ladder (tuned winner → next-ranked
+//!   verified → paper default → report-only) maps onto
 //!   the response's `status`/`degradation` fields. Worker panics are
 //!   contained by [`augem_resil::sandboxed`] and become typed errors.
 //!

@@ -243,7 +243,7 @@ fn corrupt_entry_on_disk_is_quarantined_then_reconverges() {
     }
     // Bit-flip the stored entry. The effective store key uses the
     // server's default step budget (requests carried none).
-    let limit = augem::DegradationPolicy::default().resil.step_limit;
+    let limit = augem::RunOptions::default().resil.step_limit;
     let key = store_key("daxpy", &MachineSpec::sandy_bridge(), limit);
     let victim = dir.join("entries").join(format!("{key}.json"));
     let mut bytes = std::fs::read(&victim).unwrap();

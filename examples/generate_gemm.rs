@@ -10,14 +10,22 @@
 
 use augem::kernels::ref_gemm_packed;
 use augem::machine::MachineSpec;
+use augem::resil::Injector;
 use augem::sim::{FuncSim, SimValue};
-use augem::{Augem, DlaKernel};
+use augem::{Augem, DlaKernel, RunOptions, Target};
 
 fn main() {
     for machine in MachineSpec::paper_platforms() {
         println!("==== {} ====", machine.arch.name());
         let driver = Augem::new(machine.clone());
-        let g = driver.generate(DlaKernel::Gemm).expect("pipeline");
+        let g = driver
+            .run(
+                Target::Tune(DlaKernel::Gemm),
+                &RunOptions::plain(),
+                &Injector::disabled(),
+            )
+            .generated
+            .expect("pipeline");
         println!(
             "winner: {}   {:.0} Mflops steady-state ({:.1}% of single-core peak)\n",
             g.config_tag,

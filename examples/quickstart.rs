@@ -6,8 +6,9 @@
 //! ```
 
 use augem::machine::MachineSpec;
+use augem::resil::Injector;
 use augem::sim::{FuncSim, SimValue};
-use augem::{Augem, DlaKernel};
+use augem::{Augem, DlaKernel, RunOptions, Target};
 
 fn main() {
     // Target the paper's Intel Sandy Bridge platform.
@@ -18,7 +19,12 @@ fn main() {
     // optimization -> template identification -> register allocation /
     // SIMD vectorization / instruction selection -> assembly, with the
     // unroll factors and prefetch distances chosen empirically.
-    let generated = driver.generate(DlaKernel::Axpy).expect("pipeline");
+    let run = driver.run(
+        Target::Tune(DlaKernel::Axpy),
+        &RunOptions::plain(),
+        &Injector::disabled(),
+    );
+    let generated = run.generated.expect("pipeline");
 
     println!(
         "Tuned configuration: {}  ({:.0} Mflops steady-state on the simulator)\n",

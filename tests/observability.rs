@@ -2,22 +2,24 @@
 //! pipeline stage and produce a valid `augem.run-report/v1` document.
 
 use augem::machine::MachineSpec;
-use augem::obs::{stage, Collector, Json, RunReport};
+use augem::obs::{stage, Json, RunReport};
 use augem::resil::{Fault, InjectionPlan, Injector, Site, Trigger};
 use augem::tune::ResilOptions;
-use augem::{Augem, Degradation, DegradationPolicy, DlaKernel};
+use augem::{Augem, Degradation, DlaKernel, RunOptions, Target};
 
 #[test]
 fn traced_gemm_reports_all_four_pipeline_stages() {
     let driver = Augem::new(MachineSpec::sandy_bridge());
-    let collector = Collector::new();
-    let g = driver
-        .generate_traced(DlaKernel::Gemm, &collector)
-        .expect("traced generation");
+    let r = driver.run(
+        Target::Tune(DlaKernel::Gemm),
+        &RunOptions::plain(),
+        &Injector::disabled(),
+    );
+    let g = r.generated.expect("traced generation");
     assert!(g.mflops > 0.0);
 
-    let snap = collector.snapshot();
-    let stages = snap.stages();
+    let snap = &r.report;
+    let stages = &snap.stages;
     for name in [stage::CGEN, stage::IDENTIFY, stage::AKG, stage::SIM] {
         let s = stages
             .iter()
@@ -38,7 +40,7 @@ fn traced_gemm_reports_all_four_pipeline_stages() {
     assert!(snap.counters["cgen.stmts.after"] >= snap.counters["cgen.stmts.before"]);
     assert!(snap.counters["identify.regions"] > 0);
     assert!(snap.counters["sim.cycles"] > 0);
-    assert!(snap.hwm["regs.vec"] > 0);
+    assert!(snap.highwater["regs.vec"] > 0);
     // The winner's strategy label survives the final rebuild.
     assert!(!snap.labels["opt.simd_strategy"].is_empty());
 }
@@ -46,9 +48,12 @@ fn traced_gemm_reports_all_four_pipeline_stages() {
 #[test]
 fn run_report_document_is_complete_and_round_trips() {
     let driver = Augem::new(MachineSpec::sandy_bridge());
-    let (g, run) = driver
-        .generate_report(DlaKernel::Gemm)
-        .expect("report generation");
+    let r = driver.run(
+        Target::Tune(DlaKernel::Gemm),
+        &RunOptions::plain(),
+        &Injector::disabled(),
+    );
+    let (g, run) = (r.generated.expect("report generation"), r.report);
 
     assert_eq!(run.kernel, "dgemm");
     assert_eq!(run.machine, "sandybridge");
@@ -80,14 +85,14 @@ fn run_report_document_is_complete_and_round_trips() {
 #[test]
 fn resilient_run_reports_fault_counters_under_the_resil_stage() {
     let driver = Augem::new(MachineSpec::sandy_bridge());
-    let policy = DegradationPolicy {
+    let policy = RunOptions {
         resil: ResilOptions::fast(),
-        ..DegradationPolicy::default()
+        ..RunOptions::default()
     };
     // One injected evaluation panic: absorbed by a retry, and every
     // step of that recovery must be visible in the run report.
     let inj = Injector::new(InjectionPlan::new(1).with(Site::Eval, Fault::Panic, Trigger::Nth(1)));
-    let r = driver.generate_degradable(DlaKernel::Axpy, &policy, &inj);
+    let r = driver.run(Target::Tune(DlaKernel::Axpy), &policy, &inj);
     assert_eq!(r.degradation, Degradation::None);
 
     let counters = &r.report.counters;
@@ -104,7 +109,11 @@ fn resilient_run_reports_fault_counters_under_the_resil_stage() {
     );
 
     // A clean resilient run reports no resil fault counters at all.
-    let clean = driver.generate_degradable(DlaKernel::Axpy, &policy, &Injector::disabled());
+    let clean = driver.run(
+        Target::Tune(DlaKernel::Axpy),
+        &policy,
+        &Injector::disabled(),
+    );
     assert_eq!(clean.degradation, Degradation::None);
     // The serving path reports one evaluation latency per candidate.
     let tuner = clean.report.tuner.as_ref().expect("tuner telemetry");

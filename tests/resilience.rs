@@ -1,6 +1,6 @@
 //! Fault-injection matrix for the fault-tolerant pipeline.
 //!
-//! Every scenario drives `Augem::generate_degradable` with a seeded,
+//! Every scenario drives `Augem::run` with a seeded,
 //! deterministic [`InjectionPlan`] and asserts the one invariant the
 //! resilience layer promises: the pipeline **always terminates with
 //! either a verified kernel or a typed degradation** — it never
@@ -18,13 +18,13 @@
 use augem::machine::MachineSpec;
 use augem::resil::{Fault, InjectionPlan, Injector, Site, Trigger};
 use augem::tune::ResilOptions;
-use augem::{Augem, Degradation, DegradationPolicy, DlaKernel};
+use augem::{Augem, Degradation, DlaKernel, RunOptions, Target};
 
 /// A fast policy for the matrix: tiny backoff, default budgets.
-fn fast_policy() -> DegradationPolicy {
-    DegradationPolicy {
+fn fast_policy() -> RunOptions {
+    RunOptions {
         resil: ResilOptions::fast(),
-        ..DegradationPolicy::default()
+        ..RunOptions::default()
     }
 }
 
@@ -32,7 +32,7 @@ fn fast_policy() -> DegradationPolicy {
 /// invariant. Returns the degradation for scenario-specific checks.
 fn run_scenario(name: &str, kernel: DlaKernel, plan: InjectionPlan) -> Degradation {
     let driver = Augem::new(MachineSpec::sandy_bridge());
-    let r = driver.generate_degradable(kernel, &fast_policy(), &Injector::new(plan));
+    let r = driver.run(Target::Tune(kernel), &fast_policy(), &Injector::new(plan));
     match (&r.generated, &r.degradation) {
         (Some(g), Degradation::None) => {
             // Verified winner: a real kernel with no degradation.
@@ -223,18 +223,18 @@ fn killed_run_resumes_to_the_uninterrupted_winner_bit_for_bit() {
     let _ = std::fs::remove_file(&ckpt);
 
     let driver = Augem::new(MachineSpec::sandy_bridge());
-    let policy = DegradationPolicy {
+    let policy = RunOptions {
         resil: ResilOptions::fast(),
         checkpoint: Some(ckpt.clone()),
         resume: true,
-        ..DegradationPolicy::default()
+        ..RunOptions::default()
     };
 
     // Run 1: the process "dies" after three evaluations. The journal
     // keeps the completed prefix.
     let crash =
         Injector::new(InjectionPlan::new(0).with(Site::Eval, Fault::Crash, Trigger::Nth(4)));
-    let r1 = driver.generate_degradable(DlaKernel::Axpy, &policy, &crash);
+    let r1 = driver.run(Target::Tune(DlaKernel::Axpy), &policy, &crash);
     assert_eq!(r1.degradation, Degradation::Interrupted);
     assert!(r1.generated.is_none());
     assert!(
@@ -243,7 +243,11 @@ fn killed_run_resumes_to_the_uninterrupted_winner_bit_for_bit() {
     );
 
     // Run 2: resume from the journal with the fault gone.
-    let r2 = driver.generate_degradable(DlaKernel::Axpy, &policy, &Injector::disabled());
+    let r2 = driver.run(
+        Target::Tune(DlaKernel::Axpy),
+        &policy,
+        &Injector::disabled(),
+    );
     assert_eq!(r2.degradation, Degradation::None);
     let resumed = r2.generated.expect("resumed run ships a kernel");
     assert!(
@@ -259,7 +263,11 @@ fn killed_run_resumes_to_the_uninterrupted_winner_bit_for_bit() {
 
     // Reference: the same tune with no faults and no journal.
     let reference = driver
-        .generate_degradable(DlaKernel::Axpy, &fast_policy(), &Injector::disabled())
+        .run(
+            Target::Tune(DlaKernel::Axpy),
+            &fast_policy(),
+            &Injector::disabled(),
+        )
         .generated
         .expect("reference run ships a kernel");
 
