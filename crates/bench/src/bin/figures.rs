@@ -10,7 +10,6 @@
 //! cargo run --release -p augem-bench --bin figures -- prof     # BENCH_prof.json
 //! cargo run --release -p augem-bench --bin figures -- cost     # BENCH_cost.json
 //! cargo run --release -p augem-bench --bin figures -- depan    # BENCH_depan.json
-//! cargo run --release -p augem-bench --bin figures -- serve    # BENCH_serve.json
 //! ```
 
 use augem::obs::Json;
@@ -759,326 +758,6 @@ fn emit_depan_report(platforms: &[MachineSpec]) -> bool {
     ok
 }
 
-/// One daemon request for the serve benchmark.
-fn serve_request(
-    id: String,
-    op: augem_serve::Op,
-    kernel: DlaKernel,
-    machine: &MachineSpec,
-) -> augem_serve::Request {
-    augem_serve::Request {
-        id,
-        op,
-        kernel,
-        machine: machine.clone(),
-        deadline_ms: None,
-        step_limit: None,
-    }
-}
-
-/// Byte-for-byte comparison of two kernel-store directories (journal +
-/// entries). Prints the first difference found.
-fn stores_bit_identical(a: &std::path::Path, b: &std::path::Path) -> bool {
-    let ja = std::fs::read(a.join("journal.jsonl")).unwrap_or_default();
-    let jb = std::fs::read(b.join("journal.jsonl")).unwrap_or_default();
-    if ja != jb {
-        eprintln!(
-            "serve bench: journals differ ({} vs {})",
-            a.display(),
-            b.display()
-        );
-        return false;
-    }
-    let list = |d: &std::path::Path| -> Vec<String> {
-        let mut v: Vec<String> = std::fs::read_dir(d.join("entries"))
-            .map(|rd| {
-                rd.filter_map(|e| e.ok())
-                    .map(|e| e.file_name().to_string_lossy().to_string())
-                    .collect()
-            })
-            .unwrap_or_default();
-        v.sort();
-        v
-    };
-    let (la, lb) = (list(a), list(b));
-    if la != lb {
-        eprintln!("serve bench: entry sets differ: {la:?} vs {lb:?}");
-        return false;
-    }
-    for name in la {
-        let ea = std::fs::read(a.join("entries").join(&name)).unwrap_or_default();
-        let eb = std::fs::read(b.join("entries").join(&name)).unwrap_or_default();
-        if ea != eb {
-            eprintln!("serve bench: entry {name} differs");
-            return false;
-        }
-    }
-    true
-}
-
-/// Benchmarks the kernel-compilation daemon and writes
-/// `BENCH_serve.json` (`augem.bench-serve/v1`). Three phases:
-///
-/// 1. **Cold** — every kernel × paper platform tuned once through the
-///    worker pool into a persistent store.
-/// 2. **Repeat** — thousands of mixed generate/tune requests across the
-///    warm families; gates the cache hit rate at ≥ 90% and records
-///    p50/p99 latency and requests/sec.
-/// 3. **Crash-restart** — a fresh store with an injected kill in the
-///    commit window (after the journal append, before the entry
-///    write); gates zero lost and zero duplicated responses once the
-///    restarted daemon re-serves the pending requests, and that the
-///    recovered store is bit-identical to a never-crashed run.
-fn emit_serve_report(platforms: &[MachineSpec]) -> bool {
-    use augem::obs::hash::splitmix64;
-    use augem::resil::{Fault, InjectionPlan, Injector, Site, Trigger};
-    use augem_obs::Histogram;
-    use augem_serve::{Op, ServeConfig, Server, ServerPool};
-    use std::sync::Arc;
-
-    let root = std::env::temp_dir().join(format!("augem-bench-serve-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    let families: Vec<(DlaKernel, &MachineSpec)> = platforms
-        .iter()
-        .flat_map(|m| DlaKernel::ALL.into_iter().map(move |k| (k, m)))
-        .collect();
-
-    // Phase 1: cold — tune every family once through the pool.
-    let store_dir = root.join("main");
-    let cold_t0 = Instant::now();
-    let (cold_misses, cold_total) = {
-        let config = ServeConfig {
-            workers: 4,
-            queue_capacity: 4096,
-            cache_dir: Some(store_dir.clone()),
-            ..ServeConfig::default()
-        };
-        let server = match Server::open(config, Injector::disabled()) {
-            Ok(s) => Arc::new(s),
-            Err(e) => {
-                eprintln!("serve bench: cannot open store: {e}");
-                return false;
-            }
-        };
-        let pool = ServerPool::start(Arc::clone(&server));
-        let rxs: Vec<_> = families
-            .iter()
-            .enumerate()
-            .map(|(i, (k, m))| pool.request(serve_request(format!("cold-{i}"), Op::Tune, *k, m)))
-            .collect();
-        let mut misses = 0usize;
-        for rx in &rxs {
-            match rx.recv() {
-                Ok(r) if r.cache == Some("miss") => misses += 1,
-                Ok(_) => {}
-                Err(_) => {
-                    eprintln!("serve bench: a cold request got no response");
-                    return false;
-                }
-            }
-        }
-        pool.shutdown();
-        (misses, rxs.len())
-    };
-    let cold_s = cold_t0.elapsed().as_secs_f64();
-
-    // Phase 2: repeat — a warm-started daemon (fresh process image,
-    // same store) floods with mixed requests.
-    const REPEAT: usize = 2000;
-    let mut hist = Histogram::new(); // end-to-end (queue wait included)
-    let mut service = Histogram::new(); // worker dequeue → response
-    let mut hits = 0usize;
-    let repeat_t0 = Instant::now();
-    {
-        let config = ServeConfig {
-            workers: 4,
-            queue_capacity: 4096,
-            cache_dir: Some(store_dir.clone()),
-            ..ServeConfig::default()
-        };
-        let server = match Server::open(config, Injector::disabled()) {
-            Ok(s) => Arc::new(s),
-            Err(e) => {
-                eprintln!("serve bench: cannot reopen store: {e}");
-                return false;
-            }
-        };
-        let pool = ServerPool::start(Arc::clone(&server));
-        let submitted: Vec<(Instant, std::sync::mpsc::Receiver<_>)> = (0..REPEAT)
-            .map(|i| {
-                let r = splitmix64(0xBE9C ^ i as u64);
-                let (k, m) = families[(r % families.len() as u64) as usize];
-                let op = if r.is_multiple_of(4) {
-                    Op::Generate
-                } else {
-                    Op::Tune
-                };
-                (
-                    Instant::now(),
-                    pool.request(serve_request(format!("r-{i}"), op, k, m)),
-                )
-            })
-            .collect();
-        for (t0, rx) in &submitted {
-            match rx.recv() {
-                Ok(r) => {
-                    hist.record(t0.elapsed().as_micros() as u64);
-                    service.record(r.work_ns.unwrap_or(0) / 1000);
-                    if r.cache == Some("hit") {
-                        hits += 1;
-                    }
-                }
-                Err(_) => {
-                    eprintln!("serve bench: a repeat request got no response");
-                    return false;
-                }
-            }
-        }
-        pool.shutdown();
-    }
-    let repeat_s = repeat_t0.elapsed().as_secs_f64();
-    let hit_rate = hits as f64 / REPEAT as f64;
-    let rps = REPEAT as f64 / repeat_s.max(1e-12);
-
-    // Phase 3: crash-restart with exactly-once accounting.
-    let crash_dir = root.join("crash");
-    let ref_dir = root.join("reference");
-    let crash_requests: Vec<(DlaKernel, &MachineSpec)> = families.clone();
-    let mut answered: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
-    let run = |dir: &std::path::Path,
-               injector: Injector,
-               ids: &[usize],
-               answered: &mut std::collections::HashMap<String, usize>|
-     -> Option<bool> {
-        let config = ServeConfig {
-            workers: 1, // deterministic commit order for the byte comparison
-            queue_capacity: 4096,
-            cache_dir: Some(dir.to_path_buf()),
-            ..ServeConfig::default()
-        };
-        let server = Server::open(config, injector).ok()?;
-        let pool = ServerPool::start(Arc::new(server));
-        let rxs: Vec<_> = ids
-            .iter()
-            .map(|i| {
-                let (k, m) = crash_requests[*i];
-                (
-                    format!("x-{i}"),
-                    pool.request(serve_request(format!("x-{i}"), Op::Tune, k, m)),
-                )
-            })
-            .collect();
-        for (id, rx) in &rxs {
-            if rx.recv().is_ok() {
-                *answered.entry(id.clone()).or_insert(0) += 1;
-            }
-        }
-        Some(pool.shutdown())
-    };
-    let all: Vec<usize> = (0..crash_requests.len()).collect();
-
-    // Reference: a clean run over the same request sequence.
-    let mut ref_answered = std::collections::HashMap::new();
-    if run(&ref_dir, Injector::disabled(), &all, &mut ref_answered) != Some(false) {
-        eprintln!("serve bench: reference run failed");
-        return false;
-    }
-
-    // Crash run: die in the 5th commit window, then restart and
-    // re-serve exactly the unanswered requests.
-    let crash =
-        Injector::new(InjectionPlan::new(0).with(Site::StoreCommit, Fault::Crash, Trigger::Nth(5)));
-    let crashed = run(&crash_dir, crash, &all, &mut answered);
-    if crashed != Some(true) {
-        eprintln!("serve bench: injected crash did not fire (got {crashed:?})");
-        return false;
-    }
-    let lost_at_crash = all.len() - answered.len();
-    let pending: Vec<usize> = all
-        .iter()
-        .copied()
-        .filter(|i| !answered.contains_key(&format!("x-{i}")))
-        .collect();
-    if run(&crash_dir, Injector::disabled(), &pending, &mut answered) != Some(false) {
-        eprintln!("serve bench: restart run failed");
-        return false;
-    }
-    let lost = all
-        .iter()
-        .filter(|i| !answered.contains_key(&format!("x-{i}")))
-        .count();
-    let duplicated = answered.values().filter(|&&c| c > 1).count();
-    let bit_identical = stores_bit_identical(&crash_dir, &ref_dir);
-
-    let hit_gate = hit_rate >= 0.90;
-    let exactly_once = lost == 0 && duplicated == 0;
-    let ok = hit_gate && exactly_once && bit_identical;
-    let doc = Json::obj(vec![
-        ("schema", Json::str("augem.bench-serve/v1")),
-        (
-            "cold",
-            Json::obj(vec![
-                ("requests", Json::uint(cold_total as u64)),
-                ("misses", Json::uint(cold_misses as u64)),
-                ("seconds", Json::Num(cold_s)),
-            ]),
-        ),
-        (
-            "repeat",
-            Json::obj(vec![
-                ("requests", Json::uint(REPEAT as u64)),
-                ("hits", Json::uint(hits as u64)),
-                ("hit_rate", Json::Num(hit_rate)),
-                ("p50_us", Json::uint(hist.p50())),
-                ("p99_us", Json::uint(hist.p99())),
-                ("service_p50_us", Json::uint(service.p50())),
-                ("service_p99_us", Json::uint(service.p99())),
-                ("requests_per_sec", Json::Num(rps)),
-                ("seconds", Json::Num(repeat_s)),
-            ]),
-        ),
-        (
-            "crash_restart",
-            Json::obj(vec![
-                ("requests", Json::uint(all.len() as u64)),
-                ("lost_at_crash", Json::uint(lost_at_crash as u64)),
-                ("reserved_after_restart", Json::uint(pending.len() as u64)),
-                ("lost", Json::uint(lost as u64)),
-                ("duplicated", Json::uint(duplicated as u64)),
-                ("store_bit_identical", Json::Bool(bit_identical)),
-            ]),
-        ),
-        (
-            "gates",
-            Json::obj(vec![
-                ("hit_rate_ge_90pct", Json::Bool(hit_gate)),
-                ("exactly_once_across_crash", Json::Bool(exactly_once)),
-                ("recovery_bit_identical", Json::Bool(bit_identical)),
-            ]),
-        ),
-        ("ok", Json::Bool(ok)),
-    ]);
-    let path = "BENCH_serve.json";
-    match write_atomic(path, doc.render_pretty() + "\n") {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => {
-            eprintln!("cannot write {path}: {e}");
-            return false;
-        }
-    }
-    if !hit_gate {
-        eprintln!("serve bench FAILED: repeat-phase hit rate {hit_rate:.3} (gate: >= 0.90)");
-    }
-    if !exactly_once {
-        eprintln!("serve bench FAILED: {lost} lost / {duplicated} duplicated responses across crash-restart");
-    }
-    if !bit_identical {
-        eprintln!("serve bench FAILED: recovered store differs from the never-crashed reference");
-    }
-    let _ = std::fs::remove_dir_all(&root);
-    ok
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name || a == "all");
@@ -1124,15 +803,6 @@ fn main() {
             std::process::exit(1);
         }
         if args.iter().all(|a| a == "depan") {
-            return;
-        }
-    }
-
-    if want("serve") && args.iter().any(|a| a == "serve" || a == "all") {
-        if !emit_serve_report(&platforms) {
-            std::process::exit(1);
-        }
-        if args.iter().all(|a| a == "serve") {
             return;
         }
     }

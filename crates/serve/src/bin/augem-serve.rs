@@ -41,22 +41,32 @@ request lines:
   ops: generate | tune | stats | shutdown
   knobs: deadline_ms, step_limit";
 
-fn parse_num(args: &mut std::env::Args, flag: &str) -> Result<u64, String> {
-    let v = args.next().ok_or(format!("{flag} needs a value"))?;
-    v.parse().map_err(|_| format!("{flag}: bad number {v:?}"))
+/// A bad command line: exit 2, with the usage text.
+struct Usage(String);
+
+fn parse_num(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<u64, Usage> {
+    let v = args
+        .next()
+        .ok_or_else(|| Usage(format!("{flag} needs a value")))?;
+    v.parse()
+        .map_err(|_| Usage(format!("{flag}: bad number {v:?}")))
 }
 
-fn run() -> Result<ExitCode, String> {
+/// Parses the command line into the daemon's configuration and fault
+/// injector; `None` means `--help`.
+fn parse_args(
+    mut args: impl Iterator<Item = String>,
+) -> Result<Option<(ServeConfig, Injector)>, Usage> {
     let mut config = ServeConfig::default();
     let mut crash_nth: Option<u64> = None;
     let mut seed = 0u64;
 
-    let mut args = std::env::args();
-    let _argv0 = args.next();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--cache-dir" => {
-                let dir = args.next().ok_or("--cache-dir needs a value")?;
+                let dir = args
+                    .next()
+                    .ok_or_else(|| Usage("--cache-dir needs a value".into()))?;
                 config.cache_dir = Some(dir.into());
             }
             "--workers" => config.workers = parse_num(&mut args, "--workers")?.max(1) as usize,
@@ -74,11 +84,8 @@ fn run() -> Result<ExitCode, String> {
                 crash_nth = Some(parse_num(&mut args, "--inject-crash-commit")?)
             }
             "--inject-seed" => seed = parse_num(&mut args, "--inject-seed")?,
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                return Ok(ExitCode::SUCCESS);
-            }
-            other => return Err(format!("unknown argument {other:?}\n{USAGE}")),
+            "-h" | "--help" => return Ok(None),
+            other => return Err(Usage(format!("unknown argument {other:?}"))),
         }
     }
 
@@ -95,7 +102,11 @@ fn run() -> Result<ExitCode, String> {
         }
         None => Injector::disabled(),
     };
+    Ok(Some((config, injector)))
+}
 
+/// Runs the daemon until shutdown or EOF; an error is fatal I/O.
+fn serve(config: ServeConfig, injector: Injector) -> Result<(), String> {
     let server =
         Server::open(config, injector).map_err(|e| format!("cannot open kernel store: {e}"))?;
     let stdin = std::io::stdin();
@@ -108,19 +119,26 @@ fn run() -> Result<ExitCode, String> {
         "augem-serve: {} responses, shutdown={}, crashed={}",
         summary.responses, summary.clean_shutdown, summary.crashed
     );
-    Ok(ExitCode::SUCCESS)
+    Ok(())
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(code) => code,
+    let (config, injector) = match parse_args(std::env::args().skip(1)) {
+        Ok(Some(parsed)) => parsed,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(Usage(msg)) => {
+            eprintln!("augem-serve: {msg}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    match serve(config, injector) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("augem-serve: {msg}");
-            if msg.contains("unknown argument") || msg.contains("needs a value") {
-                ExitCode::from(2)
-            } else {
-                ExitCode::FAILURE
-            }
+            ExitCode::FAILURE
         }
     }
 }

@@ -23,8 +23,21 @@
 //! Admission control rejects before work starts: full queue at submit
 //! (`queue_full`), expired deadline at dequeue (`deadline`), open
 //! circuit for the kernel×machine family (`breaker`). Consecutive
-//! failing requests trip the family's breaker so a poisoned corner of
+//! failing tunes trip the family's breaker so a poisoned corner of
 //! the request space cannot monopolize the pool.
+//!
+//! # Single flight, per store key
+//!
+//! Concurrent misses on one store key share one tune. The first miss
+//! leads: it registers the key as in flight and runs `Augem::run`.
+//! A later miss on the same key parks: its id, op and response sender
+//! are stored beside the key and its worker moves on, so a parked
+//! request holds no worker. The leader commits its winner and releases
+//! the key in one critical section, then answers every parked request
+//! with its own outcome under the parked request's id. A leader that
+//! unwinds answers them with a typed error; one that dies in the
+//! commit window leaves them unanswered, like the rest of the dead
+//! process's requests.
 
 use crate::counter;
 use crate::proto::{Op, Reject, Request, Response, Status};
@@ -82,11 +95,81 @@ impl Default for ServeConfig {
 #[derive(Debug)]
 pub struct Crashed;
 
+/// The kernel store and the store keys being tuned, behind one mutex:
+/// a miss checks both in one critical section, and a leader commits
+/// and releases its key in another, so no request can miss the store
+/// and also find the key free while its tune lands.
+struct StoreState {
+    kernels: KernelStore,
+    /// Store keys with a tune running, each with the requests parked
+    /// on it.
+    in_flight: HashMap<String, Vec<Parked>>,
+}
+
+/// A miss waiting on another request's tune of the same store key.
+struct Parked {
+    id: String,
+    op: Op,
+    /// When a worker dequeued it; its `work_ns` runs from here.
+    started: Instant,
+    respond: mpsc::Sender<Response>,
+}
+
+impl Parked {
+    fn answer(self, mut resp: Response) {
+        resp.id = self.id;
+        resp.work_ns = Some(self.started.elapsed().as_nanos() as u64);
+        let _ = self.respond.send(resp);
+    }
+}
+
+/// What a request found under the store lock.
+enum Lookup<'a> {
+    Hit(StoredKernel),
+    /// The key's tune is running; the leader will answer.
+    Parked,
+    /// The key was free; this request now leads its tune.
+    Lead(Flight<'a>),
+}
+
+/// A leader's claim on an in-flight store key. [`Flight::land`]
+/// releases it; dropping it unlanded (the leader unwound) frees the key
+/// and answers every parked request with a typed error.
+struct Flight<'a> {
+    store: &'a Mutex<StoreState>,
+    key: String,
+    landed: bool,
+}
+
+impl Flight<'_> {
+    /// Releases the key; the caller holds the store lock as `state`.
+    fn land(&mut self, state: &mut StoreState) -> Vec<Parked> {
+        self.landed = true;
+        state.in_flight.remove(&self.key).unwrap_or_default()
+    }
+}
+
+impl Drop for Flight<'_> {
+    fn drop(&mut self) {
+        if self.landed {
+            return;
+        }
+        let parked = lock(self.store)
+            .in_flight
+            .remove(&self.key)
+            .unwrap_or_default();
+        for p in parked {
+            let err = Response::error(&p.id, "the tune this request waited on panicked");
+            p.answer(err);
+        }
+    }
+}
+
 /// The synchronous serving core. Thread-safe; workers share one
 /// instance behind an `Arc`.
 pub struct Server {
     config: ServeConfig,
-    store: Mutex<KernelStore>,
+    store: Mutex<StoreState>,
     breaker: CircuitBreaker,
     injector: Injector,
     /// One tuning driver per machine fingerprint, all sharing `cache`.
@@ -111,7 +194,10 @@ impl Server {
         let breaker = CircuitBreaker::new(config.breaker_threshold);
         Ok(Server {
             config,
-            store: Mutex::new(store),
+            store: Mutex::new(StoreState {
+                kernels: store,
+                in_flight: HashMap::new(),
+            }),
             breaker,
             injector,
             drivers: Mutex::new(HashMap::new()),
@@ -131,12 +217,12 @@ impl Server {
 
     /// Load-recovery statistics of the persistent store.
     pub fn store_stats(&self) -> crate::store::LoadStats {
-        *lock(&self.store).stats()
+        *lock(&self.store).kernels.stats()
     }
 
     /// Number of kernels currently warm in the store.
     pub fn store_len(&self) -> usize {
-        lock(&self.store).len()
+        lock(&self.store).kernels.len()
     }
 
     fn family(req: &Request) -> String {
@@ -145,11 +231,31 @@ impl Server {
 
     /// Serves one request to completion. `Err(Crashed)` means an
     /// injected commit-window crash fired: the caller must treat the
-    /// process as dead (no response may be emitted).
+    /// process as dead (no response may be emitted). A miss on a key
+    /// whose tune is already running waits for that tune's outcome.
     pub fn handle(&self, req: &Request) -> Result<Response, Crashed> {
+        let (respond, answer) = mpsc::channel();
+        match self.serve(req, &respond, Instant::now())? {
+            Some(resp) => Ok(resp),
+            None => {
+                drop(respond);
+                answer.recv().map_err(|_| Crashed)
+            }
+        }
+    }
+
+    /// Serves one request dequeued at `started`. `Ok(None)` means it
+    /// parked behind another request's tune of the same store key: that
+    /// tune's leader answers it on `respond`.
+    fn serve(
+        &self,
+        req: &Request,
+        respond: &mpsc::Sender<Response>,
+        started: Instant,
+    ) -> Result<Option<Response>, Crashed> {
         match req.op {
-            Op::Stats | Op::Shutdown => Ok(self.control_response(req)),
-            Op::Generate | Op::Tune => self.serve_kernel(req),
+            Op::Stats | Op::Shutdown => Ok(Some(self.control_response(req))),
+            Op::Generate | Op::Tune => self.serve_kernel(req, respond, started),
         }
     }
 
@@ -163,28 +269,71 @@ impl Server {
         resp
     }
 
-    fn serve_kernel(&self, req: &Request) -> Result<Response, Crashed> {
+    /// Answers from the store, parks behind the key's running tune, or
+    /// registers the key and leads its tune — all in one critical
+    /// section.
+    fn lookup(
+        &self,
+        key: &str,
+        req: &Request,
+        respond: &mpsc::Sender<Response>,
+        started: Instant,
+    ) -> Lookup<'_> {
+        let mut state = lock(&self.store);
+        if let Some(hit) = state.kernels.get(key) {
+            return Lookup::Hit(hit.clone());
+        }
+        if let Some(parked) = state.in_flight.get_mut(key) {
+            parked.push(Parked {
+                id: req.id.clone(),
+                op: req.op,
+                started,
+                respond: respond.clone(),
+            });
+            return Lookup::Parked;
+        }
+        state.in_flight.insert(key.to_owned(), Vec::new());
+        Lookup::Lead(Flight {
+            store: &self.store,
+            key: key.to_owned(),
+            landed: false,
+        })
+    }
+
+    fn serve_kernel(
+        &self,
+        req: &Request,
+        respond: &mpsc::Sender<Response>,
+        started: Instant,
+    ) -> Result<Option<Response>, Crashed> {
         let family = Self::family(req);
         if self.config.breaker_threshold > 0 && self.breaker.is_open(&family) {
             self.counters.add(counter::REJECT_BREAKER, 1);
-            return Ok(Response::rejected(&req.id, Reject::Breaker));
+            return Ok(Some(Response::rejected(&req.id, Reject::Breaker)));
         }
         let step_limit = req.step_limit.or(self.config.run.resil.step_limit);
         let key = store_key(req.kernel.name(), &req.machine, step_limit);
 
-        if let Some(hit) = lock(&self.store).get(&key).cloned() {
-            self.counters.add(counter::STORE_HIT, 1);
-            return Ok(self.hit_response(req, &hit));
-        }
+        let mut flight = match self.lookup(&key, req, respond, started) {
+            Lookup::Hit(hit) => {
+                self.counters.add(counter::STORE_HIT, 1);
+                return Ok(Some(self.hit_response(req, &hit)));
+            }
+            Lookup::Parked => {
+                self.counters.add(counter::STORE_MISS, 1);
+                self.counters.add(counter::COALESCED, 1);
+                return Ok(None);
+            }
+            Lookup::Lead(flight) => flight,
+        };
         self.counters.add(counter::STORE_MISS, 1);
 
-        // Tune outside the store lock: concurrent misses on the same
-        // key race benignly (commit is idempotent, first write wins).
         let driver = self.driver_for(req);
         let mut opts = self.config.run.clone();
         opts.resil.step_limit = step_limit;
         let result = driver.run(Target::Tune(req.kernel), &opts, &self.injector);
 
+        // One breaker outcome per tune, however many requests share it.
         let ok = result.generated.is_some();
         if self.config.breaker_threshold > 0 && self.breaker.record(&family, ok) {
             self.counters.add(augem_resil::counter::BREAKER_TRIP, 1);
@@ -214,26 +363,30 @@ impl Server {
         resp.machine = Some(req.machine.fingerprint_tag());
         resp.error = resp.error.or_else(|| result.cause.clone());
         resp.report = Some(result.report.to_json());
-
+        let asm = result.generated.as_ref().map(|g| g.assembly_text());
         if let Some(generated) = &result.generated {
             resp.config_tag = Some(generated.config_tag.clone());
             resp.mflops = Some(generated.mflops);
-            if req.op == Op::Generate {
-                resp.asm = Some(generated.assembly_text());
-            }
+        }
+
+        // Commit and release the key in one critical section.
+        let parked = {
+            let mut state = lock(&self.store);
             // Only clean (undegraded) winners enter the persistent
             // store: a fallback kernel is served but not memorialized,
             // so a later request retries the full ladder.
-            if result.degradation == Degradation::None {
+            if let (Some(generated), Some(asm), Degradation::None) =
+                (&result.generated, &asm, &result.degradation)
+            {
                 let entry = StoredKernel {
                     key,
                     kernel: req.kernel.name().to_string(),
                     machine: req.machine.fingerprint_tag(),
                     config_tag: generated.config_tag.clone(),
                     mflops: generated.mflops,
-                    asm: generated.assembly_text(),
+                    asm: asm.clone(),
                 };
-                match lock(&self.store).commit(entry, &self.injector, &self.counters) {
+                match state.kernels.commit(entry, &self.injector, &self.counters) {
                     Ok(()) => {}
                     Err(StoreError::Interrupted) => {
                         if self.config.crash_is_fatal {
@@ -241,6 +394,9 @@ impl Server {
                             // cleanup, no response, nonzero exit.
                             std::process::exit(9);
                         }
+                        // The parked requests die unanswered with the
+                        // "process".
+                        drop(flight.land(&mut state));
                         return Err(Crashed);
                     }
                     Err(StoreError::Io(e)) => {
@@ -251,8 +407,19 @@ impl Server {
                     }
                 }
             }
+            flight.land(&mut state)
+        };
+        for p in parked {
+            let mut shared = resp.clone();
+            if p.op == Op::Generate {
+                shared.asm = asm.clone();
+            }
+            p.answer(shared);
         }
-        Ok(resp)
+        if req.op == Op::Generate {
+            resp.asm = asm;
+        }
+        Ok(Some(resp))
     }
 
     fn hit_response(&self, req: &Request, hit: &StoredKernel) -> Response {
@@ -288,7 +455,7 @@ impl Server {
     }
 }
 
-fn lock(store: &Mutex<KernelStore>) -> std::sync::MutexGuard<'_, KernelStore> {
+fn lock(store: &Mutex<StoreState>) -> std::sync::MutexGuard<'_, StoreState> {
     store.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -416,12 +583,14 @@ fn worker_loop(inner: &PoolInner) {
         let started = Instant::now();
         // The sandbox keeps a panicking request from killing the
         // worker: the client gets a typed error, the thread lives.
-        let outcome = sandboxed(|| inner.server.handle(&job.req));
+        let outcome = sandboxed(|| inner.server.serve(&job.req, &job.respond, started));
         let response = match outcome {
-            Ok(Ok(mut resp)) => {
+            Ok(Ok(Some(mut resp))) => {
                 resp.work_ns = Some(started.elapsed().as_nanos() as u64);
                 resp
             }
+            // Parked: the leader of the key's tune answers it.
+            Ok(Ok(None)) => continue,
             Ok(Err(Crashed)) => {
                 inner.crashed.store(true, Ordering::SeqCst);
                 continue; // died before responding
@@ -611,6 +780,48 @@ mod tests {
         for (i, line) in lines.iter().enumerate() {
             assert_eq!(*line, response(i).to_json().render());
         }
+    }
+
+    fn daxpy(id: &str) -> Request {
+        Request {
+            id: id.to_string(),
+            op: Op::Tune,
+            kernel: augem_kernels::DlaKernel::Axpy,
+            machine: augem_machine::MachineSpec::sandy_bridge(),
+            deadline_ms: None,
+            step_limit: None,
+        }
+    }
+
+    #[test]
+    fn an_unwinding_leader_frees_its_key_and_answers_each_parked_request() {
+        let server = Server::open(ServeConfig::default(), Injector::disabled()).unwrap();
+        let (tx, rx) = mpsc::channel();
+        let now = Instant::now();
+        let unwound = sandboxed(|| {
+            let Lookup::Lead(_flight) = server.lookup("k", &daxpy("leader"), &tx, now) else {
+                panic!("a free key leads");
+            };
+            for id in ["f1", "f2"] {
+                let parked = server.lookup("k", &daxpy(id), &tx, now);
+                assert!(matches!(parked, Lookup::Parked), "{id} parks");
+            }
+            panic!("the leader unwinds mid-tune");
+        });
+        assert_eq!(unwound.unwrap_err(), "the leader unwinds mid-tune");
+        drop(tx);
+        let answers: Vec<Response> = rx.iter().collect();
+        let ids: Vec<&str> = answers.iter().map(|r| r.id.as_str()).collect();
+        assert_eq!(ids, ["f1", "f2"], "each parked request gets one answer");
+        for r in &answers {
+            assert_eq!(r.status, Status::Error);
+            assert!(r.error.as_deref().unwrap().contains("panicked"));
+            assert!(r.work_ns.is_some());
+        }
+        assert!(lock(&server.store).in_flight.is_empty(), "the key is free");
+        let (tx, _rx) = mpsc::channel();
+        let next = server.lookup("k", &daxpy("next"), &tx, now);
+        assert!(matches!(next, Lookup::Lead(_)), "the next miss leads");
     }
 
     #[test]

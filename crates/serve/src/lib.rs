@@ -28,6 +28,9 @@
 //!   verified → paper default → report-only) maps onto
 //!   the response's `status`/`degradation` fields. Worker panics are
 //!   contained by [`augem_resil::sandboxed`] and become typed errors.
+//! - **Single flight** ([`daemon`]): concurrent misses on one store key
+//!   share one tune. The first leads; the rest park without holding a
+//!   worker and get the leader's outcome under their own ids.
 //!
 //! Fault injection reuses [`augem_resil::Injector`] with two
 //! store-specific sites: `StoreJournal` (corrupt the journal append)
@@ -54,8 +57,12 @@ pub mod counter {
     pub const ACCEPTED: &str = "serve.accepted";
     /// Requests answered from the persistent kernel store.
     pub const STORE_HIT: &str = "serve.store.hit";
-    /// Requests that had to run the tuning pipeline.
+    /// Requests the store could not answer. Each either ran the tuning
+    /// pipeline or was coalesced, so tunes run = miss − coalesced.
     pub const STORE_MISS: &str = "serve.store.miss";
+    /// Misses answered by another request's tune: they arrived while a
+    /// tune of the same store key was running and parked on it.
+    pub const COALESCED: &str = "serve.coalesced";
     /// Winners committed to the persistent store.
     pub const STORE_COMMIT: &str = "serve.store.commit";
     /// On-disk entries quarantined during load (torn/corrupt/skewed).

@@ -1,20 +1,26 @@
-//! The daemon fault-injection matrix (ISSUE 9 acceptance criteria).
+//! The daemon fault-injection matrix, single flight, and the serving
+//! loop's gates.
 //!
 //! Every row proves the same global property from a different angle:
 //! the daemon never hangs and never poisons state — every accepted
 //! request either gets a typed response or dies with the (injected)
 //! process crash, and a restart recovers the persistent store to a
 //! state bit-identical to a clean run over the surviving requests.
+//! Concurrent misses on one store key run one tune, and the requests
+//! waiting on it hold no worker.
 
 use augem_kernels::DlaKernel;
 use augem_machine::MachineSpec;
+use augem_obs::hash::splitmix64;
 use augem_obs::Json;
 use augem_resil::{Fault, InjectionPlan, Injector, Site, Trigger};
 use augem_serve::{
-    serve_lines, store_key, Op, Reject, Request, Response, ServeConfig, Server, ServerPool, Status,
+    counter, serve_lines, store_key, Op, Reject, Request, Response, ServeConfig, Server,
+    ServerPool, Status,
 };
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 fn tmpdir(name: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("augem-serve-{}-{name}", std::process::id()));
@@ -31,6 +37,31 @@ fn req(id: &str, kernel: DlaKernel) -> Request {
         deadline_ms: None,
         step_limit: None,
     }
+}
+
+/// A lifetime counter of `server` (0 if it never moved).
+fn count(server: &Server, name: &str) -> u64 {
+    let snap = server.counters().snapshot();
+    snap.counters.get(name).copied().unwrap_or(0)
+}
+
+/// Tunes that ran: every miss either tuned or parked on a tune.
+fn tunes(server: &Server) -> u64 {
+    count(server, counter::STORE_MISS) - count(server, counter::COALESCED)
+}
+
+/// Eight identical requests for one store key on Sandy Bridge, `tune`
+/// and `generate` alternating.
+fn storm(kernel: DlaKernel) -> Vec<Request> {
+    (0..8)
+        .map(|i| {
+            let mut r = req(&format!("s{i}"), kernel);
+            if i % 2 == 1 {
+                r.op = Op::Generate;
+            }
+            r
+        })
+        .collect()
 }
 
 fn serve_one(server: &Arc<Server>, r: Request) -> Option<Response> {
@@ -418,8 +449,10 @@ fn serve_lines_round_trip_with_garbage_and_shutdown() {
             "exactly one response for {want:?}"
         );
     }
-    // r1 and r2 are the same key: one misses, one hits (order is a
-    // race between the two workers — both outcomes are correct).
+    // r1 and r2 are the same key. Whichever is dequeued first tunes;
+    // the other parks on that tune (a miss) or, if it arrives after
+    // the commit, hits. Either way exactly one tune runs.
+    assert_eq!(tunes(&server), 1, "one tune for one key");
     let hits = responses
         .iter()
         .filter(|r| r.get("cache").and_then(Json::as_str) == Some("hit"))
@@ -429,4 +462,270 @@ fn serve_lines_round_trip_with_garbage_and_shutdown() {
         .filter(|r| r.get("cache").and_then(Json::as_str) == Some("miss"))
         .count();
     assert_eq!(hits + misses, 2);
+}
+
+/// Single flight — a cold storm of identical requests on two workers
+/// runs one tune and one commit, and every request gets its own
+/// response carrying the same kernel (assembly on the `generate` ones).
+#[test]
+fn a_cold_storm_on_one_key_runs_exactly_one_tune() {
+    let config = ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    };
+    let server = Arc::new(Server::open(config, Injector::disabled()).unwrap());
+    let pool = ServerPool::start(Arc::clone(&server));
+    let sent: Vec<(Request, mpsc::Receiver<Response>)> = storm(DlaKernel::Ger)
+        .into_iter()
+        .map(|r| (r.clone(), pool.request(r)))
+        .collect();
+    let answers: Vec<(Request, Response)> = sent
+        .into_iter()
+        .map(|(r, rx)| {
+            let resp = rx.recv().expect("every request is answered");
+            (r, resp)
+        })
+        .collect();
+    assert!(!pool.shutdown());
+
+    assert_eq!(tunes(&server), 1, "one tune for eight requests");
+    assert_eq!(count(&server, counter::STORE_COMMIT), 1);
+    // The storm is queued within microseconds and a dger tune takes
+    // hundreds of milliseconds, so all seven followers park (a
+    // follower dequeued after the commit would hit instead).
+    assert_eq!(count(&server, counter::COALESCED), 7, "seven parked");
+    let (_, first) = &answers[0];
+    let asm = answers
+        .iter()
+        .find_map(|(r, resp)| (r.op == Op::Generate).then(|| resp.asm.clone()))
+        .flatten()
+        .expect("generate responses carry assembly");
+    for (r, resp) in &answers {
+        assert_eq!(resp.id, r.id, "answered under its own id");
+        assert_eq!(resp.status, Status::Ok);
+        assert_eq!(resp.cache, Some("miss"), "{}: parked requests missed", r.id);
+        assert_eq!(resp.config_tag, first.config_tag);
+        assert_eq!(resp.mflops, first.mflops);
+        assert!(resp.report.is_some());
+        assert!(resp.work_ns.is_some());
+        match r.op {
+            Op::Generate => assert_eq!(resp.asm.as_ref(), Some(&asm)),
+            _ => assert_eq!(resp.asm, None),
+        }
+    }
+}
+
+/// Single flight — requests parked on a running tune hold no worker:
+/// with a storm for a slow family in flight on two workers, a store
+/// hit submitted after the storm is answered first.
+#[test]
+fn requests_parked_on_a_tune_hold_no_worker() {
+    let config = ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    };
+    let server = Arc::new(Server::open(config, Injector::disabled()).unwrap());
+    let pool = ServerPool::start(Arc::clone(&server));
+    let warm = pool.request(req("warm", DlaKernel::Scal)).recv().unwrap();
+    assert_eq!(warm.status, Status::Ok);
+
+    let (tx, rx) = mpsc::channel();
+    for r in storm(DlaKernel::Ger) {
+        pool.submit(r, tx.clone());
+    }
+    pool.submit(req("hit", DlaKernel::Scal), tx);
+    let first = rx.recv().unwrap();
+    assert_eq!(first.id, "hit", "the hit waited behind the storm's tune");
+    assert_eq!(first.cache, Some("hit"));
+    assert_eq!(rx.iter().count(), 8, "the storm is answered too");
+    assert!(!pool.shutdown());
+}
+
+/// Single flight under a crash — a storm whose leader dies in the
+/// commit window gets no response at all: the parked requests die
+/// with the "process". A restart serves the key after one tune.
+#[test]
+fn a_storm_whose_leader_crashes_gets_no_response_and_restarts_with_one_tune() {
+    let dir = tmpdir("stormcrash");
+    let config = ServeConfig {
+        workers: 2,
+        cache_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    };
+    {
+        let injector = Injector::new(InjectionPlan::new(0).with(
+            Site::StoreCommit,
+            Fault::Crash,
+            Trigger::Nth(1),
+        ));
+        let server = Arc::new(Server::open(config.clone(), injector).unwrap());
+        let pool = ServerPool::start(Arc::clone(&server));
+        let rxs: Vec<_> = storm(DlaKernel::Axpy)
+            .into_iter()
+            .map(|r| pool.request(r))
+            .collect();
+        for rx in &rxs {
+            assert!(rx.recv().is_err(), "no response from a dead daemon");
+        }
+        assert!(pool.shutdown(), "the pool must report the crash");
+    }
+    {
+        let server = Arc::new(Server::open(config, Injector::disabled()).unwrap());
+        assert_eq!(server.store_stats().dangling_dropped, 1);
+        let pool = ServerPool::start(Arc::clone(&server));
+        let rxs: Vec<_> = storm(DlaKernel::Axpy)
+            .into_iter()
+            .map(|r| pool.request(r))
+            .collect();
+        for rx in &rxs {
+            assert_eq!(rx.recv().unwrap().status, Status::Ok);
+        }
+        assert!(!pool.shutdown());
+        assert_eq!(tunes(&server), 1, "one tune after the restart");
+        assert_eq!(count(&server, counter::STORE_COMMIT), 1);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every kernel × paper-platform family.
+fn families() -> Vec<(DlaKernel, MachineSpec)> {
+    MachineSpec::paper_platforms()
+        .into_iter()
+        .flat_map(|m| DlaKernel::ALL.into_iter().map(move |k| (k, m.clone())))
+        .collect()
+}
+
+fn family_req(id: String, op: Op, (kernel, machine): &(DlaKernel, MachineSpec)) -> Request {
+    Request {
+        id,
+        op,
+        kernel: *kernel,
+        machine: machine.clone(),
+        deadline_ms: None,
+        step_limit: None,
+    }
+}
+
+/// The serving loop's three gates over all 12 families. A daemon tunes
+/// every family into a store; a warm-started daemon answers at least
+/// 90% of 2,000 seeded generate/tune requests from it. A one-worker
+/// daemon killed in its 5th commit window, then restarted on exactly
+/// the unanswered requests, answers every request exactly once, and
+/// its recovered store is byte-identical to a never-crashed run's.
+#[test]
+fn serving_loop_hits_warm_answers_exactly_once_and_recovers_bit_identical() {
+    let families = families();
+    let store_dir = tmpdir("loop");
+    let pool_config = |workers: usize, dir: &Path| ServeConfig {
+        workers,
+        queue_capacity: 4096,
+        cache_dir: Some(dir.to_path_buf()),
+        ..ServeConfig::default()
+    };
+
+    // Cold: tune every family once through the pool.
+    {
+        let server =
+            Arc::new(Server::open(pool_config(4, &store_dir), Injector::disabled()).unwrap());
+        let pool = ServerPool::start(Arc::clone(&server));
+        let rxs: Vec<_> = families
+            .iter()
+            .enumerate()
+            .map(|(i, f)| pool.request(family_req(format!("cold-{i}"), Op::Tune, f)))
+            .collect();
+        for rx in &rxs {
+            rx.recv().expect("every cold request is answered");
+        }
+        pool.shutdown();
+    }
+
+    // Repeat: a warm-started daemon over the same store.
+    const REPEAT: usize = 2000;
+    let hits = {
+        let server =
+            Arc::new(Server::open(pool_config(4, &store_dir), Injector::disabled()).unwrap());
+        let pool = ServerPool::start(Arc::clone(&server));
+        let rxs: Vec<_> = (0..REPEAT)
+            .map(|i| {
+                let r = splitmix64(0xBE9C ^ i as u64);
+                let family = &families[(r % families.len() as u64) as usize];
+                let op = if r.is_multiple_of(4) {
+                    Op::Generate
+                } else {
+                    Op::Tune
+                };
+                pool.request(family_req(format!("r-{i}"), op, family))
+            })
+            .collect();
+        let hits = rxs
+            .iter()
+            .filter(|rx| rx.recv().expect("every repeat request is answered").cache == Some("hit"))
+            .count();
+        pool.shutdown();
+        hits
+    };
+    assert!(
+        hits as f64 / REPEAT as f64 >= 0.90,
+        "repeat-phase hit rate {hits}/{REPEAT} (gate: >= 90%)"
+    );
+
+    // Crash-restart: one worker, so commits land in request order.
+    let run =
+        |dir: &Path, injector: Injector, ids: &[usize], answered: &mut HashMap<String, usize>| {
+            let server = Arc::new(Server::open(pool_config(1, dir), injector).unwrap());
+            let pool = ServerPool::start(Arc::clone(&server));
+            let rxs: Vec<_> = ids
+                .iter()
+                .map(|&i| {
+                    let id = format!("x-{i}");
+                    (
+                        id.clone(),
+                        pool.request(family_req(id, Op::Tune, &families[i])),
+                    )
+                })
+                .collect();
+            for (id, rx) in &rxs {
+                if rx.recv().is_ok() {
+                    *answered.entry(id.clone()).or_insert(0) += 1;
+                }
+            }
+            pool.shutdown()
+        };
+    let all: Vec<usize> = (0..families.len()).collect();
+    let reference = tmpdir("loop-ref");
+    assert!(!run(
+        &reference,
+        Injector::disabled(),
+        &all,
+        &mut HashMap::new()
+    ));
+
+    let crashed = tmpdir("loop-crash");
+    let mut answered = HashMap::new();
+    let crash =
+        Injector::new(InjectionPlan::new(0).with(Site::StoreCommit, Fault::Crash, Trigger::Nth(5)));
+    assert!(run(&crashed, crash, &all, &mut answered), "the crash fired");
+    let pending: Vec<usize> = all
+        .iter()
+        .copied()
+        .filter(|i| !answered.contains_key(&format!("x-{i}")))
+        .collect();
+    assert!(!pending.is_empty(), "the crash left requests unanswered");
+    assert!(!run(
+        &crashed,
+        Injector::disabled(),
+        &pending,
+        &mut answered
+    ));
+    let lost = all
+        .iter()
+        .filter(|i| !answered.contains_key(&format!("x-{i}")))
+        .count();
+    let duplicated = answered.values().filter(|&&c| c > 1).count();
+    assert_eq!((lost, duplicated), (0, 0), "lost / duplicated responses");
+    assert_bit_identical(&crashed, &reference);
+
+    for d in [&store_dir, &reference, &crashed] {
+        let _ = std::fs::remove_dir_all(d);
+    }
 }
