@@ -309,10 +309,11 @@ impl RunOutcome {
 #[derive(Debug, Clone)]
 pub struct Augem {
     machine: MachineSpec,
-    /// The driver's evaluation cache: every build and measurement in the
-    /// sweep, the ladder, verification and profiling is
-    /// content-addressed here, so one pipeline run per unique
-    /// `(configuration, machine, budget)` is all that ever happens.
+    /// The driver's evaluation cache: every pipeline stage and
+    /// measurement in the sweep, the ladder, verification and profiling
+    /// is content-addressed here, so each transform runs once per
+    /// configuration, each build once per `(configuration, machine)` and
+    /// each measurement once per `(configuration, machine, budget)`.
     /// Clones of the driver share the cache.
     cache: Arc<EvalCache>,
 }
@@ -325,11 +326,11 @@ impl Augem {
         }
     }
 
-    /// A driver sharing an externally owned cache. The cache's keys
-    /// already include the machine fingerprint, so one cache can back
-    /// drivers for *different* machines — the serving daemon uses this
-    /// to keep a single in-process memoization layer across its whole
-    /// request mix.
+    /// A driver sharing an externally owned cache. Build and measurement
+    /// keys include the machine fingerprint and transform keys need none,
+    /// so one cache can back drivers for *different* machines, which then
+    /// share every transform — the serving daemon uses this to keep a
+    /// single in-process memoization layer across its whole request mix.
     pub fn with_cache(machine: MachineSpec, cache: Arc<EvalCache>) -> Self {
         Augem { machine, cache }
     }

@@ -22,8 +22,8 @@ use augem_kernels::DlaKernel;
 use augem_machine::MachineSpec;
 use augem_sim::{FuncSim, SimValue};
 use augem_tune::{
-    gemm_candidates, sweep, vector_candidates, Candidate, EvalCache, GemmConfig, ResilOptions,
-    TuneResult, VectorConfig, VectorKernel,
+    build_logged, gemm_candidates, sweep, vector_candidates, Candidate, EvalCache, GemmConfig,
+    ResilOptions, TuneResult, VectorConfig, VectorKernel,
 };
 use std::time::Instant;
 
@@ -50,7 +50,7 @@ fn emit_verify_reports(platforms: &[MachineSpec]) {
             }));
         }
         for cfg in &configs {
-            match cfg.build_logged_traced(machine, augem::obs::null()) {
+            match build_logged(&**cfg, machine) {
                 Ok(build) => entries.push(verify_entry(&**cfg, machine, &build)),
                 Err(e) => eprintln!("verify bench: {} build failed: {e}", cfg.kernel().name()),
             }
@@ -172,7 +172,8 @@ fn engine_entry(
 }
 
 /// One cached verified generation: sweep wall time plus the evaluation
-/// cache's per-stage hit/miss counters from the driver's run report.
+/// cache's per-stage (prefix, transform, build, eval) hit/miss counters
+/// from the driver's run report.
 fn sweep_entry(machine: &MachineSpec, kernel: DlaKernel) -> Option<Json> {
     let driver = Augem::new(machine.clone());
     let t0 = Instant::now();
@@ -201,10 +202,12 @@ fn sweep_entry(machine: &MachineSpec, kernel: DlaKernel) -> Option<Json> {
             hits as f64 / total as f64
         }
     };
+    let (ph, pm) = (c("cache.prefix.hit"), c("cache.prefix.miss"));
+    let (th, tm) = (c("cache.transform.hit"), c("cache.transform.miss"));
     let (bh, bm) = (c("cache.build.hit"), c("cache.build.miss"));
     let (eh, em) = (c("cache.eval.hit"), c("cache.eval.miss"));
     println!(
-        "sweep  {:>6} on {:<12} {:>8.0} ms: build cache {bh} hit / {bm} miss, eval cache {eh} hit / {em} miss",
+        "sweep  {:>6} on {:<12} {:>8.0} ms: prefix cache {ph} hit / {pm} miss, transform cache {th} hit / {tm} miss, build cache {bh} hit / {bm} miss, eval cache {eh} hit / {em} miss",
         kernel.name(),
         machine.arch.short_name(),
         wall_ms,
@@ -218,6 +221,10 @@ fn sweep_entry(machine: &MachineSpec, kernel: DlaKernel) -> Option<Json> {
         (
             "cache",
             Json::obj(vec![
+                ("prefix_hits", Json::uint(ph)),
+                ("prefix_misses", Json::uint(pm)),
+                ("transform_hits", Json::uint(th)),
+                ("transform_misses", Json::uint(tm)),
                 ("build_hits", Json::uint(bh)),
                 ("build_misses", Json::uint(bm)),
                 ("build_hit_rate", Json::Num(rate(bh, bm))),
@@ -403,7 +410,7 @@ fn emit_prof_report(platforms: &[MachineSpec]) -> bool {
             schedule: true,
         });
         for cfg in [Box::new(GemmConfig::fig13()), axpy] {
-            match cfg.build_logged_traced(machine, augem::obs::null()) {
+            match build_logged(&*cfg, machine) {
                 Ok(build) => {
                     if let Some((entry, p, q)) = prof_entry(&*cfg, machine, &build) {
                         ok &= q <= 2.0 * p;
@@ -542,7 +549,7 @@ fn cost_entry<C: Candidate + Copy + Send + Sync>(
 /// Bound tightness (static bound / simulated cycles) for one built
 /// configuration; `None` when the shape cannot build.
 fn tightness(c: &dyn Candidate, machine: &MachineSpec) -> Option<(String, f64)> {
-    let asm = c.build_logged_traced(machine, augem::obs::null()).ok()?.asm;
+    let asm = build_logged(c, machine).ok()?.asm;
     let (args, _) = c.eval_args();
     let r = augem::cost::analyze(&asm, &args, machine).ok()?;
     let (t, _) = if c.warm() {

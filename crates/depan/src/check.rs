@@ -24,6 +24,7 @@
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use augem_ir::visit::{stmt_def, stmt_uses, walk_with_positions};
 use augem_ir::{BinOp, Expr, Kernel, LValue, Stmt, Sym, SymKind, Ty};
@@ -45,60 +46,141 @@ pub fn check_transforms(
     log: &TransformLog,
     final_kernel: Option<&Kernel>,
 ) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
+    let mut replay = Replay::default();
+    replay.check(source, &log.steps);
+    let last = log.steps.last().map_or(source, |s| &*s.after);
+    replay.finish(last, final_kernel)
+}
 
-    // T012: the snapshot chain must be gapless.
-    let mut prev = source;
-    for (i, step) in log.steps.iter().enumerate() {
-        if !same_kernel(&step.before, prev) {
-            diags.push(Diagnostic::new(
-                Rule::LogDiscontinuity,
-                Span::Kernel,
-                format!(
-                    "step {i} ({}) does not start from the previous step's result",
-                    step.pass.name()
-                ),
-            ));
-        }
-        prev = &step.after;
-    }
-    if let Some(fk) = final_kernel {
-        if !same_kernel(fk, prev) {
-            diags.push(Diagnostic::new(
-                Rule::LogDiscontinuity,
-                Span::Kernel,
-                "final kernel does not match the last recorded step's result".to_string(),
-            ));
-        }
-    }
+/// A replay of a log's leading steps, resumable over the steps that
+/// follow: the findings so far, kept in the order [`check_transforms`]
+/// reports them, and the strength-reduction facts gathered.
+#[derive(Debug, Clone, Default)]
+struct Replay {
+    /// Steps replayed so far (numbers the T012 messages).
+    steps: usize,
+    /// T012 findings: the chain check runs ahead of the pass checks.
+    chain: Vec<Diagnostic>,
+    /// Per-pass precondition findings.
+    passes: Vec<Diagnostic>,
+    /// Strength-reduction facts accumulate so later scalar-replacement
+    /// checks can resolve derived pointers.
+    sr_facts: HashMap<Sym, SrGroup>,
+}
 
-    // Per-pass preconditions. Strength-reduction facts accumulate so
-    // later scalar-replacement checks can resolve derived pointers.
-    let mut sr_facts: HashMap<Sym, SrGroup> = HashMap::new();
-    for step in &log.steps {
-        match &step.pass {
-            PassRecord::UnrollJam { var, factor } => {
-                check_unroll_jam(step, var, *factor, &mut diags);
+impl Replay {
+    /// Replays `steps`, the first of which must start from `prev` (the
+    /// source, or the last step replayed so far).
+    fn check<'a>(&mut self, mut prev: &'a Kernel, steps: &'a [Arc<TransformStep>]) {
+        for step in steps {
+            // T012: the snapshot chain must be gapless. A snapshot shared
+            // with the previous step is the same allocation.
+            if !std::ptr::eq(&*step.before, prev) && !same_kernel(&step.before, prev) {
+                self.chain.push(Diagnostic::new(
+                    Rule::LogDiscontinuity,
+                    Span::Kernel,
+                    format!(
+                        "step {} ({}) does not start from the previous step's result",
+                        self.steps,
+                        step.pass.name()
+                    ),
+                ));
             }
-            PassRecord::UnrollInner {
-                var,
-                factor,
-                accumulators,
-                ..
-            } => {
-                check_unroll_inner(step, var, *factor, accumulators, &mut diags);
-            }
-            PassRecord::StrengthReduce { groups } => {
-                check_strength(step, groups, &mut diags);
-                for g in groups {
-                    sr_facts.insert(g.ptr, g.clone());
+            prev = &step.after;
+            self.steps += 1;
+            let diags = &mut self.passes;
+            match &step.pass {
+                PassRecord::UnrollJam { var, factor } => {
+                    check_unroll_jam(step, var, *factor, diags);
                 }
+                PassRecord::UnrollInner {
+                    var,
+                    factor,
+                    accumulators,
+                    ..
+                } => {
+                    check_unroll_inner(step, var, *factor, accumulators, diags);
+                }
+                PassRecord::StrengthReduce { groups } => {
+                    check_strength(step, groups, diags);
+                    for g in groups {
+                        self.sr_facts.insert(g.ptr, g.clone());
+                    }
+                }
+                PassRecord::ScalarReplace => check_scalar(step, &self.sr_facts, diags),
+                PassRecord::Prefetch { config } => check_prefetch(step, config, diags),
             }
-            PassRecord::ScalarReplace => check_scalar(step, &sr_facts, &mut diags),
-            PassRecord::Prefetch { config } => check_prefetch(step, config, &mut diags),
         }
     }
-    augem_verify::dedup(diags)
+
+    /// Every finding, given `last`, the result of the last step replayed
+    /// (or the source): the chain's, then `final_kernel`'s link to
+    /// `last`, then the passes', deduplicated.
+    fn finish(mut self, last: &Kernel, final_kernel: Option<&Kernel>) -> Vec<Diagnostic> {
+        if let Some(fk) = final_kernel {
+            if !std::ptr::eq(fk, last) && !same_kernel(fk, last) {
+                self.chain.push(Diagnostic::new(
+                    Rule::LogDiscontinuity,
+                    Span::Kernel,
+                    "final kernel does not match the last recorded step's result".to_string(),
+                ));
+            }
+        }
+        self.chain.append(&mut self.passes);
+        augem_verify::dedup(self.chain)
+    }
+}
+
+/// The replay of one log prefix, kept so that every log which starts
+/// with the same steps re-checks only the steps after them. The memo is
+/// tied to the prefix's own snapshots: a log whose leading steps are not
+/// those very allocations, or whose source is not the prefix's, is
+/// replayed from scratch, so a forged log never reuses a verdict.
+#[derive(Debug)]
+pub struct PrefixVerdict {
+    source: Arc<Kernel>,
+    steps: Vec<Arc<TransformStep>>,
+    replay: Replay,
+}
+
+impl PrefixVerdict {
+    /// Replays `steps`, which start from `source`.
+    pub fn new(source: Arc<Kernel>, steps: Vec<Arc<TransformStep>>) -> Self {
+        let mut replay = Replay::default();
+        replay.check(&source, &steps);
+        PrefixVerdict {
+            source,
+            steps,
+            replay,
+        }
+    }
+
+    /// Exactly [`check_transforms`]`(source, log, final_kernel)`,
+    /// replaying only the steps after the prefix when `source` and the
+    /// log's leading steps are the prefix's own.
+    pub fn check(
+        &self,
+        source: &Kernel,
+        log: &TransformLog,
+        final_kernel: Option<&Kernel>,
+    ) -> Vec<Diagnostic> {
+        let n = self.steps.len();
+        let shared = std::ptr::eq(source, &*self.source)
+            && log.steps.len() >= n
+            && log
+                .steps
+                .iter()
+                .zip(&self.steps)
+                .all(|(a, b)| Arc::ptr_eq(a, b));
+        if !shared {
+            return check_transforms(source, log, final_kernel);
+        }
+        let mut replay = self.replay.clone();
+        let prev = self.steps.last().map_or(source, |s| &*s.after);
+        replay.check(prev, &log.steps[n..]);
+        let last = log.steps.last().map_or(source, |s| &*s.after);
+        replay.finish(last, final_kernel)
+    }
 }
 
 /// Does `e` mention `x` (as a variable or an array base)? Allocation-
@@ -1159,7 +1241,7 @@ mod tests {
         let k = augem_kernels::gemm_simple();
         let (out, mut log) =
             generate_optimized_logged(&k, &OptimizeConfig::gemm_2x2(), null()).unwrap();
-        if let PassRecord::UnrollJam { factor, .. } = &mut log.steps[0].pass {
+        if let PassRecord::UnrollJam { factor, .. } = &mut Arc::make_mut(&mut log.steps[0]).pass {
             *factor = 0;
         }
         let codes: Vec<&str> = check_transforms(&k, &log, Some(&out))
@@ -1174,7 +1256,7 @@ mod tests {
         let k = augem_kernels::gemm_simple();
         let (out, mut log) =
             generate_optimized_logged(&k, &OptimizeConfig::gemm_2x2(), null()).unwrap();
-        log.steps[1].before = k.clone();
+        Arc::make_mut(&mut log.steps[1]).before = Arc::new(k.clone());
         let codes: Vec<&str> = check_transforms(&k, &log, Some(&out))
             .iter()
             .map(|d| d.rule.code())

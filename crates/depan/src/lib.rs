@@ -23,10 +23,12 @@
 //!   as `T001`–`T012` diagnostics through the shared
 //!   [`augem_verify::diag`] rule table.
 //!
-//! `augem-tune` runs [`check_transforms_traced`] as a pre-build
-//! legality filter: configurations whose transform log cannot be proved
-//! legal are rejected before code generation, under the
-//! `stage::DEPAN` span with `depan.*` counters.
+//! `augem-tune` runs the checker as a legality filter between the
+//! transform stage and code generation: configurations whose transform
+//! log cannot be proved legal are rejected before code generation, under
+//! the `stage::DEPAN` span with `depan.*` counters. Candidates that share
+//! a transform prefix share its steps, and a [`PrefixVerdict`] replays
+//! those steps once; each candidate then re-checks only its own steps.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -38,7 +40,7 @@ pub mod deps;
 pub use affine::{Access, AccessMap, LoopInfo};
 pub use augem_transforms::linear::{LinearForm, Term};
 pub use augem_transforms::{TransformLog, TransformStep};
-pub use check::check_transforms;
+pub use check::{check_transforms, PrefixVerdict};
 pub use deps::{
     bounds_test, decompose, dependence_on, gcd, gcd_test, uniform_solution, DepSolution, Verdict,
 };
@@ -46,17 +48,25 @@ pub use deps::{
 use augem_ir::Kernel;
 use augem_verify::{Diagnostic, Severity};
 
-/// [`check_transforms`] with telemetry: wraps the replay in a `depan`
-/// stage span, emits one `depan.diagnostic` event per finding, and
-/// counts errors/warnings — the same shape as `augem_verify::check_traced`.
+/// [`check_transforms`] with telemetry (see [`traced`]).
 pub fn check_transforms_traced(
     source: &Kernel,
     log: &TransformLog,
     final_kernel: Option<&Kernel>,
     tracer: &dyn augem_obs::Tracer,
 ) -> Vec<Diagnostic> {
+    traced(tracer, || check_transforms(source, log, final_kernel))
+}
+
+/// Runs a legality check with telemetry: wraps it in a `depan` stage
+/// span, emits one `depan.diagnostic` event per finding, and counts
+/// errors/warnings — the same shape as `augem_verify::check_traced`.
+pub fn traced(
+    tracer: &dyn augem_obs::Tracer,
+    check: impl FnOnce() -> Vec<Diagnostic>,
+) -> Vec<Diagnostic> {
     let _stage = augem_obs::span(tracer, augem_obs::stage::DEPAN);
-    let diags = check_transforms(source, log, final_kernel);
+    let diags = check();
     let mut errors = 0u64;
     let mut warnings = 0u64;
     for d in &diags {

@@ -9,16 +9,17 @@
 //! shows zero false rejections on legal candidates, this shows 100%
 //! refutation on illegal ones.
 
-use augem_depan::{check_transforms, LinearForm, Term};
+use augem_depan::{check_transforms, LinearForm, PrefixVerdict, Term};
 use augem_ir::{
     add, add_assign, assign, f64c, for_, idx, int, prefetch_read, prefetch_write, store, store_add,
     var, Kernel, KernelBuilder, Stmt, Sym, Ty,
 };
 use augem_transforms::{
-    generate_optimized_logged, OptimizeConfig, PassRecord, PrefetchConfig, SrGroup, TransformLog,
-    TransformStep,
+    finish_optimized, generate_optimized_logged, optimize_prefix, OptimizeConfig, PassRecord,
+    PrefetchConfig, SrGroup, TransformLog, TransformStep,
 };
 use augem_verify::Diagnostic;
+use std::sync::Arc;
 
 fn logged(k: &Kernel, cfg: &OptimizeConfig) -> (Kernel, TransformLog) {
     generate_optimized_logged(k, cfg, augem_obs::null()).unwrap()
@@ -28,11 +29,11 @@ fn logged(k: &Kernel, cfg: &OptimizeConfig) -> (Kernel, TransformLog) {
 /// the chain (T012) stays clean and only the forged pass is on trial.
 fn forged(k: &Kernel, pass: PassRecord) -> TransformLog {
     TransformLog {
-        steps: vec![TransformStep {
+        steps: vec![Arc::new(TransformStep {
             pass,
-            before: k.clone(),
-            after: k.clone(),
-        }],
+            before: Arc::new(k.clone()),
+            after: Arc::new(k.clone()),
+        })],
     }
 }
 
@@ -42,7 +43,7 @@ fn tamper(log: &mut TransformLog, pass_name: &str, f: impl FnOnce(&mut PassRecor
         .iter_mut()
         .find(|s| s.pass.name() == pass_name)
         .unwrap_or_else(|| panic!("no `{pass_name}` step in log"));
-    f(&mut step.pass);
+    f(&mut Arc::make_mut(step).pass);
 }
 
 fn sr_groups(p: &mut PassRecord) -> &mut Vec<SrGroup> {
@@ -470,13 +471,13 @@ fn t010_write_prefetch_at_nonzero_distance() {
     let mut k1 = k0.clone();
     k1.body.insert(0, prefetch_write(c, int(8), 3));
     let log = TransformLog {
-        steps: vec![TransformStep {
+        steps: vec![Arc::new(TransformStep {
             pass: PassRecord::Prefetch {
                 config: PrefetchConfig::default(),
             },
-            before: k0.clone(),
-            after: k1.clone(),
-        }],
+            before: Arc::new(k0.clone()),
+            after: Arc::new(k1.clone()),
+        })],
     };
     assert_refutes(&check_transforms(&k0, &log, Some(&k1)), "T010");
 }
@@ -504,13 +505,13 @@ fn t011_read_prefetch_of_unrelated_base() {
         body.insert(0, prefetch_read(b, int(16), 3));
     }
     let log = TransformLog {
-        steps: vec![TransformStep {
+        steps: vec![Arc::new(TransformStep {
             pass: PassRecord::Prefetch {
                 config: PrefetchConfig::default(),
             },
-            before: k0.clone(),
-            after: k1.clone(),
-        }],
+            before: Arc::new(k0.clone()),
+            after: Arc::new(k1.clone()),
+        })],
     };
     assert_refutes(&check_transforms(&k0, &log, Some(&k1)), "T011");
 }
@@ -533,13 +534,13 @@ fn t011_write_prefetch_of_base_never_stored() {
     let mut k1 = k0.clone();
     k1.body.insert(0, prefetch_write(b, int(0), 3));
     let log = TransformLog {
-        steps: vec![TransformStep {
+        steps: vec![Arc::new(TransformStep {
             pass: PassRecord::Prefetch {
                 config: PrefetchConfig::default(),
             },
-            before: k0.clone(),
-            after: k1.clone(),
-        }],
+            before: Arc::new(k0.clone()),
+            after: Arc::new(k1.clone()),
+        })],
     };
     assert_refutes(&check_transforms(&k0, &log, Some(&k1)), "T011");
 }
@@ -566,6 +567,65 @@ fn t012_empty_log_with_transformed_final() {
 fn t012_snapshot_chain_broken() {
     let k = augem_kernels::gemm_simple();
     let (out, mut log) = logged(&k, &OptimizeConfig::gemm_2x2());
-    log.steps[2].before = k.clone();
+    Arc::make_mut(&mut log.steps[2]).before = Arc::new(k.clone());
     assert_refutes(&check_transforms(&k, &log, Some(&out)), "T012");
+}
+
+// ------------------------------------------------ memoized prefix replay
+
+/// The prefix of `cfg` on `k`, its memoized verdict, and the full log
+/// built on that prefix (sharing its steps).
+fn memoized(k: &Kernel, cfg: &OptimizeConfig) -> (Arc<Kernel>, PrefixVerdict, TransformLog) {
+    let null = augem_obs::null();
+    let prefix = optimize_prefix(Arc::new(k.clone()), cfg, null).unwrap();
+    let verdict = PrefixVerdict::new(prefix.source.clone(), prefix.steps.clone());
+    let (_, log) = finish_optimized(&prefix, &cfg.prefetch, null);
+    (prefix.source, verdict, log)
+}
+
+#[test]
+fn memoized_verdict_refutes_a_tampered_prefetch_step_like_the_full_replay() {
+    let (source, verdict, mut log) =
+        memoized(&augem_kernels::gemm_simple(), &OptimizeConfig::gemm_2x2());
+    assert!(verdict.check(&source, &log, None).is_empty());
+    tamper(&mut log, "prefetch", |p| {
+        *p = PassRecord::Prefetch {
+            config: PrefetchConfig::disabled(),
+        }
+    });
+    let memo = verdict.check(&source, &log, None);
+    assert_refutes(&memo, "T010");
+    assert_eq!(memo, check_transforms(&source, &log, None));
+}
+
+#[test]
+fn memoized_verdict_never_covers_a_forged_prefix_step() {
+    // Tampering a prefix step copies it out of the shared allocation, so
+    // the verdict must replay the whole log instead of trusting its memo.
+    let (source, verdict, mut log) =
+        memoized(&augem_kernels::gemm_simple(), &OptimizeConfig::gemm_2x2());
+    tamper(&mut log, "unroll_jam", |p| {
+        if let PassRecord::UnrollJam { factor, .. } = p {
+            *factor = 0;
+        }
+    });
+    let memo = verdict.check(&source, &log, None);
+    assert_refutes(&memo, "T002");
+    assert_eq!(memo, check_transforms(&source, &log, None));
+}
+
+#[test]
+fn memoized_verdict_checks_the_link_into_the_remaining_steps() {
+    let (source, verdict, mut log) =
+        memoized(&augem_kernels::gemm_simple(), &OptimizeConfig::gemm_2x2());
+    let last = log.steps.len() - 1;
+    // An equal copy of the prefix's result is a clean link: the check
+    // falls back from pointers to structure.
+    let copy = Arc::new((*log.steps[last].before).clone());
+    Arc::make_mut(&mut log.steps[last]).before = copy;
+    assert!(verdict.check(&source, &log, None).is_empty());
+    Arc::make_mut(&mut log.steps[last]).before = source.clone();
+    let memo = verdict.check(&source, &log, None);
+    assert_refutes(&memo, "T012");
+    assert_eq!(memo, check_transforms(&source, &log, None));
 }

@@ -149,25 +149,15 @@ pub fn generate(
     machine: &MachineSpec,
     opts: &CodegenOptions,
 ) -> Result<AsmKernel, CodegenError> {
-    generate_traced(kernel, machine, opts, augem_obs::null())
+    generate_with_log(kernel, machine, opts, augem_obs::null()).map(|(asm, _)| asm)
 }
 
-/// [`generate`] under an `akg` span. Records the SIMD strategy the plan
-/// chose (`opt.simd_strategy` label), register-pressure high-water marks
-/// (`regs.vec` / `regs.gp` gauges) and the emitted instruction count
-/// (`akg.insts`).
-pub fn generate_traced(
-    kernel: &Kernel,
-    machine: &MachineSpec,
-    opts: &CodegenOptions,
-    tracer: &dyn augem_obs::Tracer,
-) -> Result<AsmKernel, CodegenError> {
-    generate_with_log(kernel, machine, opts, tracer).map(|(asm, _)| asm)
-}
-
-/// [`generate_traced`] that additionally returns the [`BindingLog`] the
-/// verifier replays: every allocator decision, stamped with instruction
-/// and IR positions, plus the pre-schedule instruction stream.
+/// [`generate`] under an `akg` span that additionally returns the
+/// [`BindingLog`] the verifier replays: every allocator decision, stamped
+/// with instruction and IR positions, plus the pre-schedule instruction
+/// stream. Records the SIMD strategy the plan chose (`opt.simd_strategy`
+/// label), register-pressure high-water marks (`regs.vec` / `regs.gp`
+/// gauges) and the emitted instruction count (`akg.insts`).
 pub fn generate_with_log(
     kernel: &Kernel,
     machine: &MachineSpec,

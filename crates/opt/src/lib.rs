@@ -35,9 +35,7 @@ pub mod isel;
 pub mod plan;
 pub mod sched;
 
-pub use akg::{
-    generate, generate_traced, generate_with_log, BindingLog, CodegenError, CodegenOptions,
-};
+pub use akg::{generate, generate_with_log, BindingLog, CodegenError, CodegenOptions};
 pub use binding::{Binding, BindingEvent, BindingEventKind, RegAllocator};
 pub use isel::FmaPolicy;
 pub use plan::{StrategyPref, VecStrategy};

@@ -34,8 +34,8 @@ pub mod strength;
 pub mod unroll;
 
 pub use pipeline::{
-    generate_optimized, generate_optimized_logged, generate_optimized_traced, OptimizeConfig,
-    PassRecord, PrefetchConfig, TransformLog, TransformStep,
+    finish_optimized, generate_optimized, generate_optimized_logged, optimize_prefix,
+    OptimizeConfig, PassRecord, PrefetchConfig, Prefix, TransformLog, TransformStep,
 };
 pub use strength::SrGroup;
 pub use unroll::TransformError;

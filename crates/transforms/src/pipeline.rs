@@ -8,6 +8,7 @@ use crate::strength::{strength_reduce_logged, SrGroup};
 use crate::unroll::{unroll_and_jam, unroll_inner_logged, TransformError};
 use augem_ir::{Kernel, Sym};
 use augem_obs::{span, stage, Tracer};
+use std::sync::Arc;
 
 /// One optimization configuration — the point in the tuning space that
 /// `augem-tune` sweeps ("automatically experiments with different unrolling
@@ -106,118 +107,152 @@ impl PassRecord {
 }
 
 /// One step of the transform pipeline: the pass plus the kernel
-/// immediately before and after it ran.
+/// immediately before and after it ran. Snapshots are shared: a step's
+/// `before` is the previous step's `after` (or the source), the same
+/// allocation, so a log costs one kernel per pass and the chain check
+/// can compare pointers.
 #[derive(Debug, Clone)]
 pub struct TransformStep {
     pub pass: PassRecord,
-    pub before: Kernel,
-    pub after: Kernel,
+    pub before: Arc<Kernel>,
+    pub after: Arc<Kernel>,
 }
 
 /// The ordered record of every pass one `generate_optimized` run applied.
+/// Steps are shared by reference, so logs that share a [`Prefix`] share
+/// its steps.
 #[derive(Debug, Clone, Default)]
 pub struct TransformLog {
-    pub steps: Vec<TransformStep>,
+    pub steps: Vec<Arc<TransformStep>>,
+}
+
+/// The passes before prefetch insertion — unroll&jam, inner unrolling,
+/// strength reduction and scalar replacement — applied to a source
+/// kernel. They depend only on the source and the two unroll settings of
+/// an [`OptimizeConfig`], so configurations that differ only in
+/// prefetching share one prefix.
+#[derive(Debug, Clone)]
+pub struct Prefix {
+    /// The simple source kernel the first step starts from.
+    pub source: Arc<Kernel>,
+    /// One step per applied pass; the last step's `after` is the
+    /// scalar-replaced kernel.
+    pub steps: Vec<Arc<TransformStep>>,
+}
+
+impl Prefix {
+    /// The kernel after the last pass of the prefix.
+    pub fn kernel(&self) -> &Arc<Kernel> {
+        self.steps.last().map_or(&self.source, |s| &s.after)
+    }
 }
 
 /// Runs the Optimized C Kernel Generator: unroll&jam → inner unrolling →
 /// strength reduction → scalar replacement → prefetch insertion.
 pub fn generate_optimized(kernel: &Kernel, cfg: &OptimizeConfig) -> Result<Kernel, TransformError> {
-    generate_optimized_traced(kernel, cfg, augem_obs::null())
+    generate_optimized_logged(kernel, cfg, augem_obs::null()).map(|(k, _)| k)
 }
 
-/// [`generate_optimized`] with instrumentation: the whole run is a
-/// `cgen` span with one sub-span per pass, and the IR statement counts
-/// before and after the pass chain go to the `cgen.stmts.before` /
-/// `cgen.stmts.after` counters (per-pass growth is recorded as
-/// `cgen.stmts.<pass>`).
-pub fn generate_optimized_traced(
-    kernel: &Kernel,
-    cfg: &OptimizeConfig,
-    tracer: &dyn Tracer,
-) -> Result<Kernel, TransformError> {
-    generate_optimized_logged(kernel, cfg, tracer).map(|(k, _)| k)
-}
-
-/// [`generate_optimized_traced`] that also returns the [`TransformLog`]
-/// of every applied pass, for replay by `crates/depan`.
+/// [`generate_optimized`] with instrumentation that also returns the
+/// [`TransformLog`] of every applied pass, for replay by `crates/depan`:
+/// [`optimize_prefix`] then [`finish_optimized`] under one `cgen` span,
+/// with one sub-span per pass. The IR statement counts before and after
+/// the pass chain go to the `cgen.stmts.before` / `cgen.stmts.after`
+/// counters (per-pass growth is recorded as `cgen.stmts.<pass>`).
 pub fn generate_optimized_logged(
     kernel: &Kernel,
     cfg: &OptimizeConfig,
     tracer: &dyn Tracer,
 ) -> Result<(Kernel, TransformLog), TransformError> {
     let _stage = span(tracer, stage::CGEN);
-    let mut k = kernel.clone();
-    let mut log = TransformLog::default();
+    let prefix = optimize_prefix(Arc::new(kernel.clone()), cfg, tracer)?;
+    Ok(finish_optimized(&prefix, &cfg.prefetch, tracer))
+}
+
+/// Appends a step for `pass`, which turned the latest snapshot (the last
+/// step's `after`, or `source` before the first step) into `k`.
+fn record(steps: &mut Vec<Arc<TransformStep>>, source: &Arc<Kernel>, pass: PassRecord, k: &Kernel) {
+    let before = steps.last().map_or(source, |s| &s.after).clone();
+    steps.push(Arc::new(TransformStep {
+        pass,
+        before,
+        after: Arc::new(k.clone()),
+    }));
+}
+
+/// The four passes before prefetch insertion (`cfg.prefetch` is not
+/// read), each under its `cgen.<pass>` sub-span; the caller owns the
+/// `cgen` span. Counts `cgen.stmts.before` and the per-pass growth.
+pub fn optimize_prefix(
+    source: Arc<Kernel>,
+    cfg: &OptimizeConfig,
+    tracer: &dyn Tracer,
+) -> Result<Prefix, TransformError> {
+    let mut k = (*source).clone();
+    let mut steps = Vec::new();
     tracer.add("cgen.stmts.before", k.stmt_count() as u64);
     {
         let _s = span(tracer, "cgen.unroll_jam");
         for (v, f) in &cfg.unroll_jam {
-            let before = k.clone();
             unroll_and_jam(&mut k, v, *f)?;
-            log.steps.push(TransformStep {
-                pass: PassRecord::UnrollJam {
-                    var: v.clone(),
-                    factor: *f,
-                },
-                before,
-                after: k.clone(),
-            });
+            let pass = PassRecord::UnrollJam {
+                var: v.clone(),
+                factor: *f,
+            };
+            record(&mut steps, &source, pass, &k);
         }
         tracer.add("cgen.stmts.unroll_jam", k.stmt_count() as u64);
     }
     {
         let _s = span(tracer, "cgen.unroll_inner");
         if let Some((v, f, expand)) = &cfg.inner_unroll {
-            let before = k.clone();
             let accumulators = unroll_inner_logged(&mut k, v, *f, *expand)?;
-            log.steps.push(TransformStep {
-                pass: PassRecord::UnrollInner {
-                    var: v.clone(),
-                    factor: *f,
-                    expand: *expand,
-                    accumulators,
-                },
-                before,
-                after: k.clone(),
-            });
+            let pass = PassRecord::UnrollInner {
+                var: v.clone(),
+                factor: *f,
+                expand: *expand,
+                accumulators,
+            };
+            record(&mut steps, &source, pass, &k);
         }
         tracer.add("cgen.stmts.unroll_inner", k.stmt_count() as u64);
     }
     {
         let _s = span(tracer, "cgen.strength_reduce");
-        let before = k.clone();
         let groups = strength_reduce_logged(&mut k);
-        log.steps.push(TransformStep {
-            pass: PassRecord::StrengthReduce { groups },
-            before,
-            after: k.clone(),
-        });
+        record(
+            &mut steps,
+            &source,
+            PassRecord::StrengthReduce { groups },
+            &k,
+        );
     }
     {
         let _s = span(tracer, "cgen.scalar_replace");
-        let before = k.clone();
         scalar_replace(&mut k);
-        log.steps.push(TransformStep {
-            pass: PassRecord::ScalarReplace,
-            before,
-            after: k.clone(),
-        });
+        record(&mut steps, &source, PassRecord::ScalarReplace, &k);
     }
+    Ok(Prefix { source, steps })
+}
+
+/// Prefetch insertion on `prefix` under a `cgen.prefetch` sub-span: the
+/// optimized kernel and the full log, whose leading steps are the
+/// prefix's own. Counts `cgen.stmts.after`.
+pub fn finish_optimized(
+    prefix: &Prefix,
+    prefetch: &PrefetchConfig,
+    tracer: &dyn Tracer,
+) -> (Kernel, TransformLog) {
+    let mut steps = prefix.steps.clone();
+    let mut k = (**prefix.kernel()).clone();
     {
         let _s = span(tracer, "cgen.prefetch");
-        let before = k.clone();
-        insert_prefetch(&mut k, &cfg.prefetch);
-        log.steps.push(TransformStep {
-            pass: PassRecord::Prefetch {
-                config: cfg.prefetch,
-            },
-            before,
-            after: k.clone(),
-        });
+        insert_prefetch(&mut k, prefetch);
+        let pass = PassRecord::Prefetch { config: *prefetch };
+        record(&mut steps, &prefix.source, pass, &k);
     }
     tracer.add("cgen.stmts.after", k.stmt_count() as u64);
-    Ok((k, log))
+    (k, TransformLog { steps })
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 use augem_ir::{int, prefetch_read, prefetch_write, Expr, Kernel, LValue, Stmt, Sym, Ty};
 
 /// Prefetch-insertion configuration (a tuning dimension in `augem-tune`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PrefetchConfig {
     /// Elements ahead for streaming loads; `None` disables read prefetch.
     pub read_dist: Option<i64>,

@@ -1,17 +1,17 @@
 //! Tunable kernel configurations, the [`Candidate`] trait the sweep is
 //! generic over, and candidate generation.
 
+use crate::cache::EvalCache;
 use crate::evaluate::{gemm_eval_args, vector_eval_args};
 use augem_asm::AsmKernel;
 use augem_ir::Kernel;
-use augem_kernels::{
-    axpy_simple, dot_simple, gemm_simple, gemv_simple, ger_simple, scal_simple, DlaKernel,
-};
+use augem_kernels::DlaKernel;
 use augem_machine::{MachineSpec, SimdMode};
 use augem_opt::{CodegenError, CodegenOptions, FmaPolicy, StrategyPref};
 use augem_sim::SimValue;
 use augem_transforms::{OptimizeConfig, PrefetchConfig, TransformError};
 use augem_verify::{EquivArg, EquivSpec};
+use std::sync::Arc;
 
 /// A point in the GEMM tuning space.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,7 +69,7 @@ impl GemmConfig {
     /// simple source kernel and the optimization recipe. What the depan
     /// legality filter checks without paying for code generation.
     pub fn transform_inputs(&self) -> (Kernel, OptimizeConfig) {
-        (gemm_simple(), self.opt_config())
+        (DlaKernel::Gemm.build(), self.opt_config())
     }
 
     fn codegen_options(&self) -> CodegenOptions {
@@ -83,44 +83,13 @@ impl GemmConfig {
 
     /// Runs the full pipeline for this configuration.
     pub fn build(&self, machine: &MachineSpec) -> Result<AsmKernel, BuildError> {
-        self.build_traced(machine, augem_obs::null())
-    }
-
-    /// [`build`](GemmConfig::build) with stage tracing.
-    pub fn build_traced(
-        &self,
-        machine: &MachineSpec,
-        tracer: &dyn augem_obs::Tracer,
-    ) -> Result<AsmKernel, BuildError> {
-        build_pipeline_traced(
-            &gemm_simple(),
-            &self.opt_config(),
-            &self.codegen_options(),
-            machine,
-            tracer,
-        )
+        self.build_logged(machine).map(|b| b.asm)
     }
 
     /// [`build`](GemmConfig::build) keeping every artifact the static
     /// verifier consumes.
     pub fn build_logged(&self, machine: &MachineSpec) -> Result<LoggedBuild, BuildError> {
-        self.build_logged_traced(machine, augem_obs::null())
-    }
-
-    /// [`build_logged`](GemmConfig::build_logged) with stage tracing —
-    /// the entry point the evaluation cache fills itself through.
-    pub fn build_logged_traced(
-        &self,
-        machine: &MachineSpec,
-        tracer: &dyn augem_obs::Tracer,
-    ) -> Result<LoggedBuild, BuildError> {
-        build_pipeline_logged(
-            &gemm_simple(),
-            &self.opt_config(),
-            &self.codegen_options(),
-            machine,
-            tracer,
-        )
+        build_logged(self, machine)
     }
 
     /// The translation-validation problem instance for this
@@ -225,34 +194,13 @@ impl VectorConfig {
 
     /// Runs the full pipeline for this configuration.
     pub fn build(&self, machine: &MachineSpec) -> Result<AsmKernel, BuildError> {
-        self.build_traced(machine, augem_obs::null())
-    }
-
-    /// [`build`](VectorConfig::build) with stage tracing.
-    pub fn build_traced(
-        &self,
-        machine: &MachineSpec,
-        tracer: &dyn augem_obs::Tracer,
-    ) -> Result<AsmKernel, BuildError> {
-        let (kernel, cfg, opts) = self.pipeline_inputs();
-        build_pipeline_traced(&kernel, &cfg, &opts, machine, tracer)
+        self.build_logged(machine).map(|b| b.asm)
     }
 
     /// [`build`](VectorConfig::build) keeping every artifact the static
     /// verifier consumes.
     pub fn build_logged(&self, machine: &MachineSpec) -> Result<LoggedBuild, BuildError> {
-        self.build_logged_traced(machine, augem_obs::null())
-    }
-
-    /// [`build_logged`](VectorConfig::build_logged) with stage tracing —
-    /// the entry point the evaluation cache fills itself through.
-    pub fn build_logged_traced(
-        &self,
-        machine: &MachineSpec,
-        tracer: &dyn augem_obs::Tracer,
-    ) -> Result<LoggedBuild, BuildError> {
-        let (kernel, cfg, opts) = self.pipeline_inputs();
-        build_pipeline_logged(&kernel, &cfg, &opts, machine, tracer)
+        build_logged(self, machine)
     }
 
     /// The translation-validation problem instance for this
@@ -314,27 +262,29 @@ impl VectorConfig {
     /// The transform half of the pipeline this configuration drives (see
     /// [`GemmConfig::transform_inputs`]).
     pub fn transform_inputs(&self) -> (Kernel, OptimizeConfig) {
-        let (kernel, cfg, _) = self.pipeline_inputs();
-        (kernel, cfg)
+        (self.kernel.dla().build(), self.opt_config())
     }
 
-    fn pipeline_inputs(&self) -> (Kernel, OptimizeConfig, CodegenOptions) {
-        let (kernel, mut cfg): (Kernel, OptimizeConfig) = match self.kernel {
-            VectorKernel::Axpy => (axpy_simple(), OptimizeConfig::vector(self.unroll, false)),
-            VectorKernel::Dot => (dot_simple(), OptimizeConfig::vector(self.unroll, true)),
-            VectorKernel::Gemv => (gemv_simple(), OptimizeConfig::gemv(self.unroll)),
+    fn opt_config(&self) -> OptimizeConfig {
+        let mut cfg = match self.kernel {
+            VectorKernel::Dot => OptimizeConfig::vector(self.unroll, true),
+            VectorKernel::Gemv => OptimizeConfig::gemv(self.unroll),
             // GER's inner loop runs over i (rows); SCAL over its only loop i.
-            VectorKernel::Ger => (ger_simple(), OptimizeConfig::vector(self.unroll, false)),
-            VectorKernel::Scal => (scal_simple(), OptimizeConfig::vector(self.unroll, false)),
+            VectorKernel::Axpy | VectorKernel::Ger | VectorKernel::Scal => {
+                OptimizeConfig::vector(self.unroll, false)
+            }
         };
         cfg.prefetch = self.prefetch;
-        let opts = CodegenOptions {
+        cfg
+    }
+
+    fn codegen_options(&self) -> CodegenOptions {
+        CodegenOptions {
             strategy: StrategyPref::Vdup,
             fma: FmaPolicy::Auto,
             schedule: self.schedule,
             ..Default::default()
-        };
-        (kernel, cfg, opts)
+        }
     }
 }
 
@@ -351,12 +301,10 @@ pub trait Candidate {
     /// The circuit-breaker family: candidates that share a register
     /// shape (`"8x4"`) or an unroll factor (`"u8"`) tend to fail together.
     fn family(&self) -> String;
-    /// Runs the pipeline keeping every artifact the verifier consumes.
-    fn build_logged_traced(
-        &self,
-        machine: &MachineSpec,
-        tracer: &dyn augem_obs::Tracer,
-    ) -> Result<LoggedBuild, BuildError>;
+    /// The pipeline inputs besides the source kernel (which is
+    /// `self.kernel().build()`): the transform recipe and the
+    /// code-generation options. The evaluation cache runs the stages.
+    fn pipeline_inputs(&self) -> (OptimizeConfig, CodegenOptions);
     /// The evaluation micro-problem's arguments and useful-flop count.
     fn eval_args(&self) -> (Vec<SimValue>, u64);
     /// Measured warm (steady state, cache-resident) rather than cold.
@@ -375,12 +323,8 @@ impl Candidate for GemmConfig {
     fn family(&self) -> String {
         format!("{}x{}", self.mu, self.nu)
     }
-    fn build_logged_traced(
-        &self,
-        machine: &MachineSpec,
-        tracer: &dyn augem_obs::Tracer,
-    ) -> Result<LoggedBuild, BuildError> {
-        GemmConfig::build_logged_traced(self, machine, tracer)
+    fn pipeline_inputs(&self) -> (OptimizeConfig, CodegenOptions) {
+        (self.opt_config(), self.codegen_options())
     }
     fn eval_args(&self) -> (Vec<SimValue>, u64) {
         gemm_eval_args(self)
@@ -403,12 +347,8 @@ impl Candidate for VectorConfig {
     fn family(&self) -> String {
         format!("u{}", self.unroll)
     }
-    fn build_logged_traced(
-        &self,
-        machine: &MachineSpec,
-        tracer: &dyn augem_obs::Tracer,
-    ) -> Result<LoggedBuild, BuildError> {
-        VectorConfig::build_logged_traced(self, machine, tracer)
+    fn pipeline_inputs(&self) -> (OptimizeConfig, CodegenOptions) {
+        (self.opt_config(), self.codegen_options())
     }
     fn eval_args(&self) -> (Vec<SimValue>, u64) {
         vector_eval_args(self)
@@ -439,32 +379,19 @@ impl std::fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-/// Simple C → optimized C → tagged → assembly, with each stage traced
-/// (`cgen` → `identify` → `akg` spans, plus their counters and gauges).
-pub fn build_pipeline_traced(
-    simple: &Kernel,
-    cfg: &OptimizeConfig,
-    opts: &CodegenOptions,
-    machine: &MachineSpec,
-    tracer: &dyn augem_obs::Tracer,
-) -> Result<AsmKernel, BuildError> {
-    let mut k = augem_transforms::generate_optimized_traced(simple, cfg, tracer)
-        .map_err(BuildError::Transform)?;
-    augem_templates::identify_traced(&mut k, tracer);
-    augem_opt::generate_traced(&k, machine, opts, tracer).map_err(BuildError::Codegen)
-}
-
 /// One compilation with every artifact the static verifier needs: the
 /// template-tagged IR kernel, the final assembly, and the allocator's
-/// decision log.
+/// decision log. The machine-independent half is shared by reference
+/// with every build of the same transform configuration (see
+/// [`EvalCache`]).
 #[derive(Debug, Clone)]
 pub struct LoggedBuild {
     /// The *simple* pre-transform kernel — the source side of
     /// translation validation, so the proof covers the source-to-source
     /// transforms as well as code generation.
-    pub source: Kernel,
+    pub source: Arc<Kernel>,
     /// The optimized, template-tagged low-level C kernel.
-    pub kernel: Kernel,
+    pub kernel: Arc<Kernel>,
     /// The final (scheduled) assembly kernel.
     pub asm: AsmKernel,
     /// The register-allocation decision log.
@@ -476,28 +403,13 @@ pub struct LoggedBuild {
     pub tlog: augem_transforms::TransformLog,
 }
 
-/// [`build_pipeline_traced`] that keeps the simple source, the tagged
-/// kernel and the binding log alongside the assembly, for
-/// `verify::check` and `verify::check_equivalence`.
-pub fn build_pipeline_logged(
-    simple: &Kernel,
-    cfg: &OptimizeConfig,
-    opts: &CodegenOptions,
-    machine: &MachineSpec,
-    tracer: &dyn augem_obs::Tracer,
-) -> Result<LoggedBuild, BuildError> {
-    let (mut k, tlog) = augem_transforms::generate_optimized_logged(simple, cfg, tracer)
-        .map_err(BuildError::Transform)?;
-    augem_templates::identify_traced(&mut k, tracer);
-    let (asm, log) =
-        augem_opt::generate_with_log(&k, machine, opts, tracer).map_err(BuildError::Codegen)?;
-    Ok(LoggedBuild {
-        source: simple.clone(),
-        kernel: k,
-        asm,
-        log,
-        tlog,
-    })
+/// Runs every stage of the pipeline for `c` on `machine`, memoizing
+/// nothing: the path [`GemmConfig::build_logged`] and
+/// [`VectorConfig::build_logged`] take, for any candidate.
+pub fn build_logged(c: &dyn Candidate, machine: &MachineSpec) -> Result<LoggedBuild, BuildError> {
+    EvalCache::disabled()
+        .logged(c, machine, augem_obs::null())
+        .map(Arc::unwrap_or_clone)
 }
 
 /// GEMM candidate set for a machine's SIMD width (the tuner's search

@@ -39,10 +39,10 @@ pub mod search;
 pub use augem_obs as obs;
 pub use augem_resil as resil;
 
-pub use cache::{cache_enabled, note_cache_disabled, EvalCache};
+pub use cache::{cache_enabled, note_cache_disabled, EvalCache, Transformed};
 pub use config::{
-    build_pipeline_logged, build_pipeline_traced, gemm_candidates, vector_candidates, BuildError,
-    Candidate, GemmConfig, LoggedBuild, VectorConfig, VectorKernel,
+    build_logged, gemm_candidates, vector_candidates, BuildError, Candidate, GemmConfig,
+    LoggedBuild, VectorConfig, VectorKernel,
 };
 pub use evaluate::{
     evaluate, gemm_eval_args, profile, vector_eval_args, EvalClass, EvalError, Evaluation,

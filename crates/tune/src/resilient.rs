@@ -12,11 +12,12 @@
 //! Its stages run in this order:
 //!
 //! 1. **Legality** ([`ResilOptions::check_legality`]): the candidates'
-//!    cached logged builds are checked by `augem-depan` in parallel
-//!    ([`crate::legal`]).
+//!    cached transforms — no code generated yet — are checked by
+//!    `augem-depan` in parallel ([`crate::legal`]).
 //! 2. **Bounds** ([`ResilOptions::prune`]): every candidate gets a static
-//!    Mflops upper bound and the sweep runs best-first, skipping the
-//!    candidates the incumbent dominates ([`crate::prune`]).
+//!    Mflops upper bound from its cached build, and the sweep runs
+//!    best-first, skipping the candidates the incumbent dominates
+//!    ([`crate::prune`]).
 //! 3. **Speculative evaluation**: unless pruning or injecting faults,
 //!    evaluation is pure and fans out in parallel, each worker recording
 //!    telemetry into a private [`Collector`].
@@ -273,28 +274,26 @@ pub fn sweep<C: Candidate + Copy + Send + Sync>(
         .collect();
     let todo: Vec<usize> = (0..n).filter(|&i| replay[i].is_none()).collect();
 
-    // Stages 1 and 2 read the candidates' logged builds, fetched through
-    // the cache that the evaluation stage then hits. A candidate that
-    // fails to build has no build here; evaluation reports its failure.
-    let mut builds: Vec<(usize, Arc<LoggedBuild>)> = Vec::new();
-    if opts.check_legality || opts.prune {
-        let fetched = par_traced(&todo, |&i, t| cache.logged(&candidates[i], machine, t));
-        for (&i, (build, local)) in todo.iter().zip(fetched) {
-            replay_into(tracer, &local.snapshot());
-            if let Ok(build) = build {
-                builds.push((i, build));
-            }
-        }
-    }
-
-    // Stage 1: legality verdicts. Only the checking itself is timed —
-    // that is the analysis cost; the builds happen with or without it.
+    // Stage 1: legality verdicts, on the machine-independent transform
+    // stage — before any code is generated. Only the checking itself is
+    // timed: that is the analysis cost; the transforms are built with or
+    // without it, and evaluation then hits them in the cache.
     let mut rejected: Vec<Option<String>> = vec![None; n];
     if opts.check_legality {
+        let fetched = par_traced(&todo, |&i, t| cache.transformed(&candidates[i], t));
+        let mut transformed = Vec::new();
+        for (&i, (t, local)) in todo.iter().zip(fetched) {
+            replay_into(tracer, &local.snapshot());
+            // A candidate that fails to transform has nothing to check;
+            // evaluation reports its failure.
+            if let Ok(t) = t {
+                transformed.push((i, t));
+            }
+        }
         let c0 = Instant::now();
-        let verdicts = par_traced(&builds, |(_, build), t| check_legality(build, t));
+        let verdicts = par_traced(&transformed, |(_, t), tracer| check_legality(t, tracer));
         stats.check_ns = c0.elapsed().as_nanos() as u64;
-        for (&(i, _), (why, local)) in builds.iter().zip(verdicts) {
+        for (&(i, _), (why, local)) in transformed.iter().zip(verdicts) {
             replay_into(tracer, &local.snapshot());
             if let Some(why) = &why {
                 tracer.event(
@@ -307,17 +306,28 @@ pub fn sweep<C: Candidate + Copy + Send + Sync>(
             }
             rejected[i] = why;
         }
-        stats.checked = builds.len();
+        stats.checked = transformed.len();
         stats.rejected = rejected.iter().flatten().count();
         tracer.add("depan.checked", stats.checked as u64);
         tracer.add("depan.rejected", stats.rejected as u64);
         tracer.add("depan.check_ns", stats.check_ns);
     }
 
-    // Stage 2: static bounds, then best-first order.
+    // Stage 2: static bounds over the candidates' logged builds, fetched
+    // through the cache that the evaluation stage then hits, then
+    // best-first order. A candidate that fails to build has no build
+    // here; evaluation reports its failure.
     let mut bounds: Vec<Option<f64>> = vec![None; n];
     let mut order: Vec<usize> = (0..n).collect();
     if opts.prune {
+        let mut builds: Vec<(usize, Arc<LoggedBuild>)> = Vec::new();
+        let fetched = par_traced(&todo, |&i, t| cache.logged(&candidates[i], machine, t));
+        for (&i, (build, local)) in todo.iter().zip(fetched) {
+            replay_into(tracer, &local.snapshot());
+            if let Ok(build) = build {
+                builds.push((i, build));
+            }
+        }
         let _c = span(tracer, stage::COST);
         for (i, build) in &builds {
             let (args, useful) = candidates[*i].eval_args();
@@ -923,6 +933,32 @@ mod tests {
         assert_eq!(snap.counters["depan.checked"], r.generated as u64);
         assert_eq!(snap.counters["depan.rejected"], 0);
         assert!(snap.counters["depan.check_ns"] > 0);
+    }
+
+    #[test]
+    fn legality_runs_before_any_code_generation() {
+        // The legality stage reads the transform stage only: every
+        // candidate's verdict is in before the first `akg` span begins.
+        let m = MachineSpec::sandy_bridge();
+        let opts = ResilOptions {
+            check_legality: true,
+            ..ResilOptions::plain()
+        };
+        let (c, cache) = (Collector::new(), EvalCache::new());
+        let cands = gemm_candidates(&m);
+        let r = sweep(cands, &m, &opts, None, &Injector::disabled(), &c, &cache).unwrap();
+        assert_eq!(r.stats.checked, r.generated);
+        let snap = c.snapshot();
+        let seqs = |name: &str| -> Vec<u64> {
+            let spans = snap.spans.iter().filter(|s| s.name == name);
+            spans.map(|s| s.seq).collect()
+        };
+        let last_depan = seqs(stage::DEPAN).into_iter().max().expect("depan spans");
+        let first_akg = seqs(stage::AKG).into_iter().min().expect("akg spans");
+        assert!(
+            first_akg > last_depan,
+            "akg span {first_akg} begins before depan span {last_depan}"
+        );
     }
 
     #[test]

@@ -34,7 +34,7 @@ fn gemm_bound_is_sound_for_every_candidate_on_both_machines() {
         for cfg in gemm_candidates(&m) {
             // Shapes the register allocator rejects are not evaluable
             // candidates; the tuner skips them too.
-            let Ok(asm) = cfg.build_traced(&m, augem_obs::null()) else {
+            let Ok(asm) = cfg.build(&m) else {
                 continue;
             };
             let (args, _) = gemm_eval_args(&cfg);
@@ -72,7 +72,7 @@ fn vector_bound_is_sound_for_every_candidate_on_both_machines() {
         for kernel in VECTOR_KERNELS {
             let mut checked = 0usize;
             for cfg in vector_candidates(kernel, &m) {
-                let Ok(asm) = cfg.build_traced(&m, augem_obs::null()) else {
+                let Ok(asm) = cfg.build(&m) else {
                     continue;
                 };
                 let (args, _) = vector_eval_args(&cfg);

@@ -59,7 +59,7 @@ struct Cell {
 }
 
 fn analyze_cell(cfg: &GemmConfig, m: &MachineSpec) -> (Cell, augem_asm::AsmKernel) {
-    let asm = cfg.build_traced(m, augem_obs::null()).expect("build");
+    let asm = cfg.build(m).expect("build");
     let (args, _) = gemm_eval_args(cfg);
     let report = augem_cost::analyze(&asm, &args, m).expect("analyze");
     let (timing, _) = augem_sim::simulate_timing_steady(&asm, args, m).expect("sim");

@@ -500,7 +500,7 @@ fn measured_candidates() -> Vec<(String, MachineSpec, AsmKernel, Vec<SimValue>, 
             }
         }
         for (tag, c) in cands {
-            let Ok(build) = c.build_logged_traced(&machine, augem::obs::null()) else {
+            let Ok(build) = augem::tune::build_logged(&*c, &machine) else {
                 continue;
             };
             out.push((tag, machine.clone(), build.asm, c.eval_args().0, c.warm()));
