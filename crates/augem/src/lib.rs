@@ -62,7 +62,7 @@ use augem_obs::{
     CandidateFailure, Collector, RankedCandidate, RunReport, SimCounters, Tracer, TunerTelemetry,
 };
 use augem_prof::Profile;
-use augem_resil::{sandboxed, Injector, Site, TuneJournal};
+use augem_resil::{sandboxed, Injector, Journal, Site};
 use augem_sim::TimingReport;
 use augem_tune::config::{GemmConfig, LoggedBuild, VectorConfig, VectorKernel};
 use augem_tune::{
@@ -506,7 +506,7 @@ impl Augem {
             let header = augem_resil::journal_header(kernel.name(), m.arch.short_name());
             // An unusable journal (wrong header, I/O error) degrades to
             // an uncheckpointed sweep, not a crash.
-            TuneJournal::load_or_create(path, header, opts.resume)
+            Journal::load_or_create(path, header, opts.resume)
                 .map_err(|e| {
                     tracer.event("resil.journal.unusable", &[("error", e.to_string().into())])
                 })
@@ -523,7 +523,7 @@ impl Augem {
         &self,
         candidates: Vec<C>,
         opts: &ResilOptions,
-        journal: Option<&mut TuneJournal>,
+        journal: Option<&mut Journal>,
         injector: &Injector,
         tracer: &dyn Tracer,
     ) -> Result<Tuned, TuneError> {

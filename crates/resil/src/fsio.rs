@@ -1,4 +1,4 @@
-//! Crash-safe file writes for report, benchmark, and kernel-store sinks.
+//! Crash-safe file writes for report, benchmark, and journal sinks.
 
 use std::io::Write as _;
 use std::path::Path;
@@ -53,6 +53,19 @@ pub fn write_atomic(path: impl AsRef<Path>, contents: impl AsRef<[u8]>) -> std::
         let _ = std::fs::remove_file(&tmp);
     }
     result
+}
+
+/// Copies `path` into `quarantine/` beside it, for post-mortem: state
+/// found damaged or foreign, kept aside and never read back. A later
+/// copy under the same name replaces an earlier one.
+pub fn quarantine(path: &Path) -> std::io::Result<()> {
+    let (Some(dir), Some(name)) = (path.parent(), path.file_name()) else {
+        return Ok(());
+    };
+    let kept = dir.join("quarantine");
+    std::fs::create_dir_all(&kept)?;
+    std::fs::copy(path, kept.join(name))?;
+    Ok(())
 }
 
 /// Fsyncs the directory containing `path`, making the rename that just

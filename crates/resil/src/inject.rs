@@ -28,9 +28,8 @@ pub enum Site {
     /// When appending a commit record to the kernel-store journal
     /// (`augem-serve`'s persistent cache).
     StoreJournal,
-    /// Between the store-journal append and the entry-file write — the
-    /// narrowest window in which a kill -9 can strand a journaled commit
-    /// without its entry (tests store recovery).
+    /// In the middle of the store-journal append itself: a kill -9
+    /// here leaves a torn, unterminated record (tests store recovery).
     StoreCommit,
 }
 

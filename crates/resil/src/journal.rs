@@ -1,33 +1,50 @@
-//! The tuning checkpoint journal.
+//! The one on-disk format: an append-only journal of checksummed records.
 //!
-//! An append-only JSON-lines file: one header line naming the schema,
-//! kernel, and machine, then one line per evaluated candidate. Each line
-//! is flushed as it is written, so after a crash the journal holds every
-//! completed evaluation plus at most one truncated tail line. Loading is
-//! tolerant by design: lines that do not parse, or parse without a
-//! `tag`, are counted and dropped — the candidates they would have
-//! covered are simply re-evaluated on resume.
+//! A JSON-lines file: one header line naming the schema (and whatever
+//! else the caller pins, such as the tune checkpoint's kernel and
+//! machine), then one line per record:
 //!
-//! The payload of each entry belongs to the caller (`augem-tune` stores
-//! the full timing measurement so a resumed run reproduces the
-//! uninterrupted run's winner bit-for-bit); this module only enforces the
-//! envelope: a header, a `tag` key per entry, first-write-wins dedup.
+//! ```text
+//! {"sum":"<16 hex digits>","record":{"tag":"...", ...}}
+//! ```
+//!
+//! where `sum` hashes the record's exact bytes. Every append is written
+//! and fsynced, so after a crash the file holds every completed record
+//! plus at most one unterminated last line. Loading streams the file and
+//! drops, and counts, every line that is torn (unterminated), not UTF-8,
+//! fails its checksum, or does not decode into a record with a tag; the
+//! first record per tag wins. A load that dropped a line rewrites the
+//! file from the surviving records, so nothing is ever appended after a
+//! torn tail. A torn tail is what a crash leaves and is dropped without
+//! trace; any other dropped line is damage, and the file as found is
+//! first copied to `quarantine/` beside it for post-mortem, never read
+//! back.
+//!
+//! Two callers share it: the tuner's checkpoint (records are the
+//! sweep's `Json` decisions, so a resumed run replays exact `f64`
+//! measurements) and `augem-serve`'s kernel store (records are whole
+//! stored kernels).
 
+use crate::fsio::{quarantine, write_atomic};
+use augem_obs::hash::{mix_str, splitmix64};
 use augem_obs::Json;
 use std::collections::HashMap;
-use std::io::Write as _;
+use std::io::{BufRead as _, Write as _};
 use std::path::{Path, PathBuf};
 
-/// Schema identifier in the journal's header line.
-pub const JOURNAL_SCHEMA: &str = "augem.tune-journal/v1";
+/// Schema identifier in the tune checkpoint's header line.
+pub const JOURNAL_SCHEMA: &str = "augem.tune-journal/v2";
+
+/// Seed of the record checksum.
+const SUM_SEED: u64 = 0x5709 ^ 0xC5;
 
 /// Journal failure (I/O or an incompatible existing file).
 #[derive(Debug)]
 pub enum JournalError {
     Io(std::io::Error),
-    /// The file at the journal path exists but is not a compatible
-    /// journal (wrong schema, or header names a different kernel or
-    /// machine than the run being resumed).
+    /// The file at the journal path exists but its header is not the
+    /// caller's: another schema version, or a checkpoint of a different
+    /// kernel or machine.
     BadHeader(String),
 }
 
@@ -48,7 +65,7 @@ impl From<std::io::Error> for JournalError {
     }
 }
 
-/// Builds the canonical header object for a tuning run.
+/// Builds the tune checkpoint's header.
 pub fn header(kernel: &str, machine: &str) -> Json {
     Json::obj(vec![
         ("schema", Json::str(JOURNAL_SCHEMA)),
@@ -57,85 +74,110 @@ pub fn header(kernel: &str, machine: &str) -> Json {
     ])
 }
 
-/// Checkpoint journal of one tuning run. See the module docs.
-#[derive(Debug)]
-pub struct TuneJournal {
-    path: Option<PathBuf>,
-    header: Json,
-    entries: Vec<Json>,
-    index: HashMap<String, usize>,
-    corrupt_dropped: usize,
+/// What a journal holds: a tagged value written as one JSON object.
+pub trait Record: Sized {
+    /// The record's identity; a journal keeps the first record per tag.
+    fn tag(&self) -> Option<&str>;
+    fn to_json(&self) -> Json;
+    /// `None` when `json` is not a record of this type.
+    fn from_json(json: Json) -> Option<Self>;
 }
 
-impl TuneJournal {
-    /// A journal with no backing file — checkpoint bookkeeping without
-    /// persistence (used when the caller wants resil telemetry but gave
-    /// no `--checkpoint` path).
-    pub fn in_memory(header: Json) -> Self {
-        TuneJournal {
+/// Untyped records: any object with a string `tag`.
+impl Record for Json {
+    fn tag(&self) -> Option<&str> {
+        self.get("tag").and_then(Json::as_str)
+    }
+
+    fn to_json(&self) -> Json {
+        self.clone()
+    }
+
+    fn from_json(json: Json) -> Option<Self> {
+        json.tag().is_some().then_some(json)
+    }
+}
+
+/// An append-only journal of checksummed records. See the module docs.
+#[derive(Debug)]
+pub struct Journal<R = Json> {
+    path: Option<PathBuf>,
+    records: Vec<R>,
+    index: HashMap<String, usize>,
+    dropped: usize,
+    quarantined: bool,
+}
+
+impl<R: Record> Journal<R> {
+    /// A journal with no backing file: the same bookkeeping, nothing
+    /// persisted.
+    pub fn in_memory() -> Self {
+        Journal {
             path: None,
-            header,
-            entries: Vec::new(),
+            records: Vec::new(),
             index: HashMap::new(),
-            corrupt_dropped: 0,
+            dropped: 0,
+            quarantined: false,
         }
     }
 
-    /// Creates (truncating) a journal file and writes the header line.
-    pub fn create(path: impl AsRef<Path>, header: Json) -> Result<Self, JournalError> {
-        let path = path.as_ref().to_path_buf();
-        let mut f = std::fs::File::create(&path)?;
-        writeln!(f, "{}", header.render())?;
-        f.sync_all()?;
-        Ok(TuneJournal {
-            path: Some(path),
-            header,
-            entries: Vec::new(),
-            index: HashMap::new(),
-            corrupt_dropped: 0,
+    /// Creates (replacing) a journal file holding only the header.
+    pub fn create(path: impl AsRef<Path>, header: Json) -> std::io::Result<Self> {
+        write_atomic(path.as_ref(), format!("{}\n", header.render()))?;
+        Ok(Journal {
+            path: Some(path.as_ref().to_path_buf()),
+            ..Self::in_memory()
         })
     }
 
-    /// Loads an existing journal, dropping (and counting) corrupt lines.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, JournalError> {
-        let path = path.as_ref().to_path_buf();
-        let text = std::fs::read_to_string(&path)?;
-        let mut lines = text.lines();
-        let header_line = lines
-            .next()
-            .ok_or_else(|| JournalError::BadHeader("empty file".into()))?;
-        let header = Json::parse(header_line)
-            .map_err(|e| JournalError::BadHeader(format!("unparseable header: {e}")))?;
-        if header.get("schema").and_then(Json::as_str) != Some(JOURNAL_SCHEMA) {
+    /// Loads the journal at `path`, whose header must equal `header`.
+    /// Streams the file, drops and counts bad lines, and compacts the
+    /// file if it dropped any (see the module docs).
+    pub fn load(path: impl AsRef<Path>, header: Json) -> Result<Self, JournalError> {
+        let path = path.as_ref();
+        let mut reader = std::io::BufReader::with_capacity(1 << 16, std::fs::File::open(path)?);
+        let mut line = Vec::new();
+        reader.read_until(b'\n', &mut line)?;
+        let want = header.render();
+        if line.strip_suffix(b"\n") != Some(want.as_bytes()) {
             return Err(JournalError::BadHeader(format!(
-                "expected schema {JOURNAL_SCHEMA}"
+                "{} does not start with {want}",
+                path.display()
             )));
         }
-        let mut j = TuneJournal {
-            path: Some(path),
-            header,
-            entries: Vec::new(),
-            index: HashMap::new(),
-            corrupt_dropped: 0,
-        };
-        for line in lines {
-            if line.trim().is_empty() {
-                continue;
+        let mut j = Self::in_memory();
+        j.path = Some(path.to_path_buf());
+        let mut damaged = false;
+        loop {
+            line.clear();
+            if reader.read_until(b'\n', &mut line)? == 0 {
+                break;
             }
-            match Json::parse(line) {
-                Ok(entry) if entry.get("tag").and_then(Json::as_str).is_some() => {
-                    j.index_entry(entry);
+            match line.strip_suffix(b"\n").and_then(decode) {
+                Some(record) => j.index(record),
+                None => {
+                    j.dropped += 1;
+                    damaged |= line.ends_with(b"\n");
                 }
-                _ => j.corrupt_dropped += 1,
             }
+        }
+        if damaged {
+            quarantine(path)?;
+            j.quarantined = true;
+        }
+        if j.dropped > 0 {
+            let mut text = format!("{want}\n");
+            for record in &j.records {
+                text.push_str(&render_line(record));
+            }
+            write_atomic(path, text)?;
         }
         Ok(j)
     }
 
-    /// Resumes from `path` when a compatible journal exists there,
-    /// otherwise starts a fresh one. `resume: false` always starts
-    /// fresh. A file with a *different* kernel or machine in its header
-    /// is an error, not silently overwritten — mixing runs would corrupt
+    /// Resumes from `path` when `resume` is set and a file exists there,
+    /// otherwise starts a fresh journal. A file whose header differs is
+    /// an error, not silently overwritten: mixing runs would corrupt
     /// both.
     pub fn load_or_create(
         path: impl AsRef<Path>,
@@ -144,94 +186,82 @@ impl TuneJournal {
     ) -> Result<Self, JournalError> {
         let path = path.as_ref();
         if resume && path.exists() {
-            let j = Self::load(path)?;
-            for key in ["kernel", "machine"] {
-                let (want, got) = (
-                    header.get(key).and_then(Json::as_str),
-                    j.header.get(key).and_then(Json::as_str),
-                );
-                if want != got {
-                    return Err(JournalError::BadHeader(format!(
-                        "journal {} is for {key} {:?}, this run is {key} {:?}",
-                        path.display(),
-                        got.unwrap_or("?"),
-                        want.unwrap_or("?"),
-                    )));
-                }
-            }
-            return Ok(j);
+            return Self::load(path, header);
         }
-        Self::create(path, header)
+        Ok(Self::create(path, header)?)
     }
 
-    fn index_entry(&mut self, entry: Json) {
-        let tag = entry
-            .get("tag")
-            .and_then(Json::as_str)
-            .expect("caller checked tag")
-            .to_string();
-        // First write wins: an entry is appended exactly once per tag in
-        // a healthy run; duplicates only appear after injected faults.
-        if !self.index.contains_key(&tag) {
-            self.index.insert(tag, self.entries.len());
-            self.entries.push(entry);
+    fn index(&mut self, record: R) {
+        let Some(tag) = record.tag() else { return };
+        // First write wins: a healthy writer appends each tag once;
+        // duplicates only appear after injected faults.
+        if !self.index.contains_key(tag) {
+            self.index.insert(tag.to_string(), self.records.len());
+            self.records.push(record);
         }
     }
 
-    /// Appends one candidate record (must carry a string `tag` field)
-    /// and flushes it to the backing file, if any.
-    pub fn append(&mut self, entry: Json) -> Result<(), JournalError> {
-        assert!(
-            entry.get("tag").and_then(Json::as_str).is_some(),
-            "journal entries must carry a `tag`"
-        );
-        if let Some(path) = &self.path {
-            let mut f = std::fs::OpenOptions::new().append(true).open(path)?;
-            writeln!(f, "{}", entry.render())?;
-            f.flush()?;
+    /// Appends one record (it must carry a tag), written and fsynced to
+    /// the backing file, if any, before it is indexed.
+    pub fn append(&mut self, record: R) -> std::io::Result<()> {
+        assert!(record.tag().is_some(), "journal records must carry a tag");
+        if self.path.is_some() {
+            self.write(render_line(&record).as_bytes())?;
         }
-        self.index_entry(entry);
+        self.index(record);
         Ok(())
     }
 
-    /// Writes a deliberately corrupt line to the backing file without
-    /// indexing it — the fault injector's journal-corruption site. The
-    /// in-memory view stays clean; only a later [`load`](Self::load)
-    /// sees (and drops) the damage.
-    pub fn append_corrupt(&mut self, garbage: &str) -> Result<(), JournalError> {
+    /// Writes `garbage` as a whole line without indexing it: the fault
+    /// injector's corruption sites. Only a later load sees, and drops,
+    /// the damage.
+    pub fn append_corrupt(&mut self, garbage: &str) -> std::io::Result<()> {
+        self.write(format!("{garbage}\n").as_bytes())
+    }
+
+    /// Writes the first half of `record`'s line, unterminated, without
+    /// indexing it: what a crash in the middle of an append leaves.
+    pub fn append_torn(&mut self, record: &R) -> std::io::Result<()> {
+        let line = render_line(record);
+        self.write(&line.as_bytes()[..line.len() / 2])
+    }
+
+    fn write(&self, bytes: &[u8]) -> std::io::Result<()> {
         if let Some(path) = &self.path {
             let mut f = std::fs::OpenOptions::new().append(true).open(path)?;
-            writeln!(f, "{garbage}")?;
-            f.flush()?;
+            f.write_all(bytes)?;
+            f.sync_all()?;
         }
         Ok(())
     }
 
-    /// The completed record for `tag`, if journaled.
-    pub fn get(&self, tag: &str) -> Option<&Json> {
-        self.index.get(tag).map(|&i| &self.entries[i])
+    /// The record for `tag`, if journaled.
+    pub fn get(&self, tag: &str) -> Option<&R> {
+        self.index.get(tag).map(|&i| &self.records[i])
     }
 
-    /// All journaled records, in append order.
-    pub fn entries(&self) -> &[Json] {
-        &self.entries
+    /// All records, in append order, without their checksums.
+    pub fn entries(&self) -> &[R] {
+        &self.records
     }
 
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.records.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.records.is_empty()
     }
 
-    /// Corrupt lines dropped by [`load`](Self::load).
+    /// Lines [`load`](Self::load) dropped: a torn tail and damage alike.
     pub fn corrupt_dropped(&self) -> usize {
-        self.corrupt_dropped
+        self.dropped
     }
 
-    pub fn header(&self) -> &Json {
-        &self.header
+    /// Whether [`load`](Self::load) found damage beyond a torn tail and
+    /// kept the file as found in `quarantine/`.
+    pub fn quarantined(&self) -> bool {
+        self.quarantined
     }
 
     pub fn path(&self) -> Option<&Path> {
@@ -239,12 +269,46 @@ impl TuneJournal {
     }
 }
 
+fn checksum(record: &str) -> String {
+    format!("{:016x}", mix_str(splitmix64(SUM_SEED), record))
+}
+
+/// `record`'s journal line, newline included.
+fn render_line(record: &impl Record) -> String {
+    let record = record.to_json().render();
+    format!(
+        "{{\"sum\":\"{}\",\"record\":{record}}}\n",
+        checksum(&record)
+    )
+}
+
+/// The record on one line (newline stripped), if the line is intact.
+fn decode<R: Record>(line: &[u8]) -> Option<R> {
+    let line = std::str::from_utf8(line).ok()?;
+    let rest = line.strip_prefix("{\"sum\":\"")?;
+    let (sum, rest) = (rest.get(..16)?, rest.get(16..)?);
+    let record = rest.strip_prefix("\",\"record\":")?.strip_suffix('}')?;
+    if sum != checksum(record) {
+        return None;
+    }
+    R::from_json(Json::parse(record).ok()?).filter(|r| r.tag().is_some())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A fresh directory per test: damaged loads write `quarantine/`
+    /// beside the journal.
     fn tmp(name: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("augem-journal-{}-{name}", std::process::id()))
+        let d = std::env::temp_dir().join(format!("augem-journal-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&d);
+        std::fs::create_dir_all(&d).unwrap();
+        d.join("journal.jsonl")
+    }
+
+    fn cleanup(p: &Path) {
+        std::fs::remove_dir_all(p.parent().unwrap()).unwrap();
     }
 
     fn entry(tag: &str, mflops: f64) -> Json {
@@ -255,91 +319,102 @@ mod tests {
         ])
     }
 
+    fn dgemm() -> Json {
+        header("dgemm", "sandybridge")
+    }
+
     #[test]
     fn create_append_load_round_trip() {
-        let p = tmp("roundtrip.jsonl");
-        let mut j = TuneJournal::create(&p, header("dgemm", "sandybridge")).unwrap();
+        let p = tmp("roundtrip");
+        let mut j = Journal::create(&p, dgemm()).unwrap();
         j.append(entry("8x4", 10_000.5)).unwrap();
         j.append(entry("4x4", 8_000.25)).unwrap();
-        let back = TuneJournal::load(&p).unwrap();
-        assert_eq!(back.len(), 2);
+        let written = std::fs::read(&p).unwrap();
+        let back: Journal = Journal::load(&p, dgemm()).unwrap();
+        assert_eq!(
+            back.entries(),
+            [entry("8x4", 10_000.5), entry("4x4", 8_000.25)]
+        );
         assert_eq!(back.corrupt_dropped(), 0);
         assert_eq!(
-            back.get("8x4").unwrap().get("mflops").unwrap().as_f64(),
-            Some(10_000.5)
+            std::fs::read(&p).unwrap(),
+            written,
+            "a clean load writes nothing"
         );
-        assert_eq!(
-            back.header().get("kernel").and_then(Json::as_str),
-            Some("dgemm")
-        );
-        std::fs::remove_file(&p).unwrap();
+        cleanup(&p);
     }
 
     #[test]
-    fn truncated_tail_is_dropped_not_fatal() {
-        let p = tmp("truncated.jsonl");
-        let mut j = TuneJournal::create(&p, header("daxpy", "piledriver")).unwrap();
+    fn torn_tail_is_dropped_and_compacted_away_without_quarantine() {
+        let p = tmp("torn");
+        let mut j = Journal::create(&p, header("daxpy", "piledriver")).unwrap();
         j.append(entry("u8", 1.0)).unwrap();
-        // Simulate a crash mid-append: a partial JSON line at the end.
-        let mut raw = std::fs::read_to_string(&p).unwrap();
-        raw.push_str("{\"tag\":\"u16\",\"outcome\":\"ok\",\"mfl");
-        std::fs::write(&p, raw).unwrap();
-        let back = TuneJournal::load(&p).unwrap();
+        let clean = std::fs::read(&p).unwrap();
+        j.append_torn(&entry("u16", 2.0)).unwrap();
+        let back: Journal = Journal::load(&p, header("daxpy", "piledriver")).unwrap();
         assert_eq!(back.len(), 1);
         assert_eq!(back.corrupt_dropped(), 1);
-        assert!(back.get("u16").is_none(), "truncated entry must be absent");
-        std::fs::remove_file(&p).unwrap();
+        assert!(back.get("u16").is_none(), "torn record must be absent");
+        assert!(!back.quarantined(), "a torn tail is a crash, not damage");
+        assert_eq!(
+            std::fs::read(&p).unwrap(),
+            clean,
+            "compacted to the clean prefix"
+        );
+        assert!(!p.with_file_name("quarantine").exists());
+        cleanup(&p);
     }
 
     #[test]
-    fn corrupt_middle_line_keeps_valid_tail() {
-        let p = tmp("middle.jsonl");
-        let mut j = TuneJournal::create(&p, header("ddot", "sandybridge")).unwrap();
+    fn damaged_line_is_dropped_counted_and_kept_aside() {
+        let p = tmp("middle");
+        let mut j = Journal::create(&p, header("ddot", "sandybridge")).unwrap();
         j.append(entry("a", 1.0)).unwrap();
         j.append_corrupt("not json at all").unwrap();
         j.append(entry("b", 2.0)).unwrap();
-        let back = TuneJournal::load(&p).unwrap();
-        assert_eq!(back.len(), 2);
+        let found = std::fs::read(&p).unwrap();
+        let back: Journal = Journal::load(&p, header("ddot", "sandybridge")).unwrap();
+        assert_eq!(back.entries(), [entry("a", 1.0), entry("b", 2.0)]);
         assert_eq!(back.corrupt_dropped(), 1);
-        assert!(back.get("b").is_some());
-        std::fs::remove_file(&p).unwrap();
+        assert!(back.quarantined());
+        let kept = p.with_file_name("quarantine").join("journal.jsonl");
+        assert_eq!(std::fs::read(kept).unwrap(), found, "kept as found");
+        let again: Journal = Journal::load(&p, header("ddot", "sandybridge")).unwrap();
+        assert_eq!((again.len(), again.corrupt_dropped()), (2, 0));
+        cleanup(&p);
     }
 
     #[test]
-    fn resume_rejects_mismatched_kernel() {
-        let p = tmp("mismatch.jsonl");
-        TuneJournal::create(&p, header("dgemm", "sandybridge")).unwrap();
-        let err = TuneJournal::load_or_create(&p, header("daxpy", "sandybridge"), true)
-            .expect_err("kernel mismatch must be rejected");
-        assert!(matches!(err, JournalError::BadHeader(_)), "{err}");
-        std::fs::remove_file(&p).unwrap();
+    fn header_must_match_the_callers() {
+        let p = tmp("mismatch");
+        Journal::<Json>::create(&p, dgemm()).unwrap();
+        for other in [
+            header("daxpy", "sandybridge"),
+            header("dgemm", "piledriver"),
+            Json::obj(vec![("schema", Json::str("augem.tune-journal/v1"))]),
+        ] {
+            let err = Journal::<Json>::load_or_create(&p, other, true)
+                .expect_err("a different header must be rejected");
+            assert!(matches!(err, JournalError::BadHeader(_)), "{err}");
+        }
+        cleanup(&p);
     }
 
     #[test]
     fn no_resume_truncates_existing() {
-        let p = tmp("fresh.jsonl");
-        let mut j = TuneJournal::create(&p, header("dgemm", "sandybridge")).unwrap();
+        let p = tmp("fresh");
+        let mut j = Journal::create(&p, dgemm()).unwrap();
         j.append(entry("old", 1.0)).unwrap();
-        let j2 = TuneJournal::load_or_create(&p, header("dgemm", "sandybridge"), false).unwrap();
+        let j2: Journal = Journal::load_or_create(&p, dgemm(), false).unwrap();
         assert!(j2.is_empty());
-        assert!(TuneJournal::load(&p).unwrap().get("old").is_none());
-        std::fs::remove_file(&p).unwrap();
-    }
-
-    #[test]
-    fn bad_header_is_rejected() {
-        let p = tmp("badheader.jsonl");
-        std::fs::write(&p, "{\"schema\":\"something-else\"}\n").unwrap();
-        assert!(matches!(
-            TuneJournal::load(&p),
-            Err(JournalError::BadHeader(_))
-        ));
-        std::fs::remove_file(&p).unwrap();
+        let back: Journal = Journal::load(&p, dgemm()).unwrap();
+        assert!(back.get("old").is_none());
+        cleanup(&p);
     }
 
     #[test]
     fn in_memory_journal_needs_no_file() {
-        let mut j = TuneJournal::in_memory(header("dgemm", "sandybridge"));
+        let mut j = Journal::in_memory();
         j.append(entry("x", 3.0)).unwrap();
         assert_eq!(j.len(), 1);
         assert!(j.path().is_none());
@@ -347,13 +422,9 @@ mod tests {
 
     #[test]
     fn duplicate_tags_keep_first_record() {
-        let mut j = TuneJournal::in_memory(header("dgemm", "sandybridge"));
+        let mut j = Journal::in_memory();
         j.append(entry("x", 3.0)).unwrap();
         j.append(entry("x", 9.0)).unwrap();
-        assert_eq!(j.len(), 1);
-        assert_eq!(
-            j.get("x").unwrap().get("mflops").unwrap().as_f64(),
-            Some(3.0)
-        );
+        assert_eq!(j.entries(), [entry("x", 3.0)]);
     }
 }

@@ -17,10 +17,12 @@
 //! - [`CircuitBreaker`] — prunes an entire candidate *family* after
 //!   repeated consecutive failures, so a pathological corner of the
 //!   search space cannot burn the whole evaluation budget;
-//! - [`TuneJournal`] — an append-only JSON-lines checkpoint of every
-//!   evaluated candidate; a crashed run resumes by replaying it and
-//!   skipping completed work (a truncated tail from a mid-write crash is
-//!   detected and dropped, not fatal);
+//! - [`Journal`] — an append-only JSON-lines file of checksummed,
+//!   fsynced records: the tuner's checkpoint of every evaluated
+//!   candidate (a crashed run resumes by replaying it) and
+//!   `augem-serve`'s kernel store. Loading drops and counts torn,
+//!   damaged and altered lines instead of failing, and never trusts a
+//!   record whose checksum does not match;
 //! - [`Injector`] — a seeded, deterministic fault-injection harness that
 //!   plants panics, budget blow-ups, journal corruption, and simulated
 //!   crashes at configurable [`Site`]s, driving the integration suite
@@ -29,7 +31,8 @@
 //!
 //! [`write_atomic`] rounds the crate out: report/benchmark sinks write
 //! through a temp-file-and-rename so a crash mid-run can never leave a
-//! truncated JSON document behind.
+//! truncated JSON document behind, and [`quarantine`] keeps damaged
+//! state aside for post-mortem.
 //!
 //! Everything here is deterministic by construction (seeded hashing, no
 //! wall-clock decisions), because the acceptance bar for checkpointing is
@@ -46,9 +49,9 @@ mod retry;
 mod sandbox;
 
 pub use breaker::CircuitBreaker;
-pub use fsio::{dir_fsyncs, write_atomic};
+pub use fsio::{dir_fsyncs, quarantine, write_atomic};
 pub use inject::{Fault, InjectionPlan, Injector, Rule, Site, Trigger};
-pub use journal::{header as journal_header, JournalError, TuneJournal, JOURNAL_SCHEMA};
+pub use journal::{header as journal_header, Journal, JournalError, Record, JOURNAL_SCHEMA};
 pub use retry::{with_retry, RetryPolicy, Transient};
 pub use sandbox::sandboxed;
 
@@ -74,7 +77,8 @@ pub mod counter {
     pub const BREAKER_SKIPPED: &str = "resil.breaker.skipped";
     /// Candidates restored from a checkpoint journal instead of re-run.
     pub const JOURNAL_RESUMED: &str = "resil.journal.resumed";
-    /// Corrupt journal lines dropped during load.
+    /// Journal lines dropped during load: a torn tail, or damage (not
+    /// UTF-8, a failed checksum, no tag).
     pub const JOURNAL_CORRUPT: &str = "resil.journal.corrupt";
     /// Fallbacks to a next-ranked candidate after the winner failed
     /// verification.

@@ -9,8 +9,8 @@
 //! - `1` — fatal I/O error (store directory unusable, broken pipe)
 //! - `2` — usage error
 //! - `9` — injected kill-9 (`--inject-crash-commit`) fired in the
-//!   store-commit window; the persistent store holds a journaled but
-//!   unwritten commit for the recovery path to clean up
+//!   store-commit window; the store journal ends in a torn record for
+//!   the recovery path to drop
 
 use augem_resil::{Fault, InjectionPlan, Injector, Site, Trigger};
 use augem_serve::{serve_lines, ServeConfig, Server};
@@ -31,8 +31,8 @@ options:
   --breaker N            consecutive failures opening a family's circuit
                          (default 3; 0 disables)
   --step-limit N         default per-candidate simulator step budget
-  --inject-crash-commit N  die (exit 9) in the N-th store-commit window,
-                         between journal append and entry write
+  --inject-crash-commit N  die (exit 9) in the N-th store commit,
+                         leaving a torn journal record
   --inject-seed N        seed for the fault-injection plan (default 0)
   -h, --help             this text
 

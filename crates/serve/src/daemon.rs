@@ -34,7 +34,8 @@
 //! are stored beside the key and its worker moves on, so a parked
 //! request holds no worker. The leader commits its winner and releases
 //! the key in one critical section, then answers every parked request
-//! with its own outcome under the parked request's id. A leader that
+//! with its own outcome under the parked request's id, and with a run
+//! report of the parked request's own work (no stages). A leader that
 //! unwinds answers them with a typed error; one that dies in the
 //! commit window leaves them unanswered, like the rest of the dead
 //! process's requests.
@@ -45,7 +46,7 @@ use crate::store::{store_key, KernelStore, StoreError, StoredKernel};
 use augem::{Augem, Degradation, RunOptions, Target};
 use augem_obs::{Collector, RunReport, Tracer};
 use augem_resil::{sandboxed, CircuitBreaker, Injector};
-use augem_tune::{cache_enabled, note_cache_disabled, EvalCache};
+use augem_tune::EvalCache;
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -188,9 +189,6 @@ impl Server {
             Some(dir) => KernelStore::open(dir, &counters)?,
             None => KernelStore::in_memory(),
         };
-        if !cache_enabled() {
-            note_cache_disabled(&counters);
-        }
         let breaker = CircuitBreaker::new(config.breaker_threshold);
         Ok(Server {
             config,
@@ -362,7 +360,6 @@ impl Server {
         resp.kernel = Some(req.kernel.name().to_string());
         resp.machine = Some(req.machine.fingerprint_tag());
         resp.error = resp.error.or_else(|| result.cause.clone());
-        resp.report = Some(result.report.to_json());
         let asm = result.generated.as_ref().map(|g| g.assembly_text());
         if let Some(generated) = &result.generated {
             resp.config_tag = Some(generated.config_tag.clone());
@@ -409,13 +406,27 @@ impl Server {
             }
             flight.land(&mut state)
         };
-        for p in parked {
-            let mut shared = resp.clone();
-            if p.op == Op::Generate {
-                shared.asm = asm.clone();
+        // A parked request did no tuning: its report carries the
+        // kernel it got and its own two counters, not the leader's work.
+        if !parked.is_empty() {
+            let r = &result.report;
+            let report = request_report(
+                &[counter::STORE_MISS, counter::COALESCED],
+                &r.kernel,
+                &r.machine,
+                &r.config,
+                r.mflops,
+            );
+            for p in parked {
+                let mut shared = resp.clone();
+                shared.report = Some(report.clone());
+                if p.op == Op::Generate {
+                    shared.asm = asm.clone();
+                }
+                p.answer(shared);
             }
-            p.answer(shared);
         }
+        resp.report = Some(result.report.to_json());
         if req.op == Op::Generate {
             resp.asm = asm;
         }
@@ -423,15 +434,13 @@ impl Server {
     }
 
     fn hit_response(&self, req: &Request, hit: &StoredKernel) -> Response {
-        // A per-request collector so the embedded report reflects this
-        // request's (trivial) work, not the daemon's lifetime.
-        let c = Collector::new();
-        c.add(counter::STORE_HIT, 1);
-        let mut report = RunReport::from_snapshot(&c.snapshot());
-        report.kernel = hit.kernel.clone();
-        report.machine = hit.machine.clone();
-        report.config = hit.config_tag.clone();
-        report.mflops = hit.mflops;
+        let report = request_report(
+            &[counter::STORE_HIT],
+            &hit.kernel,
+            &hit.machine,
+            &hit.config_tag,
+            hit.mflops,
+        );
         let mut resp = Response::new(&req.id, Status::Ok);
         resp.cache = Some("hit");
         resp.kernel = Some(hit.kernel.clone());
@@ -441,7 +450,7 @@ impl Server {
         if req.op == Op::Generate {
             resp.asm = Some(hit.asm.clone());
         }
-        resp.report = Some(report.to_json());
+        resp.report = Some(report);
         resp
     }
 
@@ -453,6 +462,27 @@ impl Server {
             .or_insert_with(|| Augem::with_cache(req.machine.clone(), Arc::clone(&self.cache)))
             .clone()
     }
+}
+
+/// The run report of a request that ran no tune itself (a store hit,
+/// or a miss parked on another request's tune): the kernel it got, and
+/// each of `counters` at 1 — this request's work, not the daemon's.
+fn request_report(
+    counters: &[&str],
+    kernel: &str,
+    machine: &str,
+    config: &str,
+    mflops: f64,
+) -> augem_obs::Json {
+    RunReport {
+        kernel: kernel.to_string(),
+        machine: machine.to_string(),
+        config: config.to_string(),
+        mflops,
+        counters: counters.iter().map(|&c| (c.to_string(), 1)).collect(),
+        ..RunReport::default()
+    }
+    .to_json()
 }
 
 fn lock(store: &Mutex<StoreState>) -> std::sync::MutexGuard<'_, StoreState> {

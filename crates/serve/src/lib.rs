@@ -17,12 +17,12 @@
 //! - **Persistent kernel cache** ([`store`]): tuned winners are kept in
 //!   a content-addressed on-disk store (key = kernel × machine
 //!   fingerprint × budget, the same fingerprints `tune::EvalCache`
-//!   uses). Every entry is written with [`augem_resil::write_atomic`]
-//!   and carries a checksum footer; a JSON-lines store journal makes
-//!   commits crash-recoverable. Loading is tolerant: torn, corrupt, or
-//!   version-skewed state is quarantined and counted, never fatal, and
-//!   recovery compacts the journal back to exactly the replayable
-//!   prefix — bit-identical to the pre-crash state.
+//!   uses). The store is one [`augem_resil::Journal`] of whole,
+//!   checksummed kernel records, and a commit is one fsynced append.
+//!   Loading is tolerant: a torn tail, damaged lines and foreign
+//!   journals are dropped or quarantined and counted, never fatal, and
+//!   recovery compacts the journal back to the surviving records —
+//!   bit-identical to the pre-crash state.
 //! - **Graceful degradation**: a cache hit answers without re-tuning; a
 //!   miss runs `Augem::run`, whose ladder (tuned winner → next-ranked
 //!   verified → paper default → report-only) maps onto
@@ -30,12 +30,13 @@
 //!   contained by [`augem_resil::sandboxed`] and become typed errors.
 //! - **Single flight** ([`daemon`]): concurrent misses on one store key
 //!   share one tune. The first leads; the rest park without holding a
-//!   worker and get the leader's outcome under their own ids.
+//!   worker and get the leader's outcome under their own ids, each with
+//!   a report of its own (no stages, `serve.coalesced` 1).
 //!
 //! Fault injection reuses [`augem_resil::Injector`] with two
-//! store-specific sites: `StoreJournal` (corrupt the journal append)
-//! and `StoreCommit` (die between the journal append and the entry
-//! write — the kill-9 window the recovery path is built for).
+//! store-specific sites: `StoreJournal` (write a garbage line before
+//! the append) and `StoreCommit` (die mid-append, leaving a torn record
+//! — the kill-9 window the recovery path is built for).
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -47,7 +48,7 @@ pub mod store;
 pub use daemon::{serve_lines, ServeConfig, ServeSummary, Server, ServerPool};
 pub use proto::{parse_request, Op, Reject, Request, Response, Status, RESPONSE_SCHEMA};
 pub use store::{
-    store_key, KernelStore, LoadStats, StoreError, StoredKernel, STORE_JOURNAL_SCHEMA, STORE_SCHEMA,
+    store_key, KernelStore, LoadStats, StoreError, StoredKernel, STORE_JOURNAL_SCHEMA,
 };
 
 /// Canonical `serve.*` counter names, spelled once so the daemon, the
@@ -65,14 +66,10 @@ pub mod counter {
     pub const COALESCED: &str = "serve.coalesced";
     /// Winners committed to the persistent store.
     pub const STORE_COMMIT: &str = "serve.store.commit";
-    /// On-disk entries quarantined during load (torn/corrupt/skewed).
+    /// Store journals kept in `quarantine/` during load: damaged beyond
+    /// a torn tail, or foreign. Every dropped line, a torn tail
+    /// included, also counts on `resil.journal.corrupt`.
     pub const STORE_QUARANTINED: &str = "serve.store.quarantined";
-    /// Journaled commits whose entry file was missing (the kill-9
-    /// window); dropped during recovery and re-tuned on demand.
-    pub const STORE_DANGLING: &str = "serve.store.dangling";
-    /// Entry files present on disk but absent from the journal;
-    /// quarantined during load.
-    pub const STORE_ORPHAN: &str = "serve.store.orphan";
     /// Requests shed because the queue was full.
     pub const REJECT_QUEUE_FULL: &str = "serve.reject.queue_full";
     /// Requests shed because their deadline passed while queued.

@@ -5,53 +5,42 @@
 //! budget — but durable: a warm daemon restart answers repeat requests
 //! without re-tuning anything.
 //!
-//! # On-disk layout and commit protocol
+//! # On-disk layout
 //!
 //! ```text
-//! <dir>/journal.jsonl        append-only commit journal (source of truth)
-//! <dir>/entries/<key>.json   one entry per kernel: payload line + checksum footer
-//! <dir>/quarantine/          damaged files moved aside for post-mortem
+//! <dir>/journal.jsonl   one resil::Journal: a header, then one
+//!                       checksummed record per stored kernel
+//! <dir>/entries/        empty; kept because the benchmark's store copy lists it
+//! <dir>/quarantine/     journals found damaged or foreign, for post-mortem
 //! ```
 //!
-//! A commit appends `{"tag": key, "checksum": c}` to the journal
-//! (flushed and fsynced), *then* writes the entry file with
-//! [`write_atomic`]. The ordering means every entry file on disk is
-//! announced by the journal; a crash in the window between the two
-//! leaves a journal line with no file — a *dangling commit* — which
-//! recovery simply drops, returning the store to its exact pre-commit
-//! state. The reverse order would leave unannounced entry files whose
-//! provenance nothing records.
+//! A commit is one fsynced append of a whole [`StoredKernel`] record,
+//! so a crash in the commit window leaves at most a torn, unterminated
+//! last line.
 //!
-//! # Recovery invariants
+//! # Recovery
 //!
-//! [`KernelStore::open`] never panics on damaged state. Unparseable
-//! journal lines are dropped and counted; journaled entries whose file
-//! is missing are dropped (the crash window above); entry files that
-//! are torn, checksum-mismatched, or carry a different schema version
-//! are quarantined; files the journal does not announce are quarantined
-//! as orphans. If anything was dropped or quarantined the journal is
-//! compacted (rewritten atomically from the surviving lines), so the
-//! post-recovery `journal.jsonl` + `entries/` are bit-identical to a
-//! replay of the surviving prefix — the property the crash-restart
-//! tests assert with byte comparison.
+//! [`KernelStore::open`] never fails on damaged state. The journal's
+//! load drops and counts a torn tail and every damaged line (not UTF-8,
+//! a failed checksum, not a stored kernel), never serves them, keeps a
+//! damaged journal as found in `quarantine/`, and compacts the file to
+//! the surviving records in commit order. A crash-restart therefore
+//! leaves bytes identical to a never-crashed store over the surviving
+//! commits — the property the crash-restart tests assert. A journal
+//! with another header (another schema version included) is
+//! quarantined whole, and the store starts empty.
 
 use crate::counter;
 use augem_machine::MachineSpec;
 use augem_obs::hash::{mix_str, splitmix64};
 use augem_obs::{Json, Tracer};
-use augem_resil::{write_atomic, Fault, Injector, Site};
-use std::collections::HashMap;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use augem_resil::{quarantine, Fault, Injector, Journal, JournalError, Record, Site};
+use std::path::Path;
 
-/// Schema identifier inside every entry file.
-pub const STORE_SCHEMA: &str = "augem.kernel-store/v1";
 /// Schema identifier in the store journal's header line.
-pub const STORE_JOURNAL_SCHEMA: &str = "augem.store-journal/v1";
+pub const STORE_JOURNAL_SCHEMA: &str = "augem.store-journal/v2";
 
-/// Seed for the store's checksums and keys (distinct from the machine
-/// fingerprint seed so a key can never collide with its own content
-/// hash).
+/// Seed for the store keys.
 const STORE_SEED: u64 = 0x5709;
 
 /// The content-addressed store key for a request: kernel name × machine
@@ -62,12 +51,6 @@ pub fn store_key(kernel: &str, machine: &MachineSpec, step_limit: Option<u64>) -
     h = splitmix64(h ^ machine.fingerprint());
     h = splitmix64(h ^ step_limit.map_or(u64::MAX, |s| s.wrapping_add(1)));
     format!("{h:016x}")
-}
-
-/// Checksum of an entry's payload line (also recorded in the journal,
-/// so a journal line vouches for specific *bytes*, not just a name).
-fn checksum(payload: &str) -> String {
-    format!("{:016x}", mix_str(splitmix64(STORE_SEED ^ 0xC5), payload))
 }
 
 /// One tuned kernel as the store persists it. Deliberately free of
@@ -90,34 +73,32 @@ pub struct StoredKernel {
     pub asm: String,
 }
 
-impl StoredKernel {
-    /// The entry file's payload line (without the checksum footer).
-    fn payload(&self) -> String {
+/// A journal record, tagged by its key.
+impl Record for StoredKernel {
+    fn tag(&self) -> Option<&str> {
+        Some(&self.key)
+    }
+
+    fn to_json(&self) -> Json {
         Json::obj(vec![
-            ("schema", Json::str(STORE_SCHEMA)),
-            ("key", Json::str(self.key.clone())),
+            ("tag", Json::str(self.key.clone())),
             ("kernel", Json::str(self.kernel.clone())),
             ("machine", Json::str(self.machine.clone())),
             ("config", Json::str(self.config_tag.clone())),
             ("mflops", Json::Num(self.mflops)),
             ("asm", Json::str(self.asm.clone())),
         ])
-        .render()
     }
 
-    /// Parses a payload line; `None` on any shape or version mismatch.
-    fn from_payload(line: &str) -> Option<StoredKernel> {
-        let doc = Json::parse(line).ok()?;
-        if doc.get("schema").and_then(Json::as_str) != Some(STORE_SCHEMA) {
-            return None;
-        }
+    fn from_json(doc: Json) -> Option<Self> {
+        let text = |k| doc.get(k).and_then(Json::as_str).map(String::from);
         Some(StoredKernel {
-            key: doc.get("key").and_then(Json::as_str)?.to_string(),
-            kernel: doc.get("kernel").and_then(Json::as_str)?.to_string(),
-            machine: doc.get("machine").and_then(Json::as_str)?.to_string(),
-            config_tag: doc.get("config").and_then(Json::as_str)?.to_string(),
+            key: text("tag")?,
+            kernel: text("kernel")?,
+            machine: text("machine")?,
+            config_tag: text("config")?,
             mflops: doc.get("mflops").and_then(Json::as_f64)?,
-            asm: doc.get("asm").and_then(Json::as_str)?.to_string(),
+            asm: text("asm")?,
         })
     }
 }
@@ -126,10 +107,10 @@ impl StoredKernel {
 #[derive(Debug)]
 pub enum StoreError {
     Io(std::io::Error),
-    /// An injected [`Fault::Crash`] fired in the commit window (after
-    /// the journal append, before the entry write). The caller decides
-    /// whether that means "die now" (the daemon binary) or "simulate
-    /// the death" (tests and the benchmark).
+    /// An injected [`Fault::Crash`] fired in the commit window, the
+    /// append itself, leaving a torn record. The caller decides whether
+    /// that means "die now" (the daemon binary) or "simulate the death"
+    /// (tests and the benchmark).
     Interrupted,
 }
 
@@ -153,229 +134,97 @@ impl From<std::io::Error> for StoreError {
 /// What [`KernelStore::open`] found (and did) while loading.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LoadStats {
-    /// Intact entries now serving from memory.
+    /// Kernels now serving from memory.
     pub entries_loaded: usize,
-    /// Journal lines that did not parse (torn tail, injected garbage).
+    /// Journal lines dropped: a torn tail (a crash mid-commit) or damage.
     pub journal_lines_dropped: usize,
-    /// Journaled commits whose entry file was missing (crash window).
-    pub dangling_dropped: usize,
-    /// Entry files quarantined (bad checksum, torn, version skew).
-    pub entries_quarantined: usize,
-    /// Un-journaled entry files quarantined.
-    pub orphans_quarantined: usize,
-    /// Whether recovery rewrote (compacted) the journal.
-    pub compacted: bool,
+    /// The journal as found was kept in `quarantine/`: it held damage
+    /// beyond a torn tail, or had another header.
+    pub quarantined: bool,
 }
 
 impl LoadStats {
     /// Did load encounter any damage at all?
     pub fn damaged(&self) -> bool {
-        self.journal_lines_dropped
-            + self.dangling_dropped
-            + self.entries_quarantined
-            + self.orphans_quarantined
-            > 0
+        self.journal_lines_dropped > 0 || self.quarantined
     }
 }
 
-/// The persistent kernel store. See the module docs for the layout,
-/// commit protocol, and recovery invariants. `dir: None` is a purely
-/// in-memory store with the same API (tests, `--cache-dir`-less runs).
+/// The persistent kernel store. See the module docs for the layout and
+/// recovery. [`KernelStore::in_memory`] is a store with the same API
+/// that persists nothing (tests, `--cache-dir`-less runs).
 #[derive(Debug)]
 pub struct KernelStore {
-    dir: Option<PathBuf>,
-    entries: HashMap<String, StoredKernel>,
-    /// Keys in journal (commit) order — compaction preserves it.
+    journal: Journal<StoredKernel>,
+    /// Keys in commit order.
     order: Vec<String>,
     stats: LoadStats,
+}
+
+fn header() -> Json {
+    Json::obj(vec![("schema", Json::str(STORE_JOURNAL_SCHEMA))])
 }
 
 impl KernelStore {
     /// An in-memory store: warm within the process, nothing persisted.
     pub fn in_memory() -> Self {
-        KernelStore {
-            dir: None,
-            entries: HashMap::new(),
-            order: Vec::new(),
-            stats: LoadStats::default(),
-        }
+        Self::serving(Journal::in_memory(), LoadStats::default())
     }
 
     /// Opens (creating if needed) the store at `dir`, running crash
-    /// recovery. Never panics on damaged state: damage is dropped or
-    /// quarantined, counted in [`LoadStats`], reported as counters on
-    /// `tracer`, and the journal is compacted back to the surviving
-    /// prefix.
+    /// recovery. Damage is dropped and counted in [`LoadStats`] and as
+    /// counters on `tracer`; only I/O failures are errors.
     pub fn open(dir: impl AsRef<Path>, tracer: &dyn Tracer) -> Result<Self, StoreError> {
-        let dir = dir.as_ref().to_path_buf();
+        let dir = dir.as_ref();
+        // Kept, empty, for the benchmark: its store copy lists `entries/`.
         std::fs::create_dir_all(dir.join("entries"))?;
-        let mut store = KernelStore {
-            dir: Some(dir),
-            entries: HashMap::new(),
-            order: Vec::new(),
-            stats: LoadStats::default(),
-        };
-        store.recover(tracer)?;
-        Ok(store)
-    }
-
-    fn journal_path(&self) -> Option<PathBuf> {
-        self.dir.as_ref().map(|d| d.join("journal.jsonl"))
-    }
-
-    /// The entry file for `key` (meaningless for in-memory stores).
-    pub fn entry_path(&self, key: &str) -> Option<PathBuf> {
-        self.dir
-            .as_ref()
-            .map(|d| d.join("entries").join(format!("{key}.json")))
-    }
-
-    /// Journal-replay load. See the module docs for the invariants.
-    fn recover(&mut self, tracer: &dyn Tracer) -> Result<(), StoreError> {
-        let Some(journal_path) = self.journal_path() else {
-            return Ok(());
-        };
-        let header = Json::obj(vec![("schema", Json::str(STORE_JOURNAL_SCHEMA))]).render();
-        if !journal_path.exists() {
-            write_atomic(&journal_path, format!("{header}\n"))?;
-            return Ok(());
-        }
-        let text = std::fs::read_to_string(&journal_path)?;
-        let mut lines = text.lines();
-        let header_ok = lines
-            .next()
-            .and_then(|l| Json::parse(l).ok())
-            .map(|h| h.get("schema").and_then(Json::as_str) == Some(STORE_JOURNAL_SCHEMA))
-            .unwrap_or(false);
-        if !header_ok {
-            // A foreign or mangled journal: quarantine it whole and
-            // start fresh — its entries are unvouched-for orphans.
-            quarantine_file(self.dir.as_deref(), &journal_path);
-            self.stats.journal_lines_dropped += text.lines().count();
-        } else {
-            for line in lines {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let parsed = Json::parse(line).ok().and_then(|doc| {
-                    Some((
-                        doc.get("tag").and_then(Json::as_str)?.to_string(),
-                        doc.get("checksum").and_then(Json::as_str)?.to_string(),
-                    ))
-                });
-                let Some((key, journaled_sum)) = parsed else {
-                    self.stats.journal_lines_dropped += 1;
-                    continue;
-                };
-                if self.entries.contains_key(&key) {
-                    // First write wins, as in the tune journal;
-                    // duplicates only appear after injected faults.
-                    continue;
-                }
-                match self.read_entry_file(&key, &journaled_sum) {
-                    EntryOnDisk::Intact(entry) => {
-                        self.order.push(key.clone());
-                        self.entries.insert(key, entry);
-                    }
-                    EntryOnDisk::Missing => self.stats.dangling_dropped += 1,
-                    EntryOnDisk::Damaged(path) => {
-                        quarantine_file(self.dir.as_deref(), &path);
-                        self.stats.entries_quarantined += 1;
-                    }
-                }
+        let path = dir.join("journal.jsonl");
+        let mut foreign = false;
+        let journal = match Journal::load(&path, header()) {
+            Ok(journal) => journal,
+            Err(JournalError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
+                Journal::create(&path, header())?
             }
-        }
-        // Anything in entries/ the surviving journal does not announce
-        // is an orphan: quarantine it rather than trust it.
-        if let Some(dir) = &self.dir {
-            let known: std::collections::HashSet<_> =
-                self.order.iter().map(|k| format!("{k}.json")).collect();
-            let listing: Vec<PathBuf> = std::fs::read_dir(dir.join("entries"))?
-                .filter_map(|e| e.ok())
-                .map(|e| e.path())
-                .filter(|p| {
-                    p.file_name()
-                        .map(|n| !known.contains(&n.to_string_lossy().to_string()))
-                        .unwrap_or(true)
-                })
-                .collect();
-            for orphan in listing {
-                quarantine_file(Some(dir), &orphan);
-                self.stats.orphans_quarantined += 1;
+            Err(JournalError::Io(e)) => return Err(e.into()),
+            Err(JournalError::BadHeader(_)) => {
+                quarantine(&path)?;
+                foreign = true;
+                Journal::create(&path, header())?
             }
-        }
-        self.stats.entries_loaded = self.entries.len();
-        if self.stats.damaged() {
-            self.compact()?;
-            self.stats.compacted = true;
-        }
+        };
+        let stats = LoadStats {
+            entries_loaded: journal.len(),
+            journal_lines_dropped: journal.corrupt_dropped(),
+            quarantined: foreign || journal.quarantined(),
+        };
         tracer.add(
             augem_resil::counter::JOURNAL_CORRUPT,
-            self.stats.journal_lines_dropped as u64,
+            stats.journal_lines_dropped as u64,
         );
-        tracer.add(counter::STORE_DANGLING, self.stats.dangling_dropped as u64);
-        tracer.add(
-            counter::STORE_QUARANTINED,
-            self.stats.entries_quarantined as u64,
-        );
-        tracer.add(counter::STORE_ORPHAN, self.stats.orphans_quarantined as u64);
-        Ok(())
+        tracer.add(counter::STORE_QUARANTINED, u64::from(stats.quarantined));
+        Ok(Self::serving(journal, stats))
     }
 
-    /// Rewrites the journal from the surviving entries, atomically.
-    fn compact(&self) -> Result<(), StoreError> {
-        let Some(journal_path) = self.journal_path() else {
-            return Ok(());
-        };
-        let mut text = Json::obj(vec![("schema", Json::str(STORE_JOURNAL_SCHEMA))]).render();
-        text.push('\n');
-        for key in &self.order {
-            if let Some(entry) = self.entries.get(key) {
-                text.push_str(&journal_line(key, &checksum(&entry.payload())));
-                text.push('\n');
-            }
-        }
-        write_atomic(&journal_path, text)?;
-        Ok(())
-    }
-
-    fn read_entry_file(&self, key: &str, journaled_sum: &str) -> EntryOnDisk {
-        let Some(path) = self.entry_path(key) else {
-            return EntryOnDisk::Missing;
-        };
-        if !path.exists() {
-            return EntryOnDisk::Missing;
-        }
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            return EntryOnDisk::Damaged(path);
-        };
-        let mut lines = text.lines();
-        let (Some(payload), Some(footer)) = (lines.next(), lines.next()) else {
-            return EntryOnDisk::Damaged(path);
-        };
-        let footer_sum = Json::parse(footer)
-            .ok()
-            .and_then(|f| f.get("checksum").and_then(Json::as_str).map(String::from));
-        if footer_sum.as_deref() != Some(journaled_sum) || checksum(payload) != journaled_sum {
-            return EntryOnDisk::Damaged(path);
-        }
-        match StoredKernel::from_payload(payload) {
-            Some(entry) if entry.key == key => EntryOnDisk::Intact(entry),
-            _ => EntryOnDisk::Damaged(path),
+    fn serving(journal: Journal<StoredKernel>, stats: LoadStats) -> Self {
+        let order = journal.entries().iter().map(|k| k.key.clone()).collect();
+        KernelStore {
+            journal,
+            order,
+            stats,
         }
     }
 
     /// The stored kernel for `key`, if any (in-memory after load).
     pub fn get(&self, key: &str) -> Option<&StoredKernel> {
-        self.entries.get(key)
+        self.journal.get(key)
     }
 
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.journal.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.journal.is_empty()
     }
 
     /// What recovery found when this store was opened.
@@ -388,77 +237,42 @@ impl KernelStore {
         &self.order
     }
 
-    /// Commits one tuned kernel: journal append first (flushed +
-    /// fsynced), then the checksummed entry file via [`write_atomic`].
-    /// Idempotent per key. The `injector` is probed at
-    /// [`Site::StoreJournal`] (corrupt the append) and
-    /// [`Site::StoreCommit`] (die in the window); see [`StoreError`].
+    /// Commits one tuned kernel: one fsynced journal append. Idempotent
+    /// per key. On a persistent store the `injector` is probed at
+    /// [`Site::StoreJournal`] (write a garbage line first) and
+    /// [`Site::StoreCommit`] (die mid-append); see [`StoreError`].
     pub fn commit(
         &mut self,
         entry: StoredKernel,
         injector: &Injector,
         tracer: &dyn Tracer,
     ) -> Result<(), StoreError> {
-        if self.entries.contains_key(&entry.key) {
+        if self.journal.get(&entry.key).is_some() {
             return Ok(());
         }
-        let payload = entry.payload();
-        let sum = checksum(&payload);
-        if let Some(journal_path) = self.journal_path() {
-            let mut f = std::fs::OpenOptions::new()
-                .append(true)
-                .open(&journal_path)?;
+        if self.journal.path().is_some() {
             if let Some(Fault::CorruptEntry) = injector.fault(Site::StoreJournal, &entry.key, 0) {
-                writeln!(f, "{{\"torn\": tru")?;
+                self.journal.append_corrupt("{\"torn\": tru")?;
             }
-            writeln!(f, "{}", journal_line(&entry.key, &sum))?;
-            f.sync_all()?;
             if let Some(Fault::Crash) = injector.fault(Site::StoreCommit, &entry.key, 0) {
+                self.journal.append_torn(&entry)?;
                 return Err(StoreError::Interrupted);
             }
-            if let Some(entry_path) = self.entry_path(&entry.key) {
-                write_atomic(&entry_path, format!("{payload}\n{}\n", footer_line(&sum)))?;
-            }
         }
+        let key = entry.key.clone();
+        self.journal.append(entry)?;
+        self.order.push(key);
         tracer.add(counter::STORE_COMMIT, 1);
-        self.order.push(entry.key.clone());
-        self.entries.insert(entry.key.clone(), entry);
         Ok(())
     }
-}
-
-fn journal_line(key: &str, sum: &str) -> String {
-    Json::obj(vec![("tag", Json::str(key)), ("checksum", Json::str(sum))]).render()
-}
-
-fn footer_line(sum: &str) -> String {
-    Json::obj(vec![("checksum", Json::str(sum))]).render()
-}
-
-/// Moves a damaged file into `<dir>/quarantine/`. Best-effort: if even
-/// the rename fails the damaged file stays put, but it is never served
-/// either way.
-fn quarantine_file(dir: Option<&Path>, file: &Path) {
-    if let Some(dir) = dir {
-        let qdir = dir.join("quarantine");
-        if std::fs::create_dir_all(&qdir).is_ok() {
-            if let Some(name) = file.file_name() {
-                let _ = std::fs::rename(file, qdir.join(name));
-            }
-        }
-    }
-}
-
-enum EntryOnDisk {
-    Intact(StoredKernel),
-    Missing,
-    Damaged(PathBuf),
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use augem_obs::Collector;
+    use augem_resil::{InjectionPlan, Trigger};
+    use std::path::PathBuf;
 
     fn tmpdir(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("augem-store-{}-{name}", std::process::id()));
@@ -477,18 +291,33 @@ mod tests {
         }
     }
 
-    #[test]
-    fn commit_then_reopen_round_trips() {
-        let d = tmpdir("roundtrip");
+    fn injector(site: Site, fault: Fault) -> Injector {
+        Injector::new(InjectionPlan::new(0).with(site, fault, Trigger::Nth(1)))
+    }
+
+    /// A store at `d` holding `keys`, and its journal's bytes.
+    fn store_with(d: &Path, keys: &[&str]) -> (KernelStore, Vec<u8>) {
         let c = Collector::new();
-        let mut s = KernelStore::open(&d, &c).unwrap();
-        s.commit(entry("aa11"), &Injector::disabled(), &c).unwrap();
-        s.commit(entry("bb22"), &Injector::disabled(), &c).unwrap();
+        let mut s = KernelStore::open(d, &c).unwrap();
+        for k in keys {
+            s.commit(entry(k), &Injector::disabled(), &c).unwrap();
+        }
+        (s, std::fs::read(d.join("journal.jsonl")).unwrap())
+    }
+
+    #[test]
+    fn commit_then_reopen_round_trips_and_a_clean_open_writes_nothing() {
+        let d = tmpdir("roundtrip");
+        let (s, bytes) = store_with(&d, &["aa11", "bb22"]);
         drop(s);
-        let s2 = KernelStore::open(&d, &c).unwrap();
+        let s2 = KernelStore::open(&d, &Collector::new()).unwrap();
         assert_eq!(s2.len(), 2);
         assert_eq!(s2.get("aa11"), Some(&entry("aa11")));
+        assert_eq!(s2.keys(), ["aa11".to_string(), "bb22".to_string()]);
         assert!(!s2.stats().damaged());
+        assert_eq!(std::fs::read(d.join("journal.jsonl")).unwrap(), bytes);
+        assert!(d.join("entries").is_dir(), "kept for the benchmark");
+        assert_eq!(std::fs::read_dir(d.join("entries")).unwrap().count(), 0);
         std::fs::remove_dir_all(&d).unwrap();
     }
 
@@ -503,109 +332,77 @@ mod tests {
     }
 
     #[test]
-    fn dangling_journal_line_is_dropped_and_compacted_away() {
-        let d = tmpdir("dangling");
-        let c = Collector::new();
-        let mut s = KernelStore::open(&d, &c).unwrap();
-        s.commit(entry("solid"), &Injector::disabled(), &c).unwrap();
-        let clean_journal = std::fs::read(d.join("journal.jsonl")).unwrap();
-        // Injected crash in the commit window: journal line lands, the
-        // entry file does not.
-        let crash = Injector::new(augem_resil::InjectionPlan::new(0).with(
-            Site::StoreCommit,
-            Fault::Crash,
-            augem_resil::Trigger::Nth(1),
-        ));
-        let err = s.commit(entry("torn"), &crash, &c).unwrap_err();
+    fn a_crash_mid_commit_leaves_a_torn_record_that_recovery_drops() {
+        let d = tmpdir("torn");
+        let (mut s, clean) = store_with(&d, &["solid"]);
+        let crash = injector(Site::StoreCommit, Fault::Crash);
+        let err = s
+            .commit(entry("torn"), &crash, &Collector::new())
+            .unwrap_err();
         assert!(matches!(err, StoreError::Interrupted));
+        assert!(s.get("torn").is_none());
         drop(s);
+        let torn = std::fs::read(d.join("journal.jsonl")).unwrap();
+        assert!(torn.len() > clean.len() && !torn.ends_with(b"\n"));
+        let c = Collector::new();
         let s2 = KernelStore::open(&d, &c).unwrap();
-        assert_eq!(s2.len(), 1, "only the intact entry survives");
-        assert_eq!(s2.stats().dangling_dropped, 1);
-        assert!(s2.stats().compacted);
+        assert_eq!(s2.len(), 1, "only the intact record survives");
+        assert_eq!(s2.stats().journal_lines_dropped, 1);
+        assert!(
+            !s2.stats().quarantined,
+            "a torn tail is a crash, not damage"
+        );
+        assert_eq!(
+            c.snapshot().counters[augem_resil::counter::JOURNAL_CORRUPT],
+            1
+        );
         assert_eq!(
             std::fs::read(d.join("journal.jsonl")).unwrap(),
-            clean_journal,
+            clean,
             "recovery must be bit-identical to the pre-crash journal"
         );
+        assert!(!d.join("quarantine").exists());
         std::fs::remove_dir_all(&d).unwrap();
     }
 
     #[test]
-    fn corrupt_entry_file_is_quarantined_not_fatal() {
+    fn a_damaged_record_is_dropped_and_the_journal_kept_aside() {
         let d = tmpdir("corrupt");
-        let c = Collector::new();
-        let mut s = KernelStore::open(&d, &c).unwrap();
-        s.commit(entry("good"), &Injector::disabled(), &c).unwrap();
-        s.commit(entry("bad0"), &Injector::disabled(), &c).unwrap();
-        let victim = s.entry_path("bad0").unwrap();
+        let (s, mut bytes) = store_with(&d, &["good", "bad0"]);
         drop(s);
-        // Flip one byte in the payload.
-        let mut bytes = std::fs::read(&victim).unwrap();
-        bytes[10] ^= 0x40;
-        std::fs::write(&victim, bytes).unwrap();
+        let at = bytes.len() - 10;
+        bytes[at] ^= 0x80;
+        std::fs::write(d.join("journal.jsonl"), &bytes).unwrap();
+        let c = Collector::new();
         let s2 = KernelStore::open(&d, &c).unwrap();
         assert_eq!(s2.len(), 1);
-        assert!(s2.get("good").is_some());
-        assert_eq!(s2.stats().entries_quarantined, 1);
-        assert!(d.join("quarantine").join("bad0.json").exists());
+        assert!(s2.get("good").is_some() && s2.get("bad0").is_none());
+        assert!(s2.stats().quarantined);
+        assert_eq!(c.snapshot().counters[counter::STORE_QUARANTINED], 1);
+        let kept = std::fs::read(d.join("quarantine").join("journal.jsonl")).unwrap();
+        assert_eq!(kept, bytes, "the damaged journal is kept as found");
+        drop(s2);
+        let again = KernelStore::open(&d, &Collector::new()).unwrap();
+        assert!(!again.stats().damaged(), "recovery converges");
         std::fs::remove_dir_all(&d).unwrap();
     }
 
     #[test]
-    fn version_skewed_entry_is_quarantined() {
-        let d = tmpdir("skew");
-        let c = Collector::new();
-        let mut s = KernelStore::open(&d, &c).unwrap();
-        s.commit(entry("old0"), &Injector::disabled(), &c).unwrap();
-        let victim = s.entry_path("old0").unwrap();
+    fn a_checksummed_record_that_is_not_a_stored_kernel_is_dropped() {
+        let d = tmpdir("shape");
+        let (s, _) = store_with(&d, &["old0"]);
         drop(s);
-        // Rewrite the entry under a future schema with a *valid*
-        // checksum chain: version skew alone must quarantine it.
-        let text = std::fs::read_to_string(&victim).unwrap();
-        let payload = text
-            .lines()
-            .next()
-            .unwrap()
-            .replace("augem.kernel-store/v1", "augem.kernel-store/v9");
-        let sum = checksum(&payload);
-        std::fs::write(&victim, format!("{payload}\n{}\n", footer_line(&sum))).unwrap();
-        // Patch the journal to vouch for the new bytes, isolating the
-        // schema check from the checksum check.
-        let j = d.join("journal.jsonl");
-        let jt = std::fs::read_to_string(&j).unwrap();
-        let patched: Vec<String> = jt
-            .lines()
-            .map(|l| {
-                if l.contains("old0") {
-                    journal_line("old0", &sum)
-                } else {
-                    l.to_string()
-                }
-            })
-            .collect();
-        std::fs::write(&j, patched.join("\n") + "\n").unwrap();
-        let s2 = KernelStore::open(&d, &c).unwrap();
-        assert_eq!(s2.len(), 0);
-        assert_eq!(s2.stats().entries_quarantined, 1);
-        std::fs::remove_dir_all(&d).unwrap();
-    }
-
-    #[test]
-    fn orphan_entry_file_is_quarantined() {
-        let d = tmpdir("orphan");
-        let c = Collector::new();
-        let s = KernelStore::open(&d, &c).unwrap();
-        drop(s);
-        std::fs::write(
-            d.join("entries").join("feed.json"),
-            "{\"schema\":\"augem.kernel-store/v1\"}\n",
-        )
-        .unwrap();
-        let s2 = KernelStore::open(&d, &c).unwrap();
-        assert_eq!(s2.len(), 0);
-        assert_eq!(s2.stats().orphans_quarantined, 1);
-        assert!(d.join("quarantine").join("feed.json").exists());
+        // A record with a valid checksum but a field renamed, as another
+        // writer version would leave it.
+        let mut j: Journal = Journal::load(d.join("journal.jsonl"), header()).unwrap();
+        let skewed = entry("new0")
+            .to_json()
+            .render()
+            .replace("\"asm\"", "\"code\"");
+        j.append(Json::parse(&skewed).unwrap()).unwrap();
+        let s2 = KernelStore::open(&d, &Collector::new()).unwrap();
+        assert_eq!(s2.keys(), ["old0".to_string()]);
+        assert!(s2.stats().quarantined);
         std::fs::remove_dir_all(&d).unwrap();
     }
 
@@ -614,35 +411,39 @@ mod tests {
         let d = tmpdir("garble");
         let c = Collector::new();
         let mut s = KernelStore::open(&d, &c).unwrap();
-        let garble = Injector::new(augem_resil::InjectionPlan::new(0).with(
-            Site::StoreJournal,
-            Fault::CorruptEntry,
-            augem_resil::Trigger::Nth(1),
-        ));
+        let garble = injector(Site::StoreJournal, Fault::CorruptEntry);
         s.commit(entry("ok01"), &garble, &c).unwrap();
         drop(s);
         let c2 = Collector::new();
         let s2 = KernelStore::open(&d, &c2).unwrap();
         assert_eq!(s2.len(), 1, "the real commit survives the garbage line");
         assert_eq!(s2.stats().journal_lines_dropped, 1);
-        let snap = c2.snapshot();
         assert_eq!(
-            snap.counters.get(augem_resil::counter::JOURNAL_CORRUPT),
-            Some(&1),
+            c2.snapshot().counters[augem_resil::counter::JOURNAL_CORRUPT],
+            1,
             "drops must be reported on the resil counter"
         );
         std::fs::remove_dir_all(&d).unwrap();
     }
 
     #[test]
-    fn foreign_journal_is_quarantined_whole() {
-        let d = tmpdir("foreign");
+    fn a_v1_journal_is_quarantined_whole_and_the_store_starts_empty() {
+        let d = tmpdir("v1");
         std::fs::create_dir_all(d.join("entries")).unwrap();
-        std::fs::write(d.join("journal.jsonl"), "{\"schema\":\"other/v1\"}\n").unwrap();
-        let c = Collector::new();
-        let s = KernelStore::open(&d, &c).unwrap();
+        let v1 = "{\"schema\":\"augem.store-journal/v1\"}\n\
+                  {\"tag\":\"4c3f5c521bf0e554\",\"checksum\":\"0123456789abcdef\"}\n";
+        std::fs::write(d.join("journal.jsonl"), v1).unwrap();
+        let s = KernelStore::open(&d, &Collector::new()).unwrap();
         assert_eq!(s.len(), 0);
-        assert!(s.stats().damaged());
+        assert!(s.stats().quarantined);
+        assert_eq!(
+            std::fs::read_to_string(d.join("quarantine").join("journal.jsonl")).unwrap(),
+            v1
+        );
+        assert_eq!(
+            std::fs::read_to_string(d.join("journal.jsonl")).unwrap(),
+            format!("{}\n", header().render())
+        );
         std::fs::remove_dir_all(&d).unwrap();
     }
 

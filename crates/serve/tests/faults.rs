@@ -15,8 +15,7 @@ use augem_obs::hash::splitmix64;
 use augem_obs::Json;
 use augem_resil::{Fault, InjectionPlan, Injector, Site, Trigger};
 use augem_serve::{
-    counter, serve_lines, store_key, Op, Reject, Request, Response, ServeConfig, Server,
-    ServerPool, Status,
+    counter, serve_lines, Op, Reject, Request, Response, ServeConfig, Server, ServerPool, Status,
 };
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -72,8 +71,9 @@ fn serve_one(server: &Arc<Server>, r: Request) -> Option<Response> {
     resp
 }
 
-/// Byte-for-byte comparison of two store directories (journal +
-/// entries; the quarantine area is post-mortem state, not cache state).
+/// Byte-for-byte comparison of two store directories: the journal, and
+/// `entries/`, which must be empty (the quarantine area is post-mortem
+/// state, not cache state).
 fn assert_bit_identical(a: &Path, b: &Path) {
     assert_eq!(
         std::fs::read(a.join("journal.jsonl")).unwrap(),
@@ -82,23 +82,9 @@ fn assert_bit_identical(a: &Path, b: &Path) {
         a.display(),
         b.display()
     );
-    let list = |d: &Path| -> Vec<String> {
-        let mut v: Vec<String> = std::fs::read_dir(d.join("entries"))
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .map(|e| e.file_name().to_string_lossy().to_string())
-            .collect();
-        v.sort();
-        v
-    };
-    let (la, lb) = (list(a), list(b));
-    assert_eq!(la, lb, "entry sets differ");
-    for name in la {
-        assert_eq!(
-            std::fs::read(a.join("entries").join(&name)).unwrap(),
-            std::fs::read(b.join("entries").join(&name)).unwrap(),
-            "entry {name} differs"
-        );
+    for d in [a, b] {
+        let entries = std::fs::read_dir(d.join("entries")).unwrap().count();
+        assert_eq!(entries, 0, "{} holds entry files", d.display());
     }
 }
 
@@ -185,9 +171,9 @@ fn outer_sandbox_contains_escaped_panics() {
     spool.shutdown();
 }
 
-/// Row 2 — kill-9 between journal append and entry write: the crashed
-/// request goes unanswered (the process died), restart recovery drops
-/// the dangling commit, and re-serving the pending request converges
+/// Row 2 — kill-9 in the middle of a commit's journal append: the
+/// crashed request goes unanswered (the process died), restart recovery
+/// drops the torn record, and re-serving the pending request converges
 /// to a store bit-identical to a never-crashed run.
 #[test]
 fn crash_in_commit_window_recovers_bit_identical_and_reserves() {
@@ -233,6 +219,8 @@ fn crash_in_commit_window_recovers_bit_identical_and_reserves() {
         );
         assert!(pool.shutdown(), "the pool must report the crash");
     }
+    let torn = std::fs::read(dir.join("journal.jsonl")).unwrap();
+    assert!(!torn.ends_with(b"\n"), "the journal ends in a torn record");
 
     // Restart: recovery + re-serving the pending request converges.
     {
@@ -243,8 +231,8 @@ fn crash_in_commit_window_recovers_bit_identical_and_reserves() {
         };
         let server = Arc::new(Server::open(config, Injector::disabled()).unwrap());
         let stats = server.store_stats();
-        assert_eq!(stats.dangling_dropped, 1, "the dangling commit is dropped");
-        assert!(stats.compacted);
+        assert_eq!(stats.journal_lines_dropped, 1, "the torn record is dropped");
+        assert!(!stats.quarantined, "a torn tail is a crash, not damage");
         assert_eq!(server.store_len(), 1, "only the clean commit survived");
         let resp = serve_one(&server, req("b", DlaKernel::Scal)).unwrap();
         assert_eq!(resp.status, Status::Ok);
@@ -255,50 +243,52 @@ fn crash_in_commit_window_recovers_bit_identical_and_reserves() {
     let _ = std::fs::remove_dir_all(&reference);
 }
 
-/// Row 3 — corrupt cache entry on disk: quarantined at load (never
-/// served, never a panic), re-tuned on demand, store converges back to
-/// the clean bytes.
+/// Row 3 — a damaged record on disk: one byte of the second record
+/// with its high bit flipped (not UTF-8). The daemon still opens, keeps
+/// the journal as found in `quarantine/`, serves the intact record from
+/// the store, never serves the damaged one, re-tunes that key, and the
+/// store converges back to the clean bytes.
 #[test]
-fn corrupt_entry_on_disk_is_quarantined_then_reconverges() {
+fn a_damaged_record_is_dropped_then_reconverges() {
     let dir = tmpdir("corrupt");
     let reference = tmpdir("corrupt-ref");
-    for d in [&dir, &reference] {
-        let config = ServeConfig {
-            workers: 1,
-            cache_dir: Some(d.clone()),
-            ..ServeConfig::default()
-        };
-        let server = Arc::new(Server::open(config, Injector::disabled()).unwrap());
-        let resp = serve_one(&server, req("c", DlaKernel::Axpy)).unwrap();
-        assert_eq!(resp.status, Status::Ok);
-    }
-    // Bit-flip the stored entry. The effective store key uses the
-    // server's default step budget (requests carried none).
-    let limit = augem::RunOptions::default().resil.step_limit;
-    let key = store_key("daxpy", &MachineSpec::sandy_bridge(), limit);
-    let victim = dir.join("entries").join(format!("{key}.json"));
-    let mut bytes = std::fs::read(&victim).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x01;
-    std::fs::write(&victim, bytes).unwrap();
-
-    let config = ServeConfig {
+    let config = |d: &Path| ServeConfig {
         workers: 1,
-        cache_dir: Some(dir.clone()),
+        cache_dir: Some(d.to_path_buf()),
         ..ServeConfig::default()
     };
-    let server = Arc::new(Server::open(config, Injector::disabled()).unwrap());
-    assert_eq!(server.store_stats().entries_quarantined, 1);
-    assert_eq!(server.store_len(), 0);
-    assert!(
-        dir.join("quarantine").join(format!("{key}.json")).exists(),
-        "the damaged entry is kept for post-mortem"
+    for d in [&dir, &reference] {
+        let server = Arc::new(Server::open(config(d), Injector::disabled()).unwrap());
+        for (id, kernel) in [("c", DlaKernel::Axpy), ("d", DlaKernel::Scal)] {
+            let resp = serve_one(&server, req(id, kernel)).unwrap();
+            assert_eq!(resp.status, Status::Ok);
+        }
+    }
+    let journal = dir.join("journal.jsonl");
+    let mut bytes = std::fs::read(&journal).unwrap();
+    let last = bytes[..bytes.len() - 1]
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .unwrap();
+    bytes[last + 40] ^= 0x80;
+    std::fs::write(&journal, &bytes).unwrap();
+
+    let server = Arc::new(Server::open(config(&dir), Injector::disabled()).unwrap());
+    let stats = server.store_stats();
+    assert_eq!(stats.journal_lines_dropped, 1);
+    assert!(stats.quarantined);
+    assert_eq!(server.store_len(), 1);
+    assert_eq!(
+        std::fs::read(dir.join("quarantine").join("journal.jsonl")).unwrap(),
+        bytes,
+        "the damaged journal is kept for post-mortem"
     );
-    let resp = serve_one(&server, req("c2", DlaKernel::Axpy)).unwrap();
+    let hit = serve_one(&server, req("c2", DlaKernel::Axpy)).unwrap();
+    assert_eq!(hit.cache, Some("hit"), "the intact record still serves");
+    let resp = serve_one(&server, req("d2", DlaKernel::Scal)).unwrap();
     assert_eq!(resp.status, Status::Ok);
-    assert_eq!(resp.cache, Some("miss"), "corrupt entries are never served");
-    // Remove the quarantine dir before comparing cache state.
-    let _ = std::fs::remove_dir_all(dir.join("quarantine"));
+    assert_eq!(resp.cache, Some("miss"), "damaged records are never served");
+    assert_eq!(tunes(&server), 1, "the damaged key re-tunes");
     assert_bit_identical(&dir, &reference);
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&reference);
@@ -494,6 +484,44 @@ fn a_cold_storm_on_one_key_runs_exactly_one_tune() {
     // hundreds of milliseconds, so all seven followers park (a
     // follower dequeued after the commit would hit instead).
     assert_eq!(count(&server, counter::COALESCED), 7, "seven parked");
+    // Exactly one report carries the tune; the seven parked requests
+    // report only their own work.
+    let report = |resp: &Response| resp.report.clone().expect("every response has a report");
+    let tuned: Vec<&Response> = answers
+        .iter()
+        .map(|(_, resp)| resp)
+        .filter(|resp| {
+            let r = report(resp);
+            r.get("tuner").is_some()
+                && r.get("stages").and_then(Json::as_arr).is_some_and(|s| {
+                    s.iter()
+                        .any(|st| st.get("name").and_then(Json::as_str) == Some("akg"))
+                })
+        })
+        .collect();
+    assert_eq!(tuned.len(), 1, "one report carries the tune");
+    for (r, resp) in &answers {
+        if std::ptr::eq(resp, tuned[0]) {
+            continue;
+        }
+        let rep = report(resp);
+        let reported = |name: &str| {
+            rep.get("counters")
+                .and_then(|c| c.get(name))
+                .and_then(Json::as_u64)
+        };
+        assert_eq!(reported(counter::COALESCED), Some(1), "{}", r.id);
+        assert_eq!(reported(counter::STORE_MISS), Some(1), "{}", r.id);
+        assert!(rep.get("tuner").is_none(), "{}: no tuner block", r.id);
+        assert_eq!(
+            rep.get("stages").and_then(Json::as_arr).map(<[Json]>::len),
+            Some(0)
+        );
+        assert_eq!(
+            rep.get("config").and_then(Json::as_str),
+            resp.config_tag.as_deref()
+        );
+    }
     let (_, first) = &answers[0];
     let asm = answers
         .iter()
@@ -571,7 +599,7 @@ fn a_storm_whose_leader_crashes_gets_no_response_and_restarts_with_one_tune() {
     }
     {
         let server = Arc::new(Server::open(config, Injector::disabled()).unwrap());
-        assert_eq!(server.store_stats().dangling_dropped, 1);
+        assert_eq!(server.store_stats().journal_lines_dropped, 1);
         let pool = ServerPool::start(Arc::clone(&server));
         let rxs: Vec<_> = storm(DlaKernel::Axpy)
             .into_iter()

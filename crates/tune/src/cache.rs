@@ -51,10 +51,7 @@
 //! A cache lives as long as its owner: one per facade instance by
 //! default, or one shared by every driver of a long-running process —
 //! `augem-serve` keeps one for its whole request mix, across machines
-//! (see `Augem::with_cache`). Nothing is evicted. The
-//! `AUGEM_EVAL_CACHE=0` (or `off`) environment knob disables caching
-//! for A/B measurement: the same stages then run for every request,
-//! memoizing nothing.
+//! (see `Augem::with_cache`). Nothing is evicted.
 
 use crate::config::{BuildError, Candidate, LoggedBuild};
 use crate::evaluate::{Evaluation, ProfiledEvaluation};
@@ -91,40 +88,6 @@ pub mod counter {
     pub const PROFILE_HIT: &str = "cache.profile.hit";
     /// A profiled evaluation ran the simulator and was stored.
     pub const PROFILE_MISS: &str = "cache.profile.miss";
-    /// One-time event: caching is off via `AUGEM_EVAL_CACHE`.
-    pub const DISABLED_EVENT: &str = "cache.disabled";
-}
-
-/// Does this `AUGEM_EVAL_CACHE` value disable the cache? Accepts
-/// `0`/`off`/`false`/`no` case-insensitively; anything else (including
-/// unset) leaves caching on. The single point of truth for the knob —
-/// every constructor routes through [`cache_enabled`].
-fn knob_disables(value: &str) -> bool {
-    matches!(
-        value.trim().to_ascii_lowercase().as_str(),
-        "0" | "off" | "false" | "no"
-    )
-}
-
-/// Reads the `AUGEM_EVAL_CACHE` environment knob. `0`, `off`, `false`,
-/// and `no` (any case) disable caching; anything else, or unset, enables
-/// it.
-pub fn cache_enabled() -> bool {
-    !std::env::var("AUGEM_EVAL_CACHE")
-        .map(|v| knob_disables(&v))
-        .unwrap_or(false)
-}
-
-/// Emits the one-time `cache.disabled` event on `tracer`. Guarded by a
-/// process-wide [`std::sync::Once`] so a long-lived daemon constructing
-/// many drivers logs the A/B-measurement mode exactly once, not per
-/// request.
-pub fn note_cache_disabled(tracer: &dyn Tracer) {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let knob = std::env::var("AUGEM_EVAL_CACHE").unwrap_or_default();
-        tracer.event(counter::DISABLED_EVENT, &[("knob", knob.into())]);
-    });
 }
 
 /// What the passes before prefetch read: the source kernel and the two
@@ -221,12 +184,10 @@ impl Default for EvalCache {
 }
 
 impl EvalCache {
-    /// A cache honoring the `AUGEM_EVAL_CACHE` environment knob
-    /// (`0`/`off`/`false`/`no`, case-insensitive, disable it; anything
-    /// else, or unset, enables). See [`cache_enabled`].
+    /// An empty cache.
     pub fn new() -> Self {
         EvalCache {
-            enabled: cache_enabled(),
+            enabled: true,
             inner: Mutex::new(Inner::default()),
         }
     }
@@ -610,33 +571,5 @@ mod tests {
         assert!(!snap.counters.contains_key(counter::BUILD_HIT));
         assert!(!snap.counters.contains_key(counter::BUILD_MISS));
         assert_eq!(cache.builds_len(), 0);
-    }
-
-    #[test]
-    fn knob_values_disable_case_insensitively() {
-        for v in [
-            "0", "off", "OFF", "Off", "false", "FALSE", "no", "No", " no ",
-        ] {
-            assert!(knob_disables(v), "{v:?} must disable the cache");
-        }
-        for v in ["", "1", "on", "true", "yes", "anything"] {
-            assert!(!knob_disables(v), "{v:?} must leave the cache enabled");
-        }
-    }
-
-    #[test]
-    fn disabled_event_fires_exactly_once_per_process() {
-        // AUGEM_EVAL_CACHE is not set under `cargo test`, so nothing
-        // else triggers the Once — this test owns it.
-        let c = Collector::new();
-        note_cache_disabled(&c);
-        note_cache_disabled(&c);
-        let events = c
-            .snapshot()
-            .events
-            .iter()
-            .filter(|e| e.name == counter::DISABLED_EVENT)
-            .count();
-        assert_eq!(events, 1, "cache.disabled must be a one-time event");
     }
 }

@@ -39,7 +39,7 @@ pub mod search;
 pub use augem_obs as obs;
 pub use augem_resil as resil;
 
-pub use cache::{cache_enabled, note_cache_disabled, EvalCache, Transformed};
+pub use cache::{EvalCache, Transformed};
 pub use config::{
     build_logged, gemm_candidates, vector_candidates, BuildError, Candidate, GemmConfig,
     LoggedBuild, VectorConfig, VectorKernel,

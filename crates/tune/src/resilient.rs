@@ -4,7 +4,7 @@
 //! evaluated inside a panic sandbox under an optional per-candidate
 //! instruction budget, transient failures get a bounded retry,
 //! repeatedly-failing candidate *families* are circuit-broken, and every
-//! completed measurement is checkpointed to a [`TuneJournal`] so a
+//! completed measurement is checkpointed to a [`Journal`] so a
 //! crashed run resumes where it stopped — reproducing the uninterrupted
 //! run's winner bit-for-bit (measurements are replayed from the journal,
 //! never re-simulated, and the journal stores the exact `f64`).
@@ -47,8 +47,7 @@ use crate::search::{rank, SweepStats, TuneError, TuneResult};
 use augem_machine::MachineSpec;
 use augem_obs::{replay_into, span, stage, Collector, Histogram, Tracer, Value};
 use augem_resil::{
-    counter, journal_header, sandboxed, with_retry, CircuitBreaker, Fault, Injector, RetryPolicy,
-    Site, TuneJournal,
+    counter, sandboxed, with_retry, CircuitBreaker, Fault, Injector, Journal, RetryPolicy, Site,
 };
 use augem_sim::TimingReport;
 use rayon::prelude::*;
@@ -192,7 +191,7 @@ enum Journaled {
 /// The journal's final word on `tag`, if it has one. A well-formed "ok"
 /// line with a mangled payload is treated like a corrupt line: counted,
 /// dropped and re-evaluated.
-fn journaled(journal: &TuneJournal, tag: &str, tracer: &dyn Tracer) -> Option<Journaled> {
+fn journaled(journal: &Journal, tag: &str, tracer: &dyn Tracer) -> Option<Journaled> {
     use augem_obs::Json;
     let entry = journal.get(tag)?;
     let outcome = entry.get("outcome").and_then(Json::as_str).unwrap_or("?");
@@ -236,7 +235,7 @@ pub fn sweep<C: Candidate + Copy + Send + Sync>(
     candidates: Vec<C>,
     machine: &MachineSpec,
     opts: &ResilOptions,
-    journal: Option<&mut TuneJournal>,
+    journal: Option<&mut Journal>,
     injector: &Injector,
     tracer: &dyn Tracer,
     cache: &EvalCache,
@@ -248,7 +247,7 @@ pub fn sweep<C: Candidate + Copy + Send + Sync>(
     let journal = match journal {
         Some(j) => j,
         None => {
-            unsaved = TuneJournal::in_memory(journal_header(kernel, machine.arch.short_name()));
+            unsaved = Journal::in_memory();
             &mut unsaved
         }
     };
@@ -359,20 +358,10 @@ pub fn sweep<C: Candidate + Copy + Send + Sync>(
             .filter(|&i| rejected[i].is_none())
             .collect();
         let done = par_traced(&todo, |&i, t| {
-            let t0 = Instant::now();
-            let outcome = with_retry(&opts.retry, t, &candidates[i].tag(), |_attempt| {
-                let r = sandboxed(|| evaluate(&candidates[i], machine, t, opts.step_limit, cache))
-                    .map_err(EvalError::Panicked)
-                    .and_then(|r| r);
-                if let Err(e) = &r {
-                    t.add(e.class().counter(), 1);
-                }
-                r
-            });
-            (outcome, t0.elapsed().as_nanos() as u64)
+            attempt(&candidates[i], machine, opts, injector, t, cache)
         });
-        for (i, slot) in todo.into_iter().zip(done) {
-            pre[i] = Some(slot);
+        for (i, (slot, local)) in todo.into_iter().zip(done) {
+            pre[i] = slot.map(|slot| (slot, local));
         }
     }
 
@@ -479,62 +468,14 @@ pub fn sweep<C: Candidate + Copy + Send + Sync>(
             // exactly as if it had just been evaluated inline.
             replay_into(tracer, &local.snapshot());
             outcome
+        } else if let Some(outcome) = attempt(c, machine, opts, injector, tracer, cache) {
+            outcome
         } else {
-            // Sandboxed, budgeted, retried inline evaluation. A `Crash`
-            // fault simulates the process dying mid-sweep: the sweep
-            // aborts with `interrupted`, leaving the journal's completed
-            // prefix behind.
-            // A sandboxed evaluation under `limit`: a panic becomes a
-            // typed failure.
-            let eval = |limit| {
-                sandboxed(|| evaluate(c, machine, tracer, limit, cache))
-                    .map_err(EvalError::Panicked)
-                    .and_then(|r| r)
-            };
-            let crashed = Cell::new(false);
-            // Every failed attempt is counted by class — including
-            // failures a later retry recovers from, which would
-            // otherwise vanish from the telemetry.
-            let count_class = |r: Result<Evaluation, EvalError>| {
-                if let Err(e) = &r {
-                    if !crashed.get() {
-                        tracer.add(e.class().counter(), 1);
-                    }
-                }
-                r
-            };
-            let t0 = Instant::now();
-            let outcome = with_retry(&opts.retry, tracer, &tag, |attempt| {
-                // A fault injected at the simulator layer shows up to the
-                // tuner like one around the whole evaluation: a panic, or
-                // a budget exhausted on the first instruction.
-                let fault = match injector.fault(Site::Eval, &tag, attempt) {
-                    Some(Fault::CorruptEntry) | None => injector
-                        .fault(Site::Sim, &tag, attempt)
-                        .map(|f| (Site::Sim, f)),
-                    fault => fault.map(|f| (Site::Eval, f)),
-                };
-                count_class(match fault {
-                    Some((Site::Eval, Fault::Crash)) => {
-                        crashed.set(true);
-                        // Fatal class: stops the retry loop immediately.
-                        Err(EvalError::Budget(0))
-                    }
-                    Some((site, Fault::Panic)) => sandboxed(|| -> Evaluation {
-                        panic!("injected fault: {site:?} panicked on {tag}")
-                    })
-                    .map_err(EvalError::Panicked),
-                    // A one-instruction budget genuinely exhausts.
-                    Some((_, Fault::Budget)) => eval(Some(1)),
-                    _ => eval(opts.step_limit),
-                })
-            });
-            if crashed.get() {
-                interrupted = true;
-                tracer.event("resil.crash", &[("tag", Value::from(tag.as_str()))]);
-                break;
-            }
-            (outcome, t0.elapsed().as_nanos() as u64)
+            // An injected crash: the "process" died mid-sweep, leaving
+            // the journal's completed prefix behind.
+            interrupted = true;
+            tracer.event("resil.crash", &[("tag", Value::from(tag.as_str()))]);
+            break;
         };
         latency.record(eval_ns);
         stats.evaluated += 1;
@@ -617,12 +558,67 @@ pub fn sweep<C: Candidate + Copy + Send + Sync>(
     Ok(result)
 }
 
+/// Evaluates one candidate: sandboxed, under the step budget, retried
+/// on transient failures, with every failed attempt counted by class —
+/// including failures a later retry recovers from, which would
+/// otherwise vanish from the telemetry. Faults `injector` plants at the
+/// eval and sim sites stand in for the evaluation; a disabled injector
+/// plants none. Returns the outcome and its wall time in ns, or `None`
+/// when an injected `Crash` killed the sweep.
+fn attempt<C: Candidate>(
+    c: &C,
+    machine: &MachineSpec,
+    opts: &ResilOptions,
+    injector: &Injector,
+    tracer: &dyn Tracer,
+    cache: &EvalCache,
+) -> Option<(Result<Evaluation, EvalError>, u64)> {
+    let tag = &c.tag();
+    let eval = |limit| {
+        sandboxed(|| evaluate(c, machine, tracer, limit, cache))
+            .map_err(EvalError::Panicked)
+            .and_then(|r| r)
+    };
+    let crashed = Cell::new(false);
+    let t0 = Instant::now();
+    let outcome = with_retry(&opts.retry, tracer, tag, |attempt| {
+        // A fault injected at the simulator layer shows up to the tuner
+        // like one around the whole evaluation: a panic, or a budget
+        // exhausted on the first instruction.
+        let fault = match injector.fault(Site::Eval, tag, attempt) {
+            Some(Fault::CorruptEntry) | None => injector
+                .fault(Site::Sim, tag, attempt)
+                .map(|f| (Site::Sim, f)),
+            fault => fault.map(|f| (Site::Eval, f)),
+        };
+        let r = match fault {
+            Some((Site::Eval, Fault::Crash)) => {
+                crashed.set(true);
+                // Fatal class: stops the retry loop immediately.
+                return Err(EvalError::Budget(0));
+            }
+            Some((site, Fault::Panic)) => {
+                sandboxed(|| -> Evaluation { panic!("injected fault: {site:?} panicked on {tag}") })
+                    .map_err(EvalError::Panicked)
+            }
+            // A one-instruction budget genuinely exhausts.
+            Some((_, Fault::Budget)) => eval(Some(1)),
+            _ => eval(opts.step_limit),
+        };
+        if let Err(e) = &r {
+            tracer.add(e.class().counter(), 1);
+        }
+        r
+    });
+    (!crashed.get()).then(|| (outcome, t0.elapsed().as_nanos() as u64))
+}
+
 /// Journal append with the corruption fault-site applied: when the
 /// injector fires, garbage is written *instead of* the record — exactly
 /// what a crash mid-write leaves — and the candidate will be
 /// re-evaluated on resume.
 fn append_maybe_corrupted(
-    journal: &mut TuneJournal,
+    journal: &mut Journal,
     injector: &Injector,
     tag: &str,
     entry: augem_obs::Json,
@@ -639,17 +635,13 @@ mod tests {
     use super::*;
     use crate::config::{gemm_candidates, vector_candidates, GemmConfig, VectorKernel};
     use augem_obs::Collector;
-    use augem_resil::{InjectionPlan, Trigger};
-
-    fn mem_journal(kernel: &str, machine: &MachineSpec) -> TuneJournal {
-        TuneJournal::in_memory(journal_header(kernel, machine.arch.short_name()))
-    }
+    use augem_resil::{journal_header, InjectionPlan, Trigger};
 
     /// A checkpointed gemm sweep with an uncached evaluator.
     fn gemm(
         m: &MachineSpec,
         opts: &ResilOptions,
-        journal: &mut TuneJournal,
+        journal: &mut Journal,
         injector: &Injector,
         tracer: &dyn Tracer,
     ) -> Result<TuneResult<GemmConfig>, TuneError> {
@@ -662,7 +654,7 @@ mod tests {
     fn axpy(
         m: &MachineSpec,
         opts: &ResilOptions,
-        journal: &mut TuneJournal,
+        journal: &mut Journal,
         injector: &Injector,
         tracer: &dyn Tracer,
     ) -> Result<TuneResult<crate::VectorConfig>, TuneError> {
@@ -764,7 +756,7 @@ mod tests {
     fn resilient_matches_plain_tuner_without_faults() {
         let m = MachineSpec::sandy_bridge();
         let reference = plain(gemm_candidates(&m), &m, augem_obs::null()).unwrap();
-        let mut j = mem_journal("dgemm", &m);
+        let mut j = Journal::in_memory();
         let opts = ResilOptions::fast();
         let r = gemm(&m, &opts, &mut j, &Injector::disabled(), augem_obs::null()).unwrap();
         assert_eq!(r.best.tag(), reference.best.tag());
@@ -780,7 +772,7 @@ mod tests {
     fn injected_panics_cost_candidates_not_the_sweep() {
         let m = MachineSpec::sandy_bridge();
         let c = Collector::new();
-        let mut j = mem_journal("daxpy", &m);
+        let mut j = Journal::in_memory();
         // Panic on every first attempt; retries are injected again, so
         // with a 30% per-attempt rate most candidates still succeed.
         let inj = Injector::new(InjectionPlan::new(11).with(
@@ -812,7 +804,7 @@ mod tests {
         let opts = ResilOptions::fast();
 
         // Uninterrupted reference run.
-        let mut jref = TuneJournal::in_memory(header.clone());
+        let mut jref = Journal::in_memory();
         let reference = gemm(
             &m,
             &opts,
@@ -823,7 +815,7 @@ mod tests {
         .unwrap();
 
         // Crash at the 4th evaluated candidate.
-        let mut j1 = TuneJournal::create(&path, header.clone()).unwrap();
+        let mut j1 = Journal::create(&path, header.clone()).unwrap();
         let crash =
             Injector::new(InjectionPlan::new(0).with(Site::Eval, Fault::Crash, Trigger::Nth(4)));
         let err = gemm(&m, &opts, &mut j1, &crash, augem_obs::null()).unwrap_err();
@@ -832,7 +824,7 @@ mod tests {
 
         // Resume from the journal on disk.
         let c = Collector::new();
-        let mut j2 = TuneJournal::load(&path).unwrap();
+        let mut j2 = Journal::load(&path, header).unwrap();
         assert_eq!(j2.len(), 3);
         let resumed = gemm(&m, &opts, &mut j2, &Injector::disabled(), &c).unwrap();
         assert_eq!(resumed.best.tag(), reference.best.tag());
@@ -861,7 +853,7 @@ mod tests {
 
         // Uninterrupted pruned run: winner and measurement unchanged.
         let c = Collector::new();
-        let mut jref = mem_journal("dgemm", &m);
+        let mut jref = Journal::in_memory();
         let reference = gemm(&m, &opts, &mut jref, &Injector::disabled(), &c).unwrap();
         assert_eq!(reference.best.tag(), reference_plain.best.tag());
         assert_eq!(
@@ -881,14 +873,14 @@ mod tests {
             std::process::id()
         ));
         let header = journal_header("dgemm", m.arch.short_name());
-        let mut j1 = TuneJournal::create(&path, header).unwrap();
+        let mut j1 = Journal::create(&path, header.clone()).unwrap();
         let crash =
             Injector::new(InjectionPlan::new(0).with(Site::Eval, Fault::Crash, Trigger::Nth(4)));
         let err = gemm(&m, &opts, &mut j1, &crash, augem_obs::null()).unwrap_err();
         assert!(err.interrupted);
 
         let c2 = Collector::new();
-        let mut j2 = TuneJournal::load(&path).unwrap();
+        let mut j2 = Journal::load(&path, header).unwrap();
         let resumed = gemm(&m, &opts, &mut j2, &Injector::disabled(), &c2).unwrap();
         assert_eq!(resumed.best.tag(), reference.best.tag());
         assert_eq!(
@@ -920,7 +912,7 @@ mod tests {
             ..ResilOptions::fast()
         };
         let c = Collector::new();
-        let mut j = mem_journal("daxpy", &m);
+        let mut j = Journal::in_memory();
         let r = axpy(&m, &opts, &mut j, &Injector::disabled(), &c).unwrap();
         assert_eq!(r.best.tag(), reference.best.tag());
         assert_eq!(
@@ -965,7 +957,7 @@ mod tests {
     fn journaled_rejection_is_replayed_without_rechecking() {
         use augem_obs::Json;
         let m = MachineSpec::sandy_bridge();
-        let mut j = mem_journal("daxpy", &m);
+        let mut j = Journal::in_memory();
         let cands = vector_candidates(VectorKernel::Axpy, &m);
         let tag0 = cands[0].tag();
         j.append(Json::obj(vec![
@@ -993,7 +985,7 @@ mod tests {
     fn breaker_skips_rest_of_failing_family() {
         let m = MachineSpec::sandy_bridge();
         let c = Collector::new();
-        let mut j = mem_journal("dgemm", &m);
+        let mut j = Journal::in_memory();
         // Tiny budget: every candidate blows it. Families have >threshold
         // members, so the breaker must trip and start skipping.
         let opts = ResilOptions {
@@ -1018,12 +1010,15 @@ mod tests {
     #[test]
     fn journal_corruption_is_survived_on_resume() {
         let m = MachineSpec::sandy_bridge();
-        let path = std::env::temp_dir().join(format!(
-            "augem-resil-unit-corrupt-{}.jsonl",
-            std::process::id()
-        ));
+        // Its own directory: the damaged load keeps a copy in
+        // `quarantine/` beside the journal.
+        let dir =
+            std::env::temp_dir().join(format!("augem-resil-unit-corrupt-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("daxpy.jsonl");
         let header = journal_header("daxpy", m.arch.short_name());
-        let mut j1 = TuneJournal::create(&path, header).unwrap();
+        let mut j1 = Journal::create(&path, header.clone()).unwrap();
         // Corrupt the 2nd journal append, then crash at the 4th eval.
         let inj = Injector::new(
             InjectionPlan::new(0)
@@ -1034,8 +1029,9 @@ mod tests {
         assert!(err.interrupted);
 
         let c = Collector::new();
-        let mut j2 = TuneJournal::load(&path).unwrap();
+        let mut j2 = Journal::load(&path, header).unwrap();
         assert_eq!(j2.corrupt_dropped(), 1, "the corrupted line is dropped");
+        assert!(j2.quarantined(), "and kept aside as damage");
         let resumed = axpy(
             &m,
             &ResilOptions::fast(),
@@ -1051,6 +1047,6 @@ mod tests {
         let cands = vector_candidates(VectorKernel::Axpy, &m);
         let reference = plain(cands, &m, augem_obs::null()).unwrap();
         assert_eq!(resumed.best.tag(), reference.best.tag());
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

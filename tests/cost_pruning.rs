@@ -13,7 +13,7 @@
 //! keep: on at least one kernel the prune rate clears 25%.
 
 use augem_machine::MachineSpec;
-use augem_resil::{journal_header, Fault, InjectionPlan, Injector, Site, Trigger, TuneJournal};
+use augem_resil::{Fault, InjectionPlan, Injector, Journal, Site, Trigger};
 use augem_tune::{
     gemm_candidates, sweep, vector_candidates, Candidate, EvalCache, ResilOptions, TuneResult,
     VectorKernel,
@@ -51,7 +51,7 @@ fn check_family<C: Candidate + Copy + Send + Sync>(candidates: Vec<C>, m: &Machi
     let arch = m.arch.short_name();
     let cache = EvalCache::new();
     let off = Injector::disabled();
-    let run = |opts: &ResilOptions, journal: Option<&mut TuneJournal>, injector: &Injector| {
+    let run = |opts: &ResilOptions, journal: Option<&mut Journal>, injector: &Injector| {
         let null = augem_obs::null();
         sweep(candidates.clone(), m, opts, journal, injector, null, &cache)
     };
@@ -72,7 +72,7 @@ fn check_family<C: Candidate + Copy + Send + Sync>(candidates: Vec<C>, m: &Machi
             ..ResilOptions::plain()
         };
         let r = if crash {
-            let mut journal = TuneJournal::in_memory(journal_header(kernel, arch));
+            let mut journal = Journal::in_memory();
             let plan = InjectionPlan::new(0).with(Site::Eval, Fault::Crash, Trigger::Nth(CRASH_AT));
             match run(&opts, Some(&mut journal), &Injector::new(plan)) {
                 Err(e) if e.interrupted => run(&opts, Some(&mut journal), &off),

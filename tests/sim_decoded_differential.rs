@@ -27,7 +27,7 @@
 //! journals must hash to pinned values.
 
 use augem::machine::MachineSpec;
-use augem::resil::{journal_header, Fault, InjectionPlan, Injector, Site, Trigger, TuneJournal};
+use augem::resil::{Fault, InjectionPlan, Injector, Journal, Site, Trigger};
 use augem::sim::{FuncSim, SimError, SimValue};
 use augem::tune::{
     gemm_candidates, sweep, vector_candidates, Candidate, EvalCache, GemmConfig, ResilOptions,
@@ -372,8 +372,7 @@ fn journaled<C: Candidate + Copy + Send + Sync>(
     opts: &ResilOptions,
     injector: &Injector,
 ) -> (Vec<String>, Vec<(String, u64)>) {
-    let kernel = candidates[0].kernel().name();
-    let mut j = TuneJournal::in_memory(journal_header(kernel, machine.arch.short_name()));
+    let mut j = Journal::in_memory();
     let r = sweep(
         candidates,
         machine,
