@@ -39,7 +39,7 @@ echo "== remaining member-crate unit tests: every crate no other step tests"
 # crates tested by their own steps below are not repeated here.
 cargo test --release -q -p augem-obs -p augem-resil -p augem-ir \
   -p augem-transforms -p augem-templates -p augem-opt -p augem-asm \
-  -p augem-kernels -p augem-blas -p augem-cost -p augem-bench
+  -p augem-kernels -p augem-blas -p augem-cost -p augem-bench -p rayon
 
 echo "== benchmark crate: builds against the facade and passes its tests"
 # benchmark/ is outside the workspace, so a facade break would otherwise
@@ -111,12 +111,14 @@ cargo test --release -q --test lint_prof_agreement
 
 echo "== cost bench: prune rates, winner preservation, bound-phase cost"
 # The binary exits non-zero if pruning changes any winner, the bound
-# phases cost >= 1% of the exhaustive sweeps, or no kernel prunes 25%.
+# phases cost >= 1% of the exhaustive sweeps, the pruned sweeps take as
+# long as the exhaustive ones, or no kernel prunes 25%.
 ./target/release/figures cost
 test -f BENCH_cost.json
 grep -q '"schema": "augem.bench-cost/v1"' BENCH_cost.json
 grep -q '"winners_preserved": true' BENCH_cost.json
 grep -q '"bound_phase_under_1pct": true' BENCH_cost.json
+grep -q '"pruned_faster": true' BENCH_cost.json
 
 echo "== lint smoke: --lint flags the Figure-13 chain, clean on the winner"
 LINT_TMP=$(mktemp -d)

@@ -31,7 +31,9 @@
 //! sandboxed and budgeted, with retry and circuit breaking — and
 //! verifies each rung like `--verify`. `--checkpoint FILE` journals every
 //! completed measurement there; `--resume` continues from an interrupted
-//! journal, skipping completed work (both imply `--degrade`).
+//! journal, skipping completed work (both imply `--degrade`). A journal
+//! whose header names another kernel, machine or schema is refused
+//! before tuning, with exit status 2.
 //! `--inject-crash N` simulates the process dying at the N-th evaluated
 //! candidate — the hook the resilience smoke tests use.
 //!
@@ -56,12 +58,15 @@
 //! Exit status: 0 on success; 1 when the shipped kernel has transform
 //! legality errors, verifier warnings above `--max-warnings`, or a
 //! profile that fails, when nothing ships, or when an interrupted run
-//! leaves only a checkpoint; 2 on usage errors; 3 when a fallback rung
-//! shipped (degraded success).
+//! leaves only a checkpoint; 2 on usage errors and on a `--resume`
+//! journal of another run; 3 when a fallback rung shipped (degraded
+//! success).
 
 use augem::ir::print::print_kernel;
 use augem::machine::{MachineSpec, Microarch};
-use augem::resil::{write_atomic, Fault, InjectionPlan, Injector, Site, Trigger};
+use augem::resil::{
+    check_journal_header, write_atomic, Fault, InjectionPlan, Injector, JournalError, Site, Trigger,
+};
 use augem::templates::identify;
 use augem::transforms::{generate_optimized, OptimizeConfig};
 use augem::tune::ResilOptions;
@@ -389,6 +394,21 @@ fn generate(args: &Args) -> Result<(String, ExitCode), ExitCode> {
         None => Injector::disabled(),
     };
     let driver = Augem::new(args.machine.clone());
+    // A journal with another header (another kernel, machine or schema)
+    // cannot be resumed: `run` would tune from scratch and leave it as
+    // it is. Refuse it before tuning.
+    if let (true, Some(path)) = (args.resume, &args.checkpoint) {
+        let header = driver.checkpoint_header(args.kernel);
+        match check_journal_header(path, &header) {
+            Ok(()) => {}
+            // No journal yet: the run starts one.
+            Err(JournalError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => {
+                eprintln!("cannot resume from {path}: {e}");
+                return Err(ExitCode::from(2));
+            }
+        }
+    }
     let naive = args.naive.then(|| driver.paper_default(args.kernel));
     let target = match &naive {
         Some(c) => Target::Config(&**c),

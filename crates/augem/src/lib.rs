@@ -171,8 +171,9 @@ pub enum Verify {
 }
 
 /// What [`Augem::run`] does around the pipeline. `default()` is the
-/// serving policy: a resilient sweep and full verification. `plain()`
-/// is the exhaustive, unverified sweep.
+/// serving policy: a resilient sweep that prunes by bound
+/// ([`ResilOptions::prune`]) and full verification. `plain()` is the
+/// exhaustive, unverified sweep.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
     /// Sandbox / budget / retry / breaker knobs for the sweep and for
@@ -492,6 +493,13 @@ impl Augem {
         self.run(Target::Tune(kernel), policy, injector)
     }
 
+    /// The header line of a tune checkpoint of `kernel` on this
+    /// driver's machine; a journal that starts otherwise is another
+    /// run's, and `run` does not resume from it.
+    pub fn checkpoint_header(&self, kernel: DlaKernel) -> augem_obs::Json {
+        augem_resil::journal_header(kernel.name(), self.machine.arch.short_name())
+    }
+
     /// Sweeps `kernel`'s tuning space — the one place the facade
     /// dispatches on the kernel family.
     fn tune(
@@ -503,10 +511,9 @@ impl Augem {
     ) -> Result<Tuned, TuneError> {
         let m = &self.machine;
         let mut journal = opts.checkpoint.as_ref().and_then(|path| {
-            let header = augem_resil::journal_header(kernel.name(), m.arch.short_name());
             // An unusable journal (wrong header, I/O error) degrades to
             // an uncheckpointed sweep, not a crash.
-            Journal::load_or_create(path, header, opts.resume)
+            Journal::load_or_create(path, self.checkpoint_header(kernel), opts.resume)
                 .map_err(|e| {
                     tracer.event("resil.journal.unusable", &[("error", e.to_string().into())])
                 })

@@ -476,15 +476,24 @@ fn same_winner<C: Candidate>(a: &TuneResult<C>, b: &TuneResult<C>) -> bool {
     a.best.tag() == b.best.tag() && a.best_eval.report.cycles == b.best_eval.report.cycles
 }
 
-/// One pruned-vs-exhaustive sweep comparison for a kernel family. Returns
-/// the JSON entry plus the gate ingredients: winner preservation, the
-/// prune rate, and the bound phase's and the exhaustive sweep's seconds.
-/// `naive` adds a bound-tightness sample for an untuned configuration.
+/// The gate ingredients of one pruned-vs-exhaustive comparison.
+struct CostSample {
+    winner_preserved: bool,
+    prune_rate: f64,
+    /// The bound stage's wall time, argument shapes included.
+    bound_s: f64,
+    exhaustive_s: f64,
+    pruned_s: f64,
+}
+
+/// One pruned-vs-exhaustive sweep comparison for a kernel family: its
+/// JSON entry and its gate ingredients. `naive` adds a bound-tightness
+/// sample for an untuned configuration.
 fn cost_entry<C: Candidate + Copy + Send + Sync>(
     machine: &MachineSpec,
     candidates: Vec<C>,
     naive: Option<C>,
-) -> Result<(Json, bool, f64, f64, f64), String> {
+) -> Result<(Json, CostSample), String> {
     let prune = ResilOptions {
         prune: true,
         ..ResilOptions::plain()
@@ -495,6 +504,7 @@ fn cost_entry<C: Candidate + Copy + Send + Sync>(
     let winner_preserved = same_winner(&plain, &pruned);
     let prune_rate = stats.pruned as f64 / stats.analyzed.max(1) as f64;
     let bound_s = stats.bound_ns as f64 / 1e9;
+    let bound_cpu_s = stats.bound_cpu_ns as f64 / 1e9;
     let bound_frac = bound_s / exhaustive_s.max(1e-12);
     let tightness: Vec<(String, f64)> = naive
         .iter()
@@ -502,7 +512,7 @@ fn cost_entry<C: Candidate + Copy + Send + Sync>(
         .filter_map(|c| tightness(c, machine))
         .collect();
     println!(
-        "cost   {:>6} on {:<12} {:>3}/{:<3} pruned ({:>4.0}%): sweep {:>7.1} ms -> {:>7.1} ms, bounds {:>6.2} ms ({:.2}% of sweep){}",
+        "cost   {:>6} on {:<12} {:>3}/{:<3} pruned ({:>4.0}%): sweep {:>7.1} ms -> {:>7.1} ms, bounds {:>6.2} ms ({:.2}% of sweep, {:.2} ms CPU){}",
         kernel,
         machine.arch.short_name(),
         stats.pruned,
@@ -512,6 +522,7 @@ fn cost_entry<C: Candidate + Copy + Send + Sync>(
         pruned_s * 1e3,
         bound_s * 1e3,
         bound_frac * 100.0,
+        bound_cpu_s * 1e3,
         if winner_preserved { "" } else { "  WINNER CHANGED" },
     );
     let entry = Json::obj(vec![
@@ -525,6 +536,7 @@ fn cost_entry<C: Candidate + Copy + Send + Sync>(
         ("exhaustive_sweep_s", Json::Num(exhaustive_s)),
         ("pruned_sweep_s", Json::Num(pruned_s)),
         ("bound_phase_s", Json::Num(bound_s)),
+        ("bound_phase_cpu_s", Json::Num(bound_cpu_s)),
         ("bound_phase_frac_of_sweep", Json::Num(bound_frac)),
         ("winner", Json::str(pruned.best.tag())),
         ("winner_preserved", Json::Bool(winner_preserved)),
@@ -543,7 +555,14 @@ fn cost_entry<C: Candidate + Copy + Send + Sync>(
             ),
         ),
     ]);
-    Ok((entry, winner_preserved, prune_rate, bound_s, exhaustive_s))
+    let sample = CostSample {
+        winner_preserved,
+        prune_rate,
+        bound_s,
+        exhaustive_s,
+        pruned_s,
+    };
+    Ok((entry, sample))
 }
 
 /// Bound tightness (static bound / simulated cycles) for one built
@@ -566,20 +585,23 @@ fn tightness(c: &dyn Candidate, machine: &MachineSpec) -> Option<(String, f64)> 
 
 /// Benchmarks bound-based sweep pruning and writes `BENCH_cost.json`
 /// (`augem.bench-cost/v1`): per kernel × platform prune rates, sweep
-/// wall time with and without pruning, the bound phase's cost, and
-/// bound tightness (static bound / simulated cycles) for the naive and
-/// winning configurations. Returns `false` — the CI gate — when
-/// pruning changes any winner, when the bound phases cost 1% or more
-/// of the exhaustive sweeps overall (per-sweep fractions are reported
-/// in the JSON; the gate is the aggregate, since the steady-regime
-/// GEMM sweep is milliseconds long and its denominator tells us
-/// nothing about analyzer cost), or when no kernel reaches a 25%
-/// prune rate.
+/// wall time with and without pruning, the bound phase's cost (the wall
+/// time of its parallel pass, argument shapes included, and its CPU
+/// time), and bound tightness (static bound / simulated cycles) for the
+/// naive and winning configurations. Returns `false` — the CI gate —
+/// when pruning changes any winner, when the bound phases cost 1% or
+/// more of the exhaustive sweeps overall (per-sweep fractions are
+/// reported in the JSON; the gate is the aggregate, since the
+/// steady-regime GEMM sweep is milliseconds long and its denominator
+/// tells us nothing about analyzer cost), when the pruned sweeps take
+/// as long as the exhaustive ones overall (pruning must pay for
+/// itself), or when no kernel reaches a 25% prune rate.
 fn emit_cost_report(platforms: &[MachineSpec]) -> bool {
     let mut entries = Vec::new();
     let mut winners_ok = true;
     let mut total_bound_s = 0.0f64;
     let mut total_exhaustive_s = 0.0f64;
+    let mut total_pruned_s = 0.0f64;
     let mut best_rate = 0.0f64;
 
     for machine in platforms {
@@ -590,12 +612,13 @@ fn emit_cost_report(platforms: &[MachineSpec]) -> bool {
         }
         for r in results {
             match r {
-                Ok((entry, ok, rate, bound_s, exhaustive_s)) => {
+                Ok((entry, sample)) => {
                     entries.push(entry);
-                    winners_ok &= ok;
-                    total_bound_s += bound_s;
-                    total_exhaustive_s += exhaustive_s;
-                    best_rate = best_rate.max(rate);
+                    winners_ok &= sample.winner_preserved;
+                    total_bound_s += sample.bound_s;
+                    total_exhaustive_s += sample.exhaustive_s;
+                    total_pruned_s += sample.pruned_s;
+                    best_rate = best_rate.max(sample.prune_rate);
                 }
                 Err(e) => {
                     eprintln!(
@@ -610,13 +633,24 @@ fn emit_cost_report(platforms: &[MachineSpec]) -> bool {
 
     let total_frac = total_bound_s / total_exhaustive_s.max(1e-12);
     let bound_cheap = total_frac < 0.01;
+    let pruned_faster = total_pruned_s < total_exhaustive_s;
     let rate_ok = best_rate >= 0.25;
-    let ok = winners_ok && bound_cheap && rate_ok;
+    let ok = winners_ok && bound_cheap && pruned_faster && rate_ok;
+    println!(
+        "cost   all sweeps: exhaustive {:.1} ms, pruned {:.1} ms; bound phases {:.2} ms ({:.2}%)",
+        total_exhaustive_s * 1e3,
+        total_pruned_s * 1e3,
+        total_bound_s * 1e3,
+        total_frac * 100.0,
+    );
     let doc = Json::obj(vec![
         ("schema", Json::str("augem.bench-cost/v1")),
         ("winners_preserved", Json::Bool(winners_ok)),
         ("bound_phase_under_1pct", Json::Bool(bound_cheap)),
         ("bound_phase_total_frac", Json::Num(total_frac)),
+        ("pruned_faster", Json::Bool(pruned_faster)),
+        ("exhaustive_total_s", Json::Num(total_exhaustive_s)),
+        ("pruned_total_s", Json::Num(total_pruned_s)),
         ("best_prune_rate", Json::Num(best_rate)),
         ("sweeps", Json::Arr(entries)),
     ]);
@@ -635,6 +669,13 @@ fn emit_cost_report(platforms: &[MachineSpec]) -> bool {
         eprintln!(
             "cost bench FAILED: bound phases cost {:.2}% of the exhaustive sweeps (gate: <1%)",
             total_frac * 100.0
+        );
+    }
+    if !pruned_faster {
+        eprintln!(
+            "cost bench FAILED: the pruned sweeps took {:.1} ms against {:.1} ms exhaustive",
+            total_pruned_s * 1e3,
+            total_exhaustive_s * 1e3
         );
     }
     if !rate_ok {

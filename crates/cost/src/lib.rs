@@ -47,7 +47,7 @@ pub mod walk;
 
 pub use bounds::{Bounds, LoopBound};
 pub use lint::lint;
-pub use walk::WalkSummary;
+pub use walk::{ArgShape, WalkSummary};
 
 use augem_asm::AsmKernel;
 use augem_machine::{IsaFeature, MachineSpec};
@@ -92,13 +92,24 @@ pub fn analyze(
     args: &[SimValue],
     machine: &MachineSpec,
 ) -> Result<CostReport, SimError> {
+    let shapes: Vec<ArgShape> = args.iter().map(ArgShape::of).collect();
+    analyze_shapes(kernel, &shapes, machine)
+}
+
+/// [`analyze`] from the arguments' shapes alone: the same report, with
+/// no array built.
+pub fn analyze_shapes(
+    kernel: &AsmKernel,
+    args: &[ArgShape],
+    machine: &MachineSpec,
+) -> Result<CostReport, SimError> {
     analyze_with_budget(kernel, args, machine, DEFAULT_WALK_BUDGET)
 }
 
-/// [`analyze`] with an explicit walk step budget.
+/// [`analyze_shapes`] with an explicit walk step budget.
 pub fn analyze_with_budget(
     kernel: &AsmKernel,
-    args: &[SimValue],
+    args: &[ArgShape],
     machine: &MachineSpec,
     budget: u64,
 ) -> Result<CostReport, SimError> {

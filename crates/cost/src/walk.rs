@@ -43,6 +43,28 @@ use augem_sim::{SimError, SimValue};
 
 const ARRAY_SHIFT: u32 = 40;
 
+/// What the walk reads of one kernel argument: an integer's value and an
+/// array's length. Floating-point values, scalar or array, never steer
+/// control flow, so a bound needs no array to be built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ArgShape {
+    Int(i64),
+    F64,
+    /// An array of this many `f64` elements.
+    Array(usize),
+}
+
+impl ArgShape {
+    /// The shape of a simulator argument.
+    pub fn of(value: &SimValue) -> Self {
+        match value {
+            SimValue::Int(v) => ArgShape::Int(*v),
+            SimValue::F64(_) => ArgShape::F64,
+            SimValue::Array(data) => ArgShape::Array(data.len()),
+        }
+    }
+}
+
 /// Result of a walk: the dynamic shape of one kernel run.
 #[derive(Debug, Clone)]
 pub struct WalkSummary {
@@ -314,7 +336,7 @@ struct WalkState {
 /// Binds arguments the way [`augem_sim::FuncSim`] does (same order, same
 /// compatibility rules) but keeps only what the walk needs: GP values,
 /// array lengths, and the hidden spill stack.
-fn setup(kernel: &AsmKernel, args: &[SimValue]) -> Result<WalkState, SimError> {
+fn setup(kernel: &AsmKernel, args: &[ArgShape]) -> Result<WalkState, SimError> {
     use augem_asm::ParamLoc;
     if args.len() != kernel.params.len() {
         return Err(SimError::BadArgs(format!(
@@ -333,14 +355,13 @@ fn setup(kernel: &AsmKernel, args: &[SimValue]) -> Result<WalkState, SimError> {
     };
     for ((_, loc), arg) in kernel.params.iter().zip(args) {
         match (loc, arg) {
-            (ParamLoc::Gp(r), SimValue::Int(v)) => st.gp[r.0 as usize] = *v,
-            (ParamLoc::Gp(r), SimValue::Array(data)) => {
+            (ParamLoc::Gp(r), ArgShape::Int(v)) => st.gp[r.0 as usize] = *v,
+            (ParamLoc::Gp(r), ArgShape::Array(len)) => {
                 let id = st.lens.len();
-                st.lens.push(data.len());
+                st.lens.push(*len);
                 st.gp[r.0 as usize] = ((id as i64) + 1) << ARRAY_SHIFT;
             }
-            (ParamLoc::Vec(_), SimValue::F64(_))
-            | (ParamLoc::VecBroadcast(_), SimValue::F64(_)) => {}
+            (ParamLoc::Vec(_), ArgShape::F64) | (ParamLoc::VecBroadcast(_), ArgShape::F64) => {}
             (loc, arg) => {
                 return Err(SimError::BadArgs(format!(
                     "argument {arg:?} incompatible with location {loc:?}"
@@ -425,13 +446,14 @@ fn solve_exit(a1: i128, da: i128, b1: i128, db: i128, is_jl: bool) -> Option<i12
     Some(j_exit)
 }
 
-/// Walks `prog` (decoded from `kernel`) on `args`, mirroring the
-/// simulator's control flow and GP arithmetic. `budget` bounds the
-/// *concretely executed* steps; closed-form skips do not consume it.
+/// Walks `prog` (decoded from `kernel`) on arguments of shape `args`,
+/// mirroring the simulator's control flow and GP arithmetic. `budget`
+/// bounds the *concretely executed* steps; closed-form skips do not
+/// consume it.
 pub fn walk(
     prog: &DecodedProgram,
     kernel: &AsmKernel,
-    args: &[SimValue],
+    args: &[ArgShape],
     budget: u64,
 ) -> Result<WalkSummary, SimError> {
     let mut st = setup(kernel, args)?;
@@ -730,6 +752,10 @@ mod tests {
     }
 
     /// Per-pc histogram of a real simulator trace.
+    fn shapes(args: &[SimValue]) -> Vec<ArgShape> {
+        args.iter().map(ArgShape::of).collect()
+    }
+
     fn trace_histogram(kernel: &AsmKernel, args: Vec<SimValue>, pcs: usize) -> Vec<u64> {
         let sim = FuncSim::new(IsaSet::new(&[IsaFeature::Avx])).with_trace();
         let (_, trace) = sim.run(kernel, args).expect("sim run");
@@ -803,7 +829,7 @@ mod tests {
         for n in [1i64, 2, 3, 17, 1000] {
             let k = axpy_like(n, 2);
             let prog = decode(&k);
-            let w = walk(&prog, &k, &axpy_args(n, 2), 1_000_000).expect("walk");
+            let w = walk(&prog, &k, &shapes(&axpy_args(n, 2)), 1_000_000).expect("walk");
             assert!(w.complete, "n={n}");
             let h = trace_histogram(&k, axpy_args(n, 2), prog.len());
             assert_eq!(w.counts, h, "n={n}");
@@ -824,7 +850,7 @@ mod tests {
         let prog = decode(&k);
         // A budget far below the dynamic step count: only acceleration
         // can cover the full run.
-        let w = walk(&prog, &k, &axpy_args(n, 2), 10_000).expect("walk");
+        let w = walk(&prog, &k, &shapes(&axpy_args(n, 2)), 10_000).expect("walk");
         assert!(w.complete, "acceleration must cover the loop");
         let h = trace_histogram(&k, axpy_args(n, 2), prog.len());
         assert_eq!(w.counts, h);
@@ -860,7 +886,7 @@ mod tests {
             },
         );
         let prog = decode(&k);
-        let w = walk(&prog, &k, &axpy_args(n, 2), 500).expect("walk");
+        let w = walk(&prog, &k, &shapes(&axpy_args(n, 2)), 500).expect("walk");
         assert!(!w.complete);
         let h = trace_histogram(&k, axpy_args(n, 2), prog.len());
         for (pc, (&got, &real)) in w.counts.iter().zip(&h).enumerate() {
@@ -890,7 +916,7 @@ mod tests {
         k.insts.push(XInst::Ret);
         let prog = decode(&k);
         let args = vec![SimValue::Array(vec![0.0; 2])];
-        let w = walk(&prog, &k, &args, 1000).expect("walk");
+        let w = walk(&prog, &k, &shapes(&args), 1000).expect("walk");
         assert!(w.complete);
         assert_eq!(w.counts[..3], [1, 1, 1]);
 
@@ -914,7 +940,7 @@ mod tests {
         k2.insts.push(XInst::Ret);
         let prog2 = decode(&k2);
         let args2 = vec![SimValue::Array(vec![0.0; 2])];
-        let w2 = walk(&prog2, &k2, &args2, 1000).expect("walk");
+        let w2 = walk(&prog2, &k2, &shapes(&args2), 1000).expect("walk");
         assert!(!w2.complete, "poisoned slot read must bail");
         assert_eq!(w2.counts[..3], [1, 1, 0], "the bailing load is uncounted");
     }
@@ -959,7 +985,7 @@ mod tests {
         k.insts.push(XInst::Ret);
         let prog = decode(&k);
         let args = || vec![SimValue::Array(vec![1.0; 4]), SimValue::Int(900)];
-        let w = walk(&prog, &k, &args(), 100_000).expect("walk");
+        let w = walk(&prog, &k, &shapes(&args()), 100_000).expect("walk");
         assert!(w.complete);
         let h = trace_histogram(&k, args(), prog.len());
         assert_eq!(w.counts, h);

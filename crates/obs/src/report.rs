@@ -49,25 +49,33 @@ pub struct CandidateFailure {
     pub reason: String,
 }
 
-/// Search telemetry from one tuner invocation.
+/// Search telemetry from one tuner invocation. A sweep that prunes by
+/// bound (the serving default) measures only the candidates the bound
+/// cannot rule out, so the ranking, and every statistic drawn from it,
+/// covers the evaluated candidates only.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TunerTelemetry {
     /// Candidates the generator enumerated.
     pub generated: u64,
     /// Candidates that built and simulated successfully.
     pub built: u64,
-    /// Candidates dropped (failed build or simulation).
+    /// Candidates dropped: failed builds or simulations, breaker skips,
+    /// and candidates pruned by their static bound.
     pub pruned: u64,
     pub best_mflops: f64,
+    /// The median of the evaluated candidates (pruned ones have no
+    /// measurement).
     pub median_mflops: f64,
     /// `best_mflops / median_mflops` — how much the search won over a
     /// blind median pick (1.0 = tuning did not matter).
     pub best_vs_median: f64,
-    /// Full ranking, best first.
+    /// Every evaluated candidate, best first. The facade's degradation
+    /// ladder takes its next-ranked rungs from here.
     pub ranking: Vec<RankedCandidate>,
-    /// Why each pruned candidate was dropped.
+    /// Why each pruned candidate was dropped, bound prunes included.
     pub failures: Vec<CandidateFailure>,
-    /// Wall-clock latency of each candidate evaluation, in nanoseconds.
+    /// Wall-clock latency of each candidate evaluation, in nanoseconds:
+    /// one sample per evaluated candidate, none for a bound prune.
     pub eval_latency_ns: Histogram,
 }
 

@@ -29,7 +29,7 @@ use crate::fsio::{quarantine, write_atomic};
 use augem_obs::hash::{mix_str, splitmix64};
 use augem_obs::Json;
 use std::collections::HashMap;
-use std::io::{BufRead as _, Write as _};
+use std::io::{BufRead, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Schema identifier in the tune checkpoint's header line.
@@ -72,6 +72,15 @@ pub fn header(kernel: &str, machine: &str) -> Json {
         ("kernel", Json::str(kernel)),
         ("machine", Json::str(machine)),
     ])
+}
+
+/// Checks that the journal at `path` starts with `header`, reading
+/// nothing past it: the file [`Journal::load`] would reject as
+/// [`JournalError::BadHeader`], found before anything runs.
+pub fn check_header(path: impl AsRef<Path>, header: &Json) -> Result<(), JournalError> {
+    let path = path.as_ref();
+    let mut reader = std::io::BufReader::new(std::fs::File::open(path)?);
+    read_header(&mut reader, path, &header.render())
 }
 
 /// What a journal holds: a tagged value written as one JSON object.
@@ -136,15 +145,9 @@ impl<R: Record> Journal<R> {
     pub fn load(path: impl AsRef<Path>, header: Json) -> Result<Self, JournalError> {
         let path = path.as_ref();
         let mut reader = std::io::BufReader::with_capacity(1 << 16, std::fs::File::open(path)?);
-        let mut line = Vec::new();
-        reader.read_until(b'\n', &mut line)?;
         let want = header.render();
-        if line.strip_suffix(b"\n") != Some(want.as_bytes()) {
-            return Err(JournalError::BadHeader(format!(
-                "{} does not start with {want}",
-                path.display()
-            )));
-        }
+        read_header(&mut reader, path, &want)?;
+        let mut line = Vec::new();
         let mut j = Self::in_memory();
         j.path = Some(path.to_path_buf());
         let mut damaged = false;
@@ -267,6 +270,25 @@ impl<R: Record> Journal<R> {
     pub fn path(&self) -> Option<&Path> {
         self.path.as_deref()
     }
+}
+
+/// Reads the first line of the journal at `path` and checks that it is
+/// the header `want`; the error names both.
+fn read_header(reader: &mut impl BufRead, path: &Path, want: &str) -> Result<(), JournalError> {
+    let mut line = Vec::new();
+    reader.read_until(b'\n', &mut line)?;
+    if line.strip_suffix(b"\n") == Some(want.as_bytes()) {
+        return Ok(());
+    }
+    let found = String::from_utf8_lossy(&line);
+    Err(JournalError::BadHeader(format!(
+        "{} starts with {}, expected {want}",
+        path.display(),
+        match found.trim_end_matches('\n') {
+            "" => "no header line",
+            found => found,
+        }
+    )))
 }
 
 fn checksum(record: &str) -> String {

@@ -51,7 +51,10 @@ mod sandbox;
 pub use breaker::CircuitBreaker;
 pub use fsio::{dir_fsyncs, quarantine, write_atomic};
 pub use inject::{Fault, InjectionPlan, Injector, Rule, Site, Trigger};
-pub use journal::{header as journal_header, Journal, JournalError, Record, JOURNAL_SCHEMA};
+pub use journal::{
+    check_header as check_journal_header, header as journal_header, Journal, JournalError, Record,
+    JOURNAL_SCHEMA,
+};
 pub use retry::{with_retry, RetryPolicy, Transient};
 pub use sandbox::sandboxed;
 

@@ -297,19 +297,38 @@ fn a_damaged_record_is_dropped_then_reconverges() {
 /// Row 4 — overload: a full queue sheds with `queue_full` at admission;
 /// a request whose deadline lapses in the queue is shed with
 /// `deadline` at dequeue; the in-flight request still completes.
+///
+/// The single worker is held, not raced: its tune resumes a checkpoint
+/// that is a named pipe, and opening a pipe to read blocks until a
+/// writer opens it. The test opens it only after both admissions, and
+/// the empty header it then reads makes the checkpoint unusable, so the
+/// tune runs unjournaled and completes.
 #[test]
 fn overload_sheds_typed_rejections_not_hangs() {
+    let dir = tmpdir("overload");
+    std::fs::create_dir_all(&dir).unwrap();
+    let gate = dir.join("gate.jsonl");
+    let made = std::process::Command::new("mkfifo").arg(&gate).status();
+    assert!(made.is_ok_and(|s| s.success()), "mkfifo {}", gate.display());
     let config = ServeConfig {
         workers: 1,
         queue_capacity: 1,
+        run: augem::RunOptions {
+            checkpoint: Some(gate.clone()),
+            resume: true,
+            ..augem::RunOptions::default()
+        },
         ..ServeConfig::default()
     };
     let server = Arc::new(Server::open(config, Injector::disabled()).unwrap());
     let pool = ServerPool::start(Arc::clone(&server));
 
-    // Occupy the single worker with a real tune.
+    // Occupy the single worker with a tune; its miss is counted once
+    // the worker has dequeued it, before the tune opens the pipe.
     let busy = pool.request(req("busy", DlaKernel::Axpy));
-    std::thread::sleep(std::time::Duration::from_millis(150));
+    while count(&server, counter::STORE_MISS) == 0 {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
 
     // Fills the queue; its deadline is already over when dequeued.
     let mut late = req("late", DlaKernel::Scal);
@@ -322,12 +341,15 @@ fn overload_sheds_typed_rejections_not_hangs() {
     assert_eq!(shed.status, Status::Rejected);
     assert_eq!(shed.rejected, Some(Reject::QueueFull));
 
+    // Release the worker: open the pipe's write end and close it.
+    drop(std::fs::OpenOptions::new().write(true).open(&gate).unwrap());
     let busy_resp = busy.recv().unwrap();
     assert_eq!(busy_resp.status, Status::Ok);
     let late_resp = late_rx.recv().unwrap();
     assert_eq!(late_resp.status, Status::Rejected);
     assert_eq!(late_resp.rejected, Some(Reject::Deadline));
     pool.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Row 5 — circuit breaker: consecutive failing requests for one

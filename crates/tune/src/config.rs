@@ -2,8 +2,9 @@
 //! generic over, and candidate generation.
 
 use crate::cache::EvalCache;
-use crate::evaluate::{gemm_eval_args, vector_eval_args};
+use crate::evaluate::{gemm_eval_args, gemm_problem, shapes, vector_eval_args, vector_problem};
 use augem_asm::AsmKernel;
+use augem_cost::ArgShape;
 use augem_ir::Kernel;
 use augem_kernels::DlaKernel;
 use augem_machine::{MachineSpec, SimdMode};
@@ -307,6 +308,9 @@ pub trait Candidate {
     fn pipeline_inputs(&self) -> (OptimizeConfig, CodegenOptions);
     /// The evaluation micro-problem's arguments and useful-flop count.
     fn eval_args(&self) -> (Vec<SimValue>, u64);
+    /// [`eval_args`](Candidate::eval_args) as shapes: integer values and
+    /// array lengths, all the static bound reads, with no array built.
+    fn eval_shapes(&self) -> (Vec<ArgShape>, u64);
     /// Measured warm (steady state, cache-resident) rather than cold.
     fn warm(&self) -> bool;
     /// The translation-validation problem instance.
@@ -328,6 +332,9 @@ impl Candidate for GemmConfig {
     }
     fn eval_args(&self) -> (Vec<SimValue>, u64) {
         gemm_eval_args(self)
+    }
+    fn eval_shapes(&self) -> (Vec<ArgShape>, u64) {
+        shapes(gemm_problem(self))
     }
     fn warm(&self) -> bool {
         true
@@ -352,6 +359,9 @@ impl Candidate for VectorConfig {
     }
     fn eval_args(&self) -> (Vec<SimValue>, u64) {
         vector_eval_args(self)
+    }
+    fn eval_shapes(&self) -> (Vec<ArgShape>, u64) {
+        shapes(vector_problem(self))
     }
     fn warm(&self) -> bool {
         false

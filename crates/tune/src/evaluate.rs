@@ -9,6 +9,7 @@
 
 use crate::cache::EvalCache;
 use crate::config::{BuildError, Candidate, GemmConfig, LoggedBuild, VectorConfig, VectorKernel};
+use augem_cost::ArgShape;
 use augem_machine::MachineSpec;
 use augem_opt::CodegenError;
 use augem_sim::{PcProfile, SimError, SimValue, TimingReport};
@@ -172,25 +173,82 @@ pub fn evaluate(
     Ok(e)
 }
 
+/// One argument of an evaluation micro-problem, with its array not yet
+/// built: the static bound reads only the shapes, the simulator the
+/// values.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Arg {
+    Int(usize),
+    F64(f64),
+    /// `len` copies of one value.
+    Fill(usize, f64),
+    /// Element `v` is `(v % period) * step`.
+    Cycle {
+        len: usize,
+        period: usize,
+        step: f64,
+    },
+}
+
+impl Arg {
+    fn value(self) -> SimValue {
+        match self {
+            Arg::Int(v) => SimValue::Int(v as i64),
+            Arg::F64(v) => SimValue::F64(v),
+            Arg::Fill(len, v) => SimValue::Array(vec![v; len]),
+            Arg::Cycle { len, period, step } => {
+                SimValue::Array((0..len).map(|v| (v % period) as f64 * step).collect())
+            }
+        }
+    }
+
+    fn shape(self) -> ArgShape {
+        match self {
+            Arg::Int(v) => ArgShape::Int(v as i64),
+            Arg::F64(_) => ArgShape::F64,
+            Arg::Fill(len, _) | Arg::Cycle { len, .. } => ArgShape::Array(len),
+        }
+    }
+}
+
+/// Builds a micro-problem's arguments.
+pub(crate) fn values((args, useful): (Vec<Arg>, u64)) -> (Vec<SimValue>, u64) {
+    (args.into_iter().map(Arg::value).collect(), useful)
+}
+
+/// A micro-problem's argument shapes, with no array built.
+pub(crate) fn shapes((args, useful): (Vec<Arg>, u64)) -> (Vec<ArgShape>, u64) {
+    (args.into_iter().map(Arg::shape).collect(), useful)
+}
+
 /// The micro-problem arguments and useful-flop count of a GEMM
 /// evaluation — shared by the plain measurement and the profiled one so
 /// both exercise the identical workload.
 pub fn gemm_eval_args(cfg: &GemmConfig) -> (Vec<SimValue>, u64) {
+    values(gemm_problem(cfg))
+}
+
+pub(crate) fn gemm_problem(cfg: &GemmConfig) -> (Vec<Arg>, u64) {
     let (mr, nr, kc) = gemm_eval_dims(cfg);
     let (mc, ldb, ldc) = (mr, nr, mr);
-    let a: Vec<f64> = (0..mc * kc).map(|v| (v % 17) as f64 * 0.25).collect();
-    let b: Vec<f64> = (0..kc * ldb).map(|v| (v % 13) as f64 * 0.5).collect();
-    let c: Vec<f64> = vec![0.0; ldc * nr];
     let args = vec![
-        SimValue::Int(mr as i64),
-        SimValue::Int(nr as i64),
-        SimValue::Int(kc as i64),
-        SimValue::Int(mc as i64),
-        SimValue::Int(ldb as i64),
-        SimValue::Int(ldc as i64),
-        SimValue::Array(a),
-        SimValue::Array(b),
-        SimValue::Array(c),
+        Arg::Int(mr),
+        Arg::Int(nr),
+        Arg::Int(kc),
+        Arg::Int(mc),
+        Arg::Int(ldb),
+        Arg::Int(ldc),
+        Arg::Cycle {
+            len: mc * kc,
+            period: 17,
+            step: 0.25,
+        },
+        Arg::Cycle {
+            len: kc * ldb,
+            period: 13,
+            step: 0.5,
+        },
+        Arg::Fill(ldc * nr, 0.0),
     ];
     (args, (2 * mr * nr * kc) as u64)
 }
@@ -221,16 +279,20 @@ pub fn vector_eval_n(kernel: VectorKernel) -> (usize, usize) {
 /// The micro-problem arguments and useful-flop count of a vector-kernel
 /// evaluation (see [`gemm_eval_args`]).
 pub fn vector_eval_args(cfg: &VectorConfig) -> (Vec<SimValue>, u64) {
+    values(vector_problem(cfg))
+}
+
+pub(crate) fn vector_problem(cfg: &VectorConfig) -> (Vec<Arg>, u64) {
     let (n0, n1) = vector_eval_n(cfg.kernel);
     match cfg.kernel {
         VectorKernel::Axpy => {
             let n = n0;
             (
                 vec![
-                    SimValue::Int(n as i64),
-                    SimValue::F64(1.5),
-                    SimValue::Array(vec![0.5; n]),
-                    SimValue::Array(vec![1.0; n]),
+                    Arg::Int(n),
+                    Arg::F64(1.5),
+                    Arg::Fill(n, 0.5),
+                    Arg::Fill(n, 1.0),
                 ],
                 (2 * n) as u64,
             )
@@ -239,10 +301,10 @@ pub fn vector_eval_args(cfg: &VectorConfig) -> (Vec<SimValue>, u64) {
             let n = n0;
             (
                 vec![
-                    SimValue::Int(n as i64),
-                    SimValue::Array(vec![0.5; n]),
-                    SimValue::Array(vec![1.0; n]),
-                    SimValue::Array(vec![0.0]),
+                    Arg::Int(n),
+                    Arg::Fill(n, 0.5),
+                    Arg::Fill(n, 1.0),
+                    Arg::Fill(1, 0.0),
                 ],
                 (2 * n) as u64,
             )
@@ -252,12 +314,12 @@ pub fn vector_eval_args(cfg: &VectorConfig) -> (Vec<SimValue>, u64) {
             let lda = m;
             (
                 vec![
-                    SimValue::Int(m as i64),
-                    SimValue::Int(n as i64),
-                    SimValue::Int(lda as i64),
-                    SimValue::Array(vec![0.5; lda * n]),
-                    SimValue::Array(vec![0.25; n]),
-                    SimValue::Array(vec![0.0; m]),
+                    Arg::Int(m),
+                    Arg::Int(n),
+                    Arg::Int(lda),
+                    Arg::Fill(lda * n, 0.5),
+                    Arg::Fill(n, 0.25),
+                    Arg::Fill(m, 0.0),
                 ],
                 (2 * m * n) as u64,
             )
@@ -267,12 +329,12 @@ pub fn vector_eval_args(cfg: &VectorConfig) -> (Vec<SimValue>, u64) {
             let lda = m;
             (
                 vec![
-                    SimValue::Int(m as i64),
-                    SimValue::Int(n as i64),
-                    SimValue::Int(lda as i64),
-                    SimValue::Array(vec![0.5; m]),
-                    SimValue::Array(vec![0.25; n]),
-                    SimValue::Array(vec![1.0; lda * n]),
+                    Arg::Int(m),
+                    Arg::Int(n),
+                    Arg::Int(lda),
+                    Arg::Fill(m, 0.5),
+                    Arg::Fill(n, 0.25),
+                    Arg::Fill(lda * n, 1.0),
                 ],
                 (2 * m * n) as u64,
             )
@@ -280,11 +342,7 @@ pub fn vector_eval_args(cfg: &VectorConfig) -> (Vec<SimValue>, u64) {
         VectorKernel::Scal => {
             let n = n0;
             (
-                vec![
-                    SimValue::Int(n as i64),
-                    SimValue::F64(0.99),
-                    SimValue::Array(vec![1.0; n]),
-                ],
+                vec![Arg::Int(n), Arg::F64(0.99), Arg::Fill(n, 1.0)],
                 n as u64,
             )
         }

@@ -8,17 +8,22 @@
 //! cannot win — or even tie — the sweep, so its simulation can be
 //! skipped entirely.
 //!
-//! With [`ResilOptions::prune`](crate::ResilOptions::prune) the sweep is
-//! therefore best-first: it bounds every candidate from its (cached)
-//! build under a `cost` span, then evaluates candidates in descending
-//! bound order, pruning each one whose bound falls below the incumbent.
-//! Because the bound is sound and the cut is strict (`ub < best`), the
-//! surviving set always contains every candidate whose true Mflops
-//! equals the sweep maximum; results are re-assembled in the *original*
-//! candidate order before ranking, so the winner, the tie-breaking, and
-//! the best measurement are bit-for-bit identical to the exhaustive sweep
-//! (`tests/cost_pruning.rs` machine-checks this on every kernel family
-//! and both machines).
+//! With [`ResilOptions::prune`](crate::ResilOptions::prune), on by
+//! default, the sweep is therefore best-first: it bounds every
+//! candidate from its (cached) build and its arguments' shapes
+//! ([`Candidate::eval_shapes`](crate::Candidate::eval_shapes): no
+//! evaluation array is built) in a parallel pass under a `cost` span,
+//! then commits candidates in descending bound order, pruning each one
+//! whose bound falls below the incumbent. Evaluation keeps every core
+//! busy ahead of the commit, and a worker skips a candidate whose bound
+//! is already below the committed incumbent, which the commit would
+//! prune anyway. Because the bound is sound and the cut is strict
+//! (`ub < best`), the surviving set always contains every candidate
+//! whose true Mflops equals the sweep maximum; results are re-assembled
+//! in the *original* candidate order before ranking, so the winner, the
+//! tie-breaking, and the best measurement are bit-for-bit identical to
+//! the exhaustive sweep (`tests/cost_pruning.rs` machine-checks this on
+//! every kernel family and both machines).
 
 /// Converts a cycle lower bound into the Mflops *upper* bound implied by
 /// the evaluator's own formula (`TimingReport::useful_mflops` at the
@@ -53,8 +58,8 @@ mod tests {
             let Ok(build) = cache.logged(&cfg, &machine, augem_obs::null()) else {
                 continue;
             };
-            let (args, useful) = cfg.eval_args();
-            let report = augem_cost::analyze(&build.asm, &args, &machine).unwrap();
+            let (shapes, useful) = cfg.eval_shapes();
+            let report = augem_cost::analyze_shapes(&build.asm, &shapes, &machine).unwrap();
             let ub = ub_mflops(report.lower_bound_cycles, useful, machine.turbo_ghz);
             let e = evaluate(&cfg, &machine, augem_obs::null(), None, &cache).unwrap();
             assert!(

@@ -14,18 +14,23 @@
 //! 1. **Legality** ([`ResilOptions::check_legality`]): the candidates'
 //!    cached transforms — no code generated yet — are checked by
 //!    `augem-depan` in parallel ([`crate::legal`]).
-//! 2. **Bounds** ([`ResilOptions::prune`]): every candidate gets a static
-//!    Mflops upper bound from its cached build, and the sweep runs
-//!    best-first, skipping the candidates the incumbent dominates
+//! 2. **Bounds** ([`ResilOptions::prune`]): the candidates' builds are
+//!    fetched through the cache in parallel, then every build gets a
+//!    static Mflops upper bound from its arguments' shapes in a parallel
+//!    pass of its own, and the commit order becomes best bound first
 //!    ([`crate::prune`]).
-//! 3. **Speculative evaluation**: unless pruning or injecting faults,
-//!    evaluation is pure and fans out in parallel, each worker recording
-//!    telemetry into a private [`Collector`].
-//! 4. **Commit**: strictly sequential — journal replay, breaker, legality
-//!    verdict, bound, then the evaluation (speculated, or run inline),
-//!    whose telemetry is merged ([`replay_into`]) at the candidate's
-//!    slot. Journal bytes, rankings, counters and events are bit-for-bit
-//!    identical to a sequential sweep.
+//! 3. **Evaluation ahead of the commit**: one worker per core takes
+//!    candidates in commit order and evaluates each under a private
+//!    [`Collector`], skipping the candidates the commit will not
+//!    evaluate — journaled, rejected, or bounded below the committed
+//!    incumbent, which only rises, so the commit prunes them too.
+//! 4. **Commit**: strictly sequential and concurrent with stage 3 —
+//!    journal replay, breaker, legality verdict, bound, then the
+//!    evaluation a worker made, whose telemetry is merged
+//!    ([`replay_into`]) at the candidate's slot. A result the commit does
+//!    not use (a candidate the breaker skips, or one it prunes after a
+//!    worker took it) is dropped unseen, so journal bytes, rankings,
+//!    counters and events are bit-for-bit those of a sequential sweep.
 //! 5. **Rank** ([`crate::search`]) over the results in candidate order.
 //!
 //! The journal is append-ordered, the breaker counts consecutive
@@ -33,10 +38,11 @@
 //! far, and resume must replay decisions in the order they were made —
 //! hence the sequential commit. Injected faults (`Trigger::Nth` counters
 //! in particular) are order-dependent by design, so an enabled
-//! [`Injector`] keeps evaluation sequential too.
+//! [`Injector`] evaluates inline at the commit instead: the one
+//! sequential sweep.
 //!
-//! [`ResilOptions::plain`] turns the breaker and the budget off, so every
-//! candidate is measured: the exhaustive sweep.
+//! [`ResilOptions::plain`] turns the breaker, the budget and pruning off,
+//! so every candidate is measured: the exhaustive sweep.
 
 use crate::cache::EvalCache;
 use crate::config::{Candidate, LoggedBuild};
@@ -52,13 +58,13 @@ use augem_resil::{
 use augem_sim::TimingReport;
 use rayon::prelude::*;
 use std::cell::Cell;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
-/// One speculative worker's output: the measurement (or typed failure)
-/// with its wall time in ns, plus the telemetry it recorded, replayed at
-/// commit time.
-type Speculated = ((Result<Evaluation, EvalError>, u64), Collector);
+/// One evaluation: the measurement (or typed failure) with its wall time
+/// in ns, or `None` when an injected `Crash` killed the sweep.
+type Attempt = Option<(Result<Evaluation, EvalError>, u64)>;
 
 /// Default per-candidate instruction budget: far above any healthy
 /// micro-problem trace (worst evaluator runs a few million dynamic
@@ -78,19 +84,19 @@ pub struct ResilOptions {
     pub step_limit: Option<u64>,
     /// Skip candidates whose static Mflops upper bound (`augem-cost`)
     /// falls strictly below the best measurement committed so far,
-    /// evaluating best-bound-first. The winner and its measurement are
+    /// committing best-bound-first. The winner and its measurement are
     /// unchanged (the bound is sound and the cut strict); pruned
     /// candidates are journaled with outcome `"pruned"` so a resumed
-    /// sweep replays the same decisions bit-for-bit. Pruning depends on
-    /// commit order, so it disables the speculative parallel stage, like
-    /// an enabled injector does.
+    /// sweep replays the same decisions bit-for-bit. Evaluation still
+    /// runs on every core ahead of the commit; workers skip candidates
+    /// the committed incumbent already dominates. On by default, off in
+    /// [`plain`](ResilOptions::plain).
     pub prune: bool,
     /// Reject candidates whose transform chain `augem-depan` cannot
     /// prove legal, before evaluation. Rejections are journaled with
     /// outcome `"rejected"` and replayed on resume exactly like prunes;
-    /// like a prune, a rejection never touches the breaker. Legality is
-    /// order-independent, so this keeps the speculative parallel stage
-    /// (rejected candidates are never speculated on).
+    /// like a prune, a rejection never touches the breaker, and rejected
+    /// candidates are never bounded or evaluated.
     pub check_legality: bool,
 }
 
@@ -100,7 +106,7 @@ impl Default for ResilOptions {
             retry: RetryPolicy::default(),
             breaker_threshold: 3,
             step_limit: Some(DEFAULT_STEP_BUDGET),
-            prune: false,
+            prune: true,
             check_legality: false,
         }
     }
@@ -115,12 +121,13 @@ impl ResilOptions {
         }
     }
 
-    /// The exhaustive sweep: no circuit breaker and no step budget, so
-    /// every candidate is measured.
+    /// The exhaustive sweep: no circuit breaker, no step budget and no
+    /// pruning, so every candidate is measured.
     pub fn plain() -> Self {
         ResilOptions {
             breaker_threshold: 0,
             step_limit: None,
+            prune: false,
             ..Self::default()
         }
     }
@@ -225,6 +232,93 @@ fn par_traced<T: Sync, R: Send>(
         .collect()
 }
 
+/// Evaluation ahead of the commit (stage 3). Workers take candidates in
+/// commit order and leave each result for the commit, which takes them
+/// in that same order. The atomics are `Relaxed`: each publishes only
+/// its own value, and results pass through the mutex. A poisoned mutex
+/// is recovered, since every update is a single slot assignment.
+struct Ahead<'a> {
+    order: &'a [usize],
+    /// By candidate: may the commit need it evaluated? Journaled and
+    /// rejected candidates never are.
+    wanted: Vec<bool>,
+    bounds: &'a [Option<f64>],
+    /// The next position in `order` a worker takes.
+    next: AtomicUsize,
+    /// The committed incumbent's Mflops, as bits. It only rises.
+    incumbent: AtomicU64,
+    stopped: AtomicBool,
+    /// By candidate: a worker's result with the telemetry it recorded,
+    /// until the commit takes it.
+    done: Mutex<Vec<Option<(Attempt, Collector)>>>,
+    ready: Condvar,
+}
+
+impl<'a> Ahead<'a> {
+    /// Workers for the candidates `todo` lists, taken in `order`.
+    fn new(order: &'a [usize], todo: &[usize], bounds: &'a [Option<f64>]) -> Self {
+        let mut wanted = vec![false; order.len()];
+        for &i in todo {
+            wanted[i] = true;
+        }
+        Ahead {
+            order,
+            done: Mutex::new((0..order.len()).map(|_| None).collect()),
+            wanted,
+            bounds,
+            next: AtomicUsize::new(0),
+            incumbent: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
+            stopped: AtomicBool::new(false),
+            ready: Condvar::new(),
+        }
+    }
+
+    /// One worker: takes candidates until none are left or the commit
+    /// has finished. A candidate whose bound is below the incumbent
+    /// read here is below the one the commit compares it with, so the
+    /// commit prunes it and never asks for its result.
+    fn work(&self, eval: impl Fn(usize, &dyn Tracer) -> Attempt) {
+        while !self.stopped.load(Relaxed) {
+            let Some(&i) = self.order.get(self.next.fetch_add(1, Relaxed)) else {
+                return;
+            };
+            let best = f64::from_bits(self.incumbent.load(Relaxed));
+            if !self.wanted[i] || self.bounds[i].is_some_and(|ub| ub < best) {
+                continue;
+            }
+            let local = Collector::new();
+            // `attempt` sandboxes the evaluation; this keeps a panic
+            // anywhere else from leaving the commit waiting forever.
+            let outcome = sandboxed(|| eval(i, &local))
+                .unwrap_or_else(|p| Some((Err(EvalError::Panicked(p)), 0)));
+            self.done.lock().unwrap_or_else(PoisonError::into_inner)[i] = Some((outcome, local));
+            self.ready.notify_all();
+        }
+    }
+
+    /// Waits for candidate `i`'s result.
+    fn take(&self, i: usize) -> (Attempt, Collector) {
+        let mut done = self.done.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            if let Some(result) = done[i].take() {
+                return result;
+            }
+            done = self
+                .ready
+                .wait(done)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn raise(&self, best: f64) {
+        self.incumbent.store(best.to_bits(), Relaxed);
+    }
+
+    fn stop(&self) {
+        self.stopped.store(true, Relaxed);
+    }
+}
+
 /// Tunes over `candidates` on `machine` and ranks the survivors. See the
 /// module docs for the stages `opts` selects. `journal` checkpoints every
 /// decision and is replayed first (`None` keeps an in-memory one);
@@ -271,7 +365,7 @@ pub fn sweep<C: Candidate + Copy + Send + Sync>(
         .iter()
         .map(|c| journaled(journal, &c.tag(), tracer))
         .collect();
-    let todo: Vec<usize> = (0..n).filter(|&i| replay[i].is_none()).collect();
+    let mut todo: Vec<usize> = (0..n).filter(|&i| replay[i].is_none()).collect();
 
     // Stage 1: legality verdicts, on the machine-independent transform
     // stage — before any code is generated. Only the checking itself is
@@ -310,12 +404,13 @@ pub fn sweep<C: Candidate + Copy + Send + Sync>(
         tracer.add("depan.checked", stats.checked as u64);
         tracer.add("depan.rejected", stats.rejected as u64);
         tracer.add("depan.check_ns", stats.check_ns);
+        todo.retain(|&i| rejected[i].is_none());
     }
 
-    // Stage 2: static bounds over the candidates' logged builds, fetched
-    // through the cache that the evaluation stage then hits, then
-    // best-first order. A candidate that fails to build has no build
-    // here; evaluation reports its failure.
+    // Stage 2: the candidates' logged builds, fetched through the cache
+    // that evaluation then hits, then static bounds from the builds and
+    // the arguments' shapes, then best-first order. A candidate that
+    // fails to build has no build here; evaluation reports its failure.
     let mut bounds: Vec<Option<f64>> = vec![None; n];
     let mut order: Vec<usize> = (0..n).collect();
     if opts.prune {
@@ -328,15 +423,26 @@ pub fn sweep<C: Candidate + Copy + Send + Sync>(
             }
         }
         let _c = span(tracer, stage::COST);
-        for (i, build) in &builds {
-            let (args, useful) = candidates[*i].eval_args();
-            let a0 = Instant::now();
-            // The analyzer declining to bound a kernel is not a candidate
-            // failure — it just can't be pruned.
-            bounds[*i] = augem_cost::analyze(&build.asm, &args, machine)
-                .ok()
-                .map(|r| ub_mflops(r.lower_bound_cycles, useful, machine.turbo_ghz));
-            stats.bound_ns += a0.elapsed().as_nanos() as u64;
+        // The stage's cost is the wall time of its parallel pass; each
+        // candidate's own time (shapes and analysis) sums to its CPU.
+        let b0 = Instant::now();
+        let bounded: Vec<(Option<f64>, u64)> = builds
+            .par_iter()
+            .map(|(i, build)| {
+                let a0 = Instant::now();
+                let (shapes, useful) = candidates[*i].eval_shapes();
+                // The analyzer declining to bound a kernel is not a
+                // candidate failure — it just can't be pruned.
+                let ub = augem_cost::analyze_shapes(&build.asm, &shapes, machine)
+                    .ok()
+                    .map(|r| ub_mflops(r.lower_bound_cycles, useful, machine.turbo_ghz));
+                (ub, a0.elapsed().as_nanos() as u64)
+            })
+            .collect();
+        stats.bound_ns = b0.elapsed().as_nanos() as u64;
+        for (&(i, _), (ub, ns)) in builds.iter().zip(bounded) {
+            bounds[i] = ub;
+            stats.bound_cpu_ns += ns;
         }
         stats.analyzed = builds.len();
         tracer.add("cost.analyzed", stats.analyzed as u64);
@@ -348,24 +454,11 @@ pub fn sweep<C: Candidate + Copy + Send + Sync>(
         order.sort_by(|&a, &b| ub(b).total_cmp(&ub(a)).then(a.cmp(&b)));
     }
 
-    // Stage 3: speculative parallel evaluation. Candidates a tripped
-    // breaker later skips are wasted speculation — their results and
-    // telemetry are discarded unseen.
-    let mut pre: Vec<Option<Speculated>> = (0..n).map(|_| None).collect();
-    if !injector.is_enabled() && !opts.prune {
-        let todo: Vec<usize> = todo
-            .into_iter()
-            .filter(|&i| rejected[i].is_none())
-            .collect();
-        let done = par_traced(&todo, |&i, t| {
-            attempt(&candidates[i], machine, opts, injector, t, cache)
-        });
-        for (i, (slot, local)) in todo.into_iter().zip(done) {
-            pre[i] = slot.map(|slot| (slot, local));
-        }
-    }
-
-    // Stage 4: sequential commit.
+    // Stages 3 and 4: workers evaluate ahead of the sequential commit,
+    // unless an enabled injector makes evaluation order-dependent; then
+    // the commit evaluates inline.
+    let parallel = !injector.is_enabled();
+    let ahead = Ahead::new(&order, &todo, &bounds);
     let breaker = CircuitBreaker::new(opts.breaker_threshold);
     let mut slots: Vec<Option<Result<Evaluation, String>>> = (0..n).map(|_| None).collect();
     let mut latency = Histogram::new();
@@ -375,156 +468,171 @@ pub fn sweep<C: Candidate + Copy + Send + Sync>(
     // decision with exactly the state the original sweep had.
     let mut best_mflops = f64::NEG_INFINITY;
 
-    for &i in &order {
-        let c = &candidates[i];
-        let tag = c.tag();
-        let family = c.family();
-
-        // Checkpoint replay: a journaled outcome is final — restore it
-        // (and its effect on the breaker) without re-simulating.
-        if let Some(journaled) = replay[i].take() {
-            slots[i] = Some(match journaled {
-                Journaled::Ok(e) => {
-                    breaker.record(&family, true);
-                    best_mflops = best_mflops.max(e.mflops);
-                    Ok(e)
-                }
-                Journaled::Failed(why) => {
-                    if breaker.record(&family, false) {
-                        tracer.add(counter::BREAKER_TRIP, 1);
-                    }
-                    Err(why)
-                }
-                Journaled::Decided(why) => Err(why),
-            });
-            tracer.add(counter::JOURNAL_RESUMED, 1);
-            continue;
-        }
-
-        // Circuit check: a family past its failure threshold is skipped,
-        // recorded as a pruned candidate (an expected search outcome).
-        if breaker.is_open(&family) {
-            let why = format!("skipped: circuit open for family {family}");
-            tracer.add(counter::BREAKER_SKIPPED, 1);
-            tracer.event(
-                "resil.breaker.skipped",
-                &[
-                    ("tag", Value::from(tag.as_str())),
-                    ("family", Value::from(family.as_str())),
-                ],
-            );
-            let _ = journal.append(Json::obj(vec![
-                ("tag", Json::str(&tag)),
-                ("outcome", Json::str("skipped")),
-                ("error", Json::str(&why)),
-            ]));
-            slots[i] = Some(Err(why));
-            continue;
-        }
-
-        // Legality verdict: a candidate whose transform chain cannot be
-        // proved legal never reaches the simulator. Like a prune, not a
-        // failure — the breaker never sees it.
-        if let Some(why) = rejected[i].take() {
-            let entry = Json::obj(vec![
-                ("tag", Json::str(&tag)),
-                ("outcome", Json::str("rejected")),
-                ("error", Json::str(&why)),
-            ]);
-            append_maybe_corrupted(journal, injector, &tag, entry);
-            slots[i] = Some(Err(why));
-            continue;
-        }
-
-        // Bound check: a candidate the static analyzer proves strictly
-        // slower than the incumbent is skipped without simulation. Not a
-        // failure — the breaker never sees it.
-        if let Some(ub) = bounds[i].filter(|&ub| ub < best_mflops) {
-            let why = format!(
-                "pruned(bound): static bound {ub:.1} Mflops below incumbent {best_mflops:.1} Mflops"
-            );
-            stats.pruned += 1;
-            tracer.add("cost.pruned", 1);
-            tracer.event(
-                "cost.pruned",
-                &[
-                    ("tag", Value::from(tag.as_str())),
-                    ("bound_mflops", Value::from(ub)),
-                ],
-            );
-            let entry = Json::obj(vec![
-                ("tag", Json::str(&tag)),
-                ("outcome", Json::str("pruned")),
-                ("error", Json::str(&why)),
-            ]);
-            append_maybe_corrupted(journal, injector, &tag, entry);
-            slots[i] = Some(Err(why));
-            continue;
-        }
-
-        let (outcome, eval_ns) = if let Some((outcome, local)) = pre[i].take() {
-            // Speculatively evaluated: merge the worker's telemetry at
-            // this candidate's slot in the commit order, then proceed
-            // exactly as if it had just been evaluated inline.
-            replay_into(tracer, &local.snapshot());
-            outcome
-        } else if let Some(outcome) = attempt(c, machine, opts, injector, tracer, cache) {
-            outcome
-        } else {
-            // An injected crash: the "process" died mid-sweep, leaving
-            // the journal's completed prefix behind.
-            interrupted = true;
-            tracer.event("resil.crash", &[("tag", Value::from(tag.as_str()))]);
-            break;
-        };
-        latency.record(eval_ns);
-        stats.evaluated += 1;
-
-        match outcome {
-            Ok(e) => {
-                breaker.record(&family, true);
-                best_mflops = best_mflops.max(e.mflops);
-                let entry = Json::obj(vec![
-                    ("tag", Json::str(&tag)),
-                    ("outcome", Json::str("ok")),
-                    ("mflops", Json::Num(e.mflops)),
-                    ("useful_flops", Json::uint(e.useful_flops)),
-                    ("report", report_to_json(&e)),
-                ]);
-                append_maybe_corrupted(journal, injector, &tag, entry);
-                slots[i] = Some(Ok(e));
+    std::thread::scope(|s| {
+        if parallel {
+            for _ in 0..rayon::current_num_threads().min(todo.len()) {
+                s.spawn(|| {
+                    ahead.work(|i, t| attempt(&candidates[i], machine, opts, injector, t, cache))
+                });
             }
-            Err(e) => {
-                // The class counter was already bumped per attempt; here
-                // we only record the terminal event.
-                let class = e.class();
-                let why = e.to_string();
+        }
+        for &i in &order {
+            let c = &candidates[i];
+            let tag = c.tag();
+            let family = c.family();
+
+            // Checkpoint replay: a journaled outcome is final — restore
+            // it (and its effect on the breaker) without re-simulating.
+            if let Some(journaled) = replay[i].take() {
+                slots[i] = Some(match journaled {
+                    Journaled::Ok(e) => {
+                        breaker.record(&family, true);
+                        best_mflops = best_mflops.max(e.mflops);
+                        ahead.raise(best_mflops);
+                        Ok(e)
+                    }
+                    Journaled::Failed(why) => {
+                        if breaker.record(&family, false) {
+                            tracer.add(counter::BREAKER_TRIP, 1);
+                        }
+                        Err(why)
+                    }
+                    Journaled::Decided(why) => Err(why),
+                });
+                tracer.add(counter::JOURNAL_RESUMED, 1);
+                continue;
+            }
+
+            // Circuit check: a family past its failure threshold is
+            // skipped, recorded as a pruned candidate (an expected
+            // search outcome).
+            if breaker.is_open(&family) {
+                let why = format!("skipped: circuit open for family {family}");
+                tracer.add(counter::BREAKER_SKIPPED, 1);
                 tracer.event(
-                    "resil.eval.failed",
+                    "resil.breaker.skipped",
                     &[
                         ("tag", Value::from(tag.as_str())),
-                        ("class", Value::from(class_name(class))),
-                        ("error", Value::from(why.as_str())),
+                        ("family", Value::from(family.as_str())),
                     ],
                 );
-                if breaker.record(&family, false) {
-                    tracer.add(counter::BREAKER_TRIP, 1);
-                    tracer.event(
-                        "resil.breaker.trip",
-                        &[("family", Value::from(family.as_str()))],
-                    );
-                }
+                let _ = journal.append(Json::obj(vec![
+                    ("tag", Json::str(&tag)),
+                    ("outcome", Json::str("skipped")),
+                    ("error", Json::str(&why)),
+                ]));
+                slots[i] = Some(Err(why));
+                continue;
+            }
+
+            // Legality verdict: a candidate whose transform chain cannot
+            // be proved legal never reaches the simulator. Like a prune,
+            // not a failure — the breaker never sees it.
+            if let Some(why) = rejected[i].take() {
                 let entry = Json::obj(vec![
                     ("tag", Json::str(&tag)),
-                    ("outcome", Json::str("err")),
-                    ("class", Json::str(class_name(class))),
+                    ("outcome", Json::str("rejected")),
                     ("error", Json::str(&why)),
                 ]);
                 append_maybe_corrupted(journal, injector, &tag, entry);
                 slots[i] = Some(Err(why));
+                continue;
+            }
+
+            // Bound check: a candidate the static analyzer proves
+            // strictly slower than the incumbent is skipped without
+            // simulation. Not a failure — the breaker never sees it.
+            if let Some(ub) = bounds[i].filter(|&ub| ub < best_mflops) {
+                let why = format!(
+                    "pruned(bound): static bound {ub:.1} Mflops below incumbent {best_mflops:.1} Mflops"
+                );
+                stats.pruned += 1;
+                tracer.add("cost.pruned", 1);
+                tracer.event(
+                    "cost.pruned",
+                    &[
+                        ("tag", Value::from(tag.as_str())),
+                        ("bound_mflops", Value::from(ub)),
+                    ],
+                );
+                let entry = Json::obj(vec![
+                    ("tag", Json::str(&tag)),
+                    ("outcome", Json::str("pruned")),
+                    ("error", Json::str(&why)),
+                ]);
+                append_maybe_corrupted(journal, injector, &tag, entry);
+                slots[i] = Some(Err(why));
+                continue;
+            }
+
+            let attempted = if parallel {
+                // Merge the worker's telemetry at this candidate's slot
+                // in the commit order, then proceed exactly as if it had
+                // just been evaluated inline.
+                let (attempted, local) = ahead.take(i);
+                replay_into(tracer, &local.snapshot());
+                attempted
+            } else {
+                attempt(c, machine, opts, injector, tracer, cache)
+            };
+            let Some((outcome, eval_ns)) = attempted else {
+                // An injected crash: the "process" died mid-sweep,
+                // leaving the journal's completed prefix behind.
+                interrupted = true;
+                tracer.event("resil.crash", &[("tag", Value::from(tag.as_str()))]);
+                break;
+            };
+            latency.record(eval_ns);
+            stats.evaluated += 1;
+
+            match outcome {
+                Ok(e) => {
+                    breaker.record(&family, true);
+                    best_mflops = best_mflops.max(e.mflops);
+                    ahead.raise(best_mflops);
+                    let entry = Json::obj(vec![
+                        ("tag", Json::str(&tag)),
+                        ("outcome", Json::str("ok")),
+                        ("mflops", Json::Num(e.mflops)),
+                        ("useful_flops", Json::uint(e.useful_flops)),
+                        ("report", report_to_json(&e)),
+                    ]);
+                    append_maybe_corrupted(journal, injector, &tag, entry);
+                    slots[i] = Some(Ok(e));
+                }
+                Err(e) => {
+                    // The class counter was already bumped per attempt;
+                    // here we only record the terminal event.
+                    let class = e.class();
+                    let why = e.to_string();
+                    tracer.event(
+                        "resil.eval.failed",
+                        &[
+                            ("tag", Value::from(tag.as_str())),
+                            ("class", Value::from(class_name(class))),
+                            ("error", Value::from(why.as_str())),
+                        ],
+                    );
+                    if breaker.record(&family, false) {
+                        tracer.add(counter::BREAKER_TRIP, 1);
+                        tracer.event(
+                            "resil.breaker.trip",
+                            &[("family", Value::from(family.as_str()))],
+                        );
+                    }
+                    let entry = Json::obj(vec![
+                        ("tag", Json::str(&tag)),
+                        ("outcome", Json::str("err")),
+                        ("class", Json::str(class_name(class))),
+                        ("error", Json::str(&why)),
+                    ]);
+                    append_maybe_corrupted(journal, injector, &tag, entry);
+                    slots[i] = Some(Err(why));
+                }
             }
         }
-    }
+        ahead.stop();
+    });
 
     // Stage 5: rank, in candidate order so ties resolve by enumeration
     // order whatever order the commit ran in.
@@ -834,10 +942,12 @@ mod tests {
             "resumed winner must be bit-identical"
         );
         assert_eq!(c.snapshot().counters["resil.journal.resumed"], 3);
-        // Replayed candidates are not evaluations.
+        // Replayed candidates are not evaluations, and neither are the
+        // candidates the default options prune by bound.
+        assert!(resumed.stats.pruned > 0, "the default sweep prunes");
         assert_eq!(
             resumed.eval_latency_ns.count(),
-            resumed.generated as u64 - 3
+            (resumed.generated - 3 - resumed.stats.pruned) as u64
         );
         std::fs::remove_file(&path).unwrap();
     }

@@ -49,9 +49,13 @@ pub struct SweepStats {
     /// Evaluations skipped because the bound proved the candidate
     /// dominated.
     pub pruned: usize,
-    /// Wall-clock time spent computing static bounds — analysis only,
-    /// the incremental cost pruning adds to a sweep.
+    /// Wall-clock time of the bound stage's parallel pass, each
+    /// candidate's argument shapes included: the cost pruning adds to a
+    /// sweep. The builds it bounds are the sweep's own, shared with
+    /// evaluation through the cache, so they are not counted.
     pub bound_ns: u64,
+    /// The bound stage's per-candidate times summed: its CPU time.
+    pub bound_cpu_ns: u64,
     /// Candidates actually evaluated (simulated or served by the cache).
     pub evaluated: usize,
 }

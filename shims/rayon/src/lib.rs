@@ -3,18 +3,23 @@
 //! The build environment has no network access to crates.io, so this
 //! workspace-local package provides the (small) slice of rayon's API the
 //! repo actually uses — `par_iter`/`par_iter_mut`, `filter_map`, `zip`,
-//! `for_each`, `collect` — with the same semantics: closures run across
-//! OS threads via `std::thread::scope`, and results keep slice order.
+//! `for_each`, `collect`, `current_num_threads` — with the same
+//! semantics: closures run across OS threads via `std::thread::scope`,
+//! and results keep slice order. Like rayon's work stealing, items are
+//! handed out one at a time, so a worker that finishes early takes the
+//! next item instead of idling beside a slower worker's fixed share.
 //!
 //! It is intentionally minimal, not a general parallel-iterator library;
 //! grow it as call sites need more of the real rayon surface.
 
 #![forbid(unsafe_code)]
 
+use std::sync::Mutex;
 use std::thread;
 
-/// How many worker threads to fan out over (one per available core).
-fn workers() -> usize {
+/// How many worker threads a parallel call fans out over: one per
+/// available core.
+pub fn current_num_threads() -> usize {
     thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -94,11 +99,7 @@ impl<'a, T: Sync> ParIter<'a, T> {
     where
         F: Fn(&'a T) + Sync,
     {
-        par_chunked(self.items.len(), |lo, hi| {
-            for it in &self.items[lo..hi] {
-                f(it);
-            }
-        });
+        par_dynamic(self.items.iter(), f);
     }
 }
 
@@ -132,53 +133,40 @@ pub struct ParZipMut<'a, T, U> {
 }
 
 impl<T: Sync, U: Send> ParZipMut<'_, T, U> {
-    /// `for_each` over `(&T, &mut U)` pairs, in parallel chunks.
+    /// `for_each` over `(&T, &mut U)` pairs, handed out one at a time.
     pub fn for_each<F>(self, f: F)
     where
         F: for<'b> Fn((&'b T, &'b mut U)) + Sync,
     {
-        let n = self.a.len().min(self.b.len());
-        let a = &self.a[..n];
-        let b = &mut self.b[..n];
-        let nw = workers().min(n.max(1));
-        let chunk = n.div_ceil(nw.max(1)).max(1);
-        thread::scope(|s| {
-            let mut rest: &mut [U] = b;
-            let mut lo = 0;
-            while lo < n {
-                let take = chunk.min(n - lo);
-                let (head, tail) = std::mem::take(&mut rest).split_at_mut(take);
-                rest = tail;
-                let f = &f;
-                let a = &a[lo..lo + take];
-                s.spawn(move || {
-                    for (x, y) in a.iter().zip(head.iter_mut()) {
-                        f((x, y));
-                    }
-                });
-                lo += take;
-            }
-        });
+        par_dynamic(self.a.iter().zip(self.b.iter_mut()), f);
     }
 }
 
-/// Runs `f(lo, hi)` over disjoint index ranges covering `0..n`, one range
-/// per worker thread.
-fn par_chunked<F: Fn(usize, usize) + Sync>(n: usize, f: F) {
-    if n == 0 {
-        return;
+/// Runs `f` on every item of `items` on up to one worker per core. A
+/// worker takes the next item whenever it finishes one, so uneven item
+/// costs balance across workers. Returns each worker's results in the
+/// order that worker produced them.
+fn par_dynamic<I, R, F>(items: I, f: F) -> Vec<Vec<R>>
+where
+    I: ExactSizeIterator + Send,
+    R: Send,
+    F: Fn(I::Item) -> R + Sync,
+{
+    let nw = current_num_threads().min(items.len());
+    if nw <= 1 {
+        return vec![items.map(f).collect()];
     }
-    let nw = workers().min(n);
-    let chunk = n.div_ceil(nw).max(1);
+    let items = Mutex::new(items);
+    let next = || items.lock().unwrap_or_else(|e| e.into_inner()).next();
     thread::scope(|s| {
-        let mut lo = 0;
-        while lo < n {
-            let hi = (lo + chunk).min(n);
-            let f = &f;
-            s.spawn(move || f(lo, hi));
-            lo = hi;
-        }
-    });
+        let handles: Vec<_> = (0..nw)
+            .map(|_| s.spawn(|| std::iter::from_fn(next).map(&f).collect::<Vec<R>>()))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("rayon shim worker panicked"))
+            .collect()
+    })
 }
 
 /// Order-preserving parallel filter-map over a slice.
@@ -186,31 +174,12 @@ fn par_collect<'a, T: Sync, R: Send>(
     items: &'a [T],
     f: impl Fn(&'a T) -> Option<R> + Sync,
 ) -> Vec<R> {
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
+    let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+    let done = par_dynamic(items.iter().enumerate(), |(i, it)| (i, f(it)));
+    for (i, r) in done.into_iter().flatten() {
+        slots[i] = r;
     }
-    let nw = workers().min(n);
-    if nw <= 1 {
-        return items.iter().filter_map(f).collect();
-    }
-    let chunk = n.div_ceil(nw).max(1);
-    let mut parts: Vec<Vec<R>> = Vec::new();
-    thread::scope(|s| {
-        let mut handles = Vec::new();
-        let mut lo = 0;
-        while lo < n {
-            let hi = (lo + chunk).min(n);
-            let f = &f;
-            let part = &items[lo..hi];
-            handles.push(s.spawn(move || part.iter().filter_map(f).collect::<Vec<R>>()));
-            lo = hi;
-        }
-        for h in handles {
-            parts.push(h.join().expect("rayon shim worker panicked"));
-        }
-    });
-    parts.into_iter().flatten().collect()
+    slots.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -236,6 +205,25 @@ mod tests {
             .zip(vals.par_iter_mut())
             .for_each(|(&k, v)| *v = k + 1);
         assert!(vals.iter().enumerate().all(|(i, &v)| v == i + 1));
+    }
+
+    #[test]
+    fn uneven_item_costs_keep_slice_order() {
+        // The early items are the slow ones, as the dgemm space lists
+        // its small shapes first: every result still lands in its
+        // item's slot, whichever worker took it.
+        let costs: Vec<(usize, u64)> = (0..24)
+            .map(|i| (i, if i < 6 { 8 } else { i as u64 % 3 }))
+            .collect();
+        let out: Vec<(usize, u64)> = costs
+            .par_iter()
+            .map(|&(i, ms)| {
+                std::thread::sleep(std::time::Duration::from_millis(ms));
+                (i, ms * 10)
+            })
+            .collect();
+        let want: Vec<(usize, u64)> = costs.iter().map(|&(i, ms)| (i, ms * 10)).collect();
+        assert_eq!(out, want);
     }
 
     #[test]

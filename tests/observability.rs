@@ -116,9 +116,16 @@ fn resilient_run_reports_fault_counters_under_the_resil_stage() {
         &Injector::disabled(),
     );
     assert_eq!(clean.degradation, Degradation::None);
-    // The serving path reports one evaluation latency per candidate.
+    // The serving path prunes by bound and reports one evaluation
+    // latency per candidate it did not prune.
     let tuner = clean.report.tuner.as_ref().expect("tuner telemetry");
-    assert_eq!(tuner.eval_latency_ns.count(), tuner.generated);
+    let pruned = clean.report.counters["cost.pruned"];
+    assert!(
+        pruned > 0,
+        "the serving sweep prunes: {:?}",
+        clean.report.counters
+    );
+    assert_eq!(tuner.eval_latency_ns.count(), tuner.generated - pruned);
     assert!(
         !clean
             .report

@@ -392,32 +392,64 @@ fn journaled<C: Candidate + Copy + Send + Sync>(
     (entries, ranking)
 }
 
-/// The default-options serving sweep's journal bytes are pinned: for
-/// dgemm and daxpy on both machines, the rendered in-memory journal must
-/// hash to the recorded value. Any change to the sweep's decisions, their
-/// order, the measurements or the journal encoding shows up here.
+/// The serving sweep's journal bytes are pinned: for dgemm and daxpy on
+/// both machines, the rendered in-memory journal must hash to the
+/// recorded value, under the default options (which prune by bound) and
+/// under the same options without pruning. Any change to the sweep's
+/// decisions, their order, the measurements or the journal encoding
+/// shows up here.
 #[test]
 fn default_sweep_journals_match_pinned_hashes() {
+    // (kernel, machine, default options, default options without pruning)
     let pinned = [
-        ("dgemm", "sandybridge", 0x3b21_8f9d_87d2_ecf4u64),
-        ("daxpy", "sandybridge", 0x25cc_bbdd_5c30_4198),
-        ("dgemm", "piledriver", 0xd0dd_d17f_360b_4d20),
-        ("daxpy", "piledriver", 0x3e9e_deb4_b9bb_d72d),
+        (
+            "dgemm",
+            "sandybridge",
+            0x5ea2_3f8b_cc2e_0af6u64,
+            0x3b21_8f9d_87d2_ecf4u64,
+        ),
+        (
+            "daxpy",
+            "sandybridge",
+            0x2891_ab42_3e97_324d,
+            0x25cc_bbdd_5c30_4198,
+        ),
+        (
+            "dgemm",
+            "piledriver",
+            0x070a_5d3a_75c4_10e2,
+            0xd0dd_d17f_360b_4d20,
+        ),
+        (
+            "daxpy",
+            "piledriver",
+            0x82ef_7fac_f5b6_6370,
+            0x3e9e_deb4_b9bb_d72d,
+        ),
     ];
-    let opts = ResilOptions::default();
+    let exhaustive = ResilOptions {
+        prune: false,
+        ..ResilOptions::default()
+    };
     let off = Injector::disabled();
     for machine in &machines() {
-        let gemm = journaled(gemm_candidates(machine), machine, &opts, &off).0;
-        let axpy_cands = vector_candidates(VectorKernel::Axpy, machine);
-        let axpy = journaled(axpy_cands, machine, &opts, &off).0;
-        for (kernel, lines) in [("dgemm", gemm), ("daxpy", axpy)] {
-            let arch = machine.arch.short_name();
-            let hash = augem::obs::hash::mix_str(0, &lines.join("\n"));
-            let (_, _, want) = pinned
-                .iter()
-                .find(|(k, m, _)| *k == kernel && *m == arch)
-                .expect("a pinned hash per kernel and machine");
-            assert_eq!(hash, *want, "{kernel} journal bytes changed on {arch}");
+        let arch = machine.arch.short_name();
+        for (pruned, opts) in [(true, ResilOptions::default()), (false, exhaustive)] {
+            let gemm = journaled(gemm_candidates(machine), machine, &opts, &off).0;
+            let axpy_cands = vector_candidates(VectorKernel::Axpy, machine);
+            let axpy = journaled(axpy_cands, machine, &opts, &off).0;
+            for (kernel, lines) in [("dgemm", gemm), ("daxpy", axpy)] {
+                let hash = augem::obs::hash::mix_str(0, &lines.join("\n"));
+                let &(_, _, with_prune, without) = pinned
+                    .iter()
+                    .find(|(k, m, ..)| *k == kernel && *m == arch)
+                    .expect("a pinned hash per kernel and machine");
+                let want = if pruned { with_prune } else { without };
+                assert_eq!(
+                    hash, want,
+                    "{kernel} journal bytes changed on {arch} (prune: {pruned})"
+                );
+            }
         }
     }
 }
@@ -633,12 +665,14 @@ fn timed_step_limit_fires_on_the_functional_step() {
     }
 }
 
-/// The parallel sweep (disabled injector) must produce byte-identical
+/// Evaluating ahead of the commit never changes a decision: the
+/// parallel sweep (disabled injector) must produce byte-identical
 /// journal entries and bit-identical rankings to the sequential path,
-/// which an enabled-but-never-firing injection rule forces.
+/// which an enabled-but-never-firing injection rule forces — with and
+/// without pruning, for the gemm space and every vector family.
 #[test]
 fn parallel_sweep_matches_sequential_journal_and_ranking() {
-    for machine in &machines() {
+    fn check<C: Candidate + Copy + Send + Sync>(candidates: Vec<C>, machine: &MachineSpec) {
         let parallel = Injector::disabled();
         assert!(!parallel.is_enabled());
         // Nth(u64::MAX) never fires but keeps the injector "enabled",
@@ -649,25 +683,34 @@ fn parallel_sweep_matches_sequential_journal_and_ranking() {
             Trigger::Nth(u64::MAX),
         ));
         assert!(sequential.is_enabled());
-
-        let sweep = |inj| {
-            journaled(
-                gemm_candidates(machine),
-                machine,
-                &ResilOptions::fast(),
-                inj,
-            )
-        };
-        let (pj, pr) = sweep(&parallel);
-        let (sj, sr) = sweep(&sequential);
-        assert_eq!(
-            pj,
-            sj,
-            "journal bytes differ on {}",
+        let name = format!(
+            "{} on {}",
+            candidates[0].kernel().name(),
             machine.arch.short_name()
         );
-        assert_eq!(pr, sr, "ranking differs on {}", machine.arch.short_name());
-        assert!(!pj.is_empty(), "empty journal");
+        for prune in [false, true] {
+            let opts = ResilOptions {
+                prune,
+                ..ResilOptions::fast()
+            };
+            let (pj, pr) = journaled(candidates.clone(), machine, &opts, &parallel);
+            let (sj, sr) = journaled(candidates.clone(), machine, &opts, &sequential);
+            assert_eq!(pj, sj, "{name} (prune: {prune}): journal bytes differ");
+            assert_eq!(pr, sr, "{name} (prune: {prune}): ranking differs");
+            assert!(!pj.is_empty(), "empty journal");
+        }
+    }
+    for machine in &machines() {
+        check(gemm_candidates(machine), machine);
+        for kernel in [
+            VectorKernel::Axpy,
+            VectorKernel::Dot,
+            VectorKernel::Gemv,
+            VectorKernel::Ger,
+            VectorKernel::Scal,
+        ] {
+            check(vector_candidates(kernel, machine), machine);
+        }
     }
 }
 
