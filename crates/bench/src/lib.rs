@@ -1,22 +1,77 @@
 //! # augem-bench
 //!
 //! The benchmark harness that regenerates every table and figure of the
-//! paper's evaluation (§5). See DESIGN.md's per-experiment index.
+//! paper's evaluation (§5) and writes the `BENCH_*.json` reports whose
+//! gates CI enforces. See DESIGN.md's per-experiment index.
 //!
 //! * `cargo run -p augem-bench --bin figures -- all` prints every figure's
-//!   series and both tables in the paper's layout (Mflops rows per size).
-//! * The Criterion benches under `benches/` exercise the same generators
-//!   plus the native Rust BLAS substrate on the host.
+//!   series and both tables in the paper's layout (Mflops rows per size),
+//!   after the reports.
+//! * Every timing gate reads [`sample`]'s statistic: the minimum of a
+//!   constant number of runs, with the maximum kept for spread.
 
 #![forbid(unsafe_code)]
 
+use augem_blas::model::measure;
 use augem_blas::{Library, PerfModel, RoutineKind};
 use augem_machine::MachineSpec;
 use augem_opt::{FmaPolicy, StrategyPref};
 use augem_transforms::PrefetchConfig;
 use augem_tune::config::GemmConfig;
 
-pub use augem_blas::model::measure;
+/// Min and max of one timed quantity over a gate's repeated runs, in
+/// seconds.
+#[derive(Debug, Clone, Copy)]
+pub struct Spread {
+    pub min: f64,
+    pub max: f64,
+}
+
+impl Spread {
+    /// The sums of the minima and of the maxima: a gate's aggregate over
+    /// kernel families.
+    pub fn total(spreads: &[Spread]) -> Spread {
+        Spread {
+            min: spreads.iter().map(|s| s.min).sum(),
+            max: spreads.iter().map(|s| s.max).sum(),
+        }
+    }
+}
+
+/// Runs `run` `n` times and folds each of the `K` timings it returns into
+/// a [`Spread`]; the first error ends the sampling. Every timing gate
+/// reads the minimum, which sheds scheduler preemption and frequency
+/// noise that only ever adds time; the maximum records the spread.
+pub fn sample<const K: usize, E>(
+    n: usize,
+    mut run: impl FnMut() -> Result<[f64; K], E>,
+) -> Result<[Spread; K], E> {
+    let mut spreads = [Spread {
+        min: f64::INFINITY,
+        max: f64::NEG_INFINITY,
+    }; K];
+    for _ in 0..n {
+        for (s, t) in spreads.iter_mut().zip(run()?) {
+            s.min = s.min.min(t);
+            s.max = s.max.max(t);
+        }
+    }
+    Ok(spreads)
+}
+
+/// The bound of the cost and depan gates: an analysis phase must cost
+/// under 1% of the sweeps it runs in.
+pub const PHASE_BOUND: f64 = 0.01;
+
+/// A phase's aggregate share of the sweeps it runs in, as the cost and
+/// depan gates read it: each family's fastest repetition of the phase,
+/// summed, over each family's fastest sweep, summed. A phase preempted in
+/// one repetition does not move it; a phase slow in every repetition
+/// does. The sums, not the per-family ratios, because a millisecond GEMM
+/// sweep's denominator says nothing about the analysis cost.
+pub fn phase_share(phases: &[Spread], sweeps: &[Spread]) -> f64 {
+    Spread::total(phases).min / Spread::total(sweeps).min.max(1e-12)
+}
 
 /// Matrix sizes of Figure 18 / Table 6 Level-3 sweeps: m = n from 1024 to
 /// 6144 in steps of 256, k fixed at 256.
@@ -289,6 +344,33 @@ mod tests {
         assert!(s.contains("1024"));
         assert!(s.contains("150")); // avg of A
         assert!(s.contains("60")); // avg of B
+    }
+
+    /// The cost and depan gates' verdict on three repetitions of two
+    /// families' `[phase, sweep]` seconds.
+    fn phase_gate(families: [[[f64; 2]; 3]; 2]) -> bool {
+        let (phases, sweeps): (Vec<Spread>, Vec<Spread>) = families
+            .iter()
+            .map(|reps| {
+                let mut reps = reps.iter();
+                let [phase, sweep] = sample(3, || reps.next().copied().ok_or(())).unwrap();
+                (phase, sweep)
+            })
+            .unzip();
+        phase_share(&phases, &sweeps) < PHASE_BOUND
+    }
+
+    #[test]
+    fn phase_gate_passes_one_preempted_repetition_and_fails_a_slow_phase() {
+        // The phase at 0.5% of its sweep.
+        let steady = [[1e-3, 0.2]; 3];
+        // Preempted in one repetition, the first (the one sample a gate
+        // without repetitions reads): that phase reads 10x the others.
+        let preempted = [[1e-2, 0.2], [1e-3, 0.2], [1e-3, 0.2]];
+        assert!(phase_gate([steady, preempted]));
+        // Slow in every repetition: the phase really costs 5% of its sweep.
+        let slow = [[1e-2, 0.2]; 3];
+        assert!(!phase_gate([steady, slow]));
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!    `dger`) implemented by casting the bulk of their computation onto
 //!    GEMM exactly as the paper describes (§4.4, citing Goto's Level-3
 //!    paper). These run natively and are fully tested against naive
-//!    references — they are the substrate the examples and the Criterion
-//!    benches exercise for real.
+//!    references — they are the substrate the examples exercise for
+//!    real.
 //! 2. **The evaluation model** ([`baselines`], [`model`]): library models
 //!    for AUGEM and the four comparison libraries (Intel MKL / AMD ACML,
 //!    ATLAS, GotoBLAS) as kernel-generation configurations, plus the

@@ -15,9 +15,16 @@
 //!   memory-bound kernels, scaled by each library's *measured* streaming
 //!   rate.
 //!
-//! Nothing library-specific is hard-coded: every difference between
-//! AUGEM, the vendor model, ATLAS and GotoBLAS flows from their generated
-//! code through the simulator.
+//! Figures 18–21 and Table 6's GER hard-code nothing library-specific:
+//! every difference between AUGEM, the vendor model, ATLAS and GotoBLAS
+//! there flows from their generated code through the simulator. The rest
+//! of Table 6 is set by hand, not measured
+//! ([`PerfModel::routine_mflops`]): SYMM, SYRK, SYR2K and TRMM are the
+//! GEMM rate times fixed constants (0.995, 0.985, 0.98 and 0.975, the same
+//! for every library), and TRSM's diagonal-block solve runs at a fraction
+//! of peak set per library (vendor 0.55, ATLAS 0.40, AUGEM and Goto 0.15).
+//! The paper's one defeat, AUGEM losing TRSM, follows from those
+//! constants.
 
 use crate::baselines::Library;
 use crate::level3::BlockSizes;
@@ -27,7 +34,7 @@ use augem_tune::evaluate::{evaluate, vector_eval_n, EvalError, Evaluation};
 use augem_tune::EvalCache;
 
 /// An uncached, unbudgeted measurement of one configuration — what the
-/// models calibrate on and the benches time.
+/// models calibrate on and the ablations measure.
 pub fn measure(c: &dyn Candidate, machine: &MachineSpec) -> Result<Evaluation, EvalError> {
     evaluate(
         c,
