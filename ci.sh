@@ -70,13 +70,14 @@ echo "== verify bench: per-kernel verification wall time"
 ./target/release/figures verify
 test -f BENCH_verify.json
 
-echo "== tune bench: decoded-engine throughput, decode cost + eval-cache hit rates"
+echo "== tune bench: decoded-engine throughput, decode cost, eval-cache hit rates + stage spans"
 # The binary exits non-zero if the decoded engine is ever slower than
 # the legacy interpreter, so this doubles as a perf-regression gate.
 ./target/release/figures tune
 test -f BENCH_tune.json
 grep -q '"schema": "augem.bench-tune/v1"' BENCH_tune.json
 grep -q '"decode_us"' BENCH_tune.json
+grep -q '"akg.sched"' BENCH_tune.json
 
 echo "== prof: conservation + artifact matrix"
 # Per-pc cycle attribution must telescope exactly to the aggregate

@@ -202,9 +202,12 @@ fn engine_entry(
     Ok((entry, decoded_sps >= legacy_sps))
 }
 
-/// One cached verified generation: sweep wall time plus the evaluation
+/// One cached verified generation: sweep wall time, the evaluation
 /// cache's per-stage (prefix, transform, build, eval) hit/miss counters
-/// from the driver's run report.
+/// from the run report, and every stage span of that report
+/// (`cgen`, `identify`, `akg`, `akg.sched`, `sim`, ...) with its
+/// call count and summed milliseconds. The counts repeat exactly from
+/// run to run; the times move with the host's load.
 fn sweep_entry(machine: &MachineSpec, kernel: DlaKernel) -> Option<Json> {
     let driver = Augem::new(machine.clone());
     let t0 = Instant::now();
@@ -264,15 +267,31 @@ fn sweep_entry(machine: &MachineSpec, kernel: DlaKernel) -> Option<Json> {
                 ("eval_hit_rate", Json::Num(rate(eh, em))),
             ]),
         ),
+        (
+            "stages",
+            Json::Obj(
+                report
+                    .stages
+                    .iter()
+                    .map(|s| {
+                        let entry = Json::obj(vec![
+                            ("calls", Json::uint(s.calls)),
+                            ("ms", Json::Num(s.wall_ns as f64 / 1e6)),
+                        ]);
+                        (s.name.clone(), entry)
+                    })
+                    .collect(),
+            ),
+        ),
     ]))
 }
 
 /// Benchmarks the tuning substrate itself and writes `BENCH_tune.json`
 /// (`augem.bench-tune/v1`): pre-decoded vs legacy simulator throughput
 /// and the one-time decode cost per kernel × platform, and cached
-/// verified-generation sweeps with per-stage cache hit rates. Returns
-/// `false` — the CI regression gate — if the decoded engine is slower
-/// than the legacy interpreter anywhere.
+/// verified-generation sweeps with per-stage cache hit rates and stage
+/// span counts and times. Returns `false` — the CI regression gate — if
+/// the decoded engine is slower than the legacy interpreter anywhere.
 fn emit_tune_report(platforms: &[MachineSpec]) -> bool {
     let mut engine = Vec::new();
     let mut ok = true;

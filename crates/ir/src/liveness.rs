@@ -33,17 +33,32 @@ impl LiveRange {
 #[derive(Debug, Clone, Default)]
 pub struct Liveness {
     ranges: HashMap<Sym, LiveRange>,
+    /// Every ranged symbol, sorted by the position its range ends at,
+    /// then by symbol.
+    dying: Vec<Sym>,
+    /// `dying[dying_from[p]..dying_from[p + 1]]` are the symbols whose
+    /// range ends at `p`, for `p` below `positions`.
+    dying_from: Vec<u32>,
     positions: u32,
 }
 
 impl Liveness {
     /// Analyzes `kernel`.
     pub fn analyze(kernel: &Kernel) -> Self {
-        let mut lv = Liveness::default();
-        let mut pos = 0u32;
-        collect(&kernel.body, &mut pos, &mut lv.ranges);
-        lv.positions = pos;
-        lv
+        let mut ranges = HashMap::new();
+        let mut positions = 0u32;
+        collect(&kernel.body, &mut positions, &mut ranges);
+        let mut ends: Vec<(u32, Sym)> = ranges.iter().map(|(&s, r)| (r.last, s)).collect();
+        ends.sort_unstable();
+        let dying_from = (0..=positions)
+            .map(|p| ends.partition_point(|&(last, _)| last < p) as u32)
+            .collect();
+        Liveness {
+            ranges,
+            dying: ends.into_iter().map(|(_, s)| s).collect(),
+            dying_from,
+            positions,
+        }
     }
 
     /// The live range of `sym`, if it is ever referenced.
@@ -66,16 +81,13 @@ impl Liveness {
         self.positions
     }
 
-    /// Symbols whose live range ends exactly at `pos`.
-    pub fn dying_at(&self, pos: u32) -> Vec<Sym> {
-        let mut v: Vec<Sym> = self
-            .ranges
-            .iter()
-            .filter(|(_, r)| r.last == pos)
-            .map(|(s, _)| *s)
-            .collect();
-        v.sort();
-        v
+    /// Symbols whose live range ends exactly at `pos`, sorted.
+    pub fn dying_at(&self, pos: u32) -> &[Sym] {
+        let p = pos as usize;
+        match (self.dying_from.get(p), self.dying_from.get(p + 1)) {
+            (Some(&a), Some(&b)) => &self.dying[a as usize..b as usize],
+            _ => &[],
+        }
     }
 
     /// Symbols that are written but never read afterwards: the last
@@ -259,18 +271,21 @@ mod tests {
         assert_eq!(lv.range(z), Some(LiveRange { first: 2, last: 2 }));
         assert!(lv.dead_after(x, 1));
         assert!(!lv.dead_after(x, 0));
-        assert_eq!(lv.dying_at(1), vec![x]);
+        assert_eq!(lv.dying_at(1), &[x][..]);
         assert_eq!(lv.positions(), 3);
     }
 
-    #[test]
-    fn loop_widens_ranges_to_whole_loop() {
-        // 0: acc = 0.0
-        // 1: for i              (loop spans positions 1..=3)
-        // 2:   t = A[i]
-        // 3:   acc = acc + t
-        // 4: Y[0] = acc
-        let mut kb = KernelBuilder::new("t");
+    /// Returns the kernel with its `acc` and `t`:
+    ///
+    /// ```text
+    /// 0: acc = 0.0
+    /// 1: for i              (loop spans positions 1..=3)
+    /// 2:   t = A[i]
+    /// 3:   acc = acc + t
+    /// 4: Y[0] = acc
+    /// ```
+    fn accumulate_kernel() -> (Kernel, Sym, Sym) {
+        let mut kb = KernelBuilder::new("accumulate");
         let a = kb.ptr_param("A");
         let y = kb.ptr_param("Y");
         let n = kb.int_param("n");
@@ -286,7 +301,33 @@ mod tests {
             vec![assign(t, idx(a, var(i))), add_assign(acc, var(t))],
         ));
         kb.push(store(y, int(0), var(acc)));
-        let k = kb.finish();
+        (kb.finish(), acc, t)
+    }
+
+    /// Returns the kernel with its `x`: `x = 0`, then a loop of
+    /// `x = x + 1`, then (if `overwrite`) `x = 7` after the loop.
+    fn advance_kernel(overwrite: bool) -> (Kernel, Sym) {
+        let mut kb = KernelBuilder::new("advance");
+        let n = kb.int_param("n");
+        let x = kb.local("x", Ty::I64);
+        let i = kb.loop_var("i");
+        kb.push(assign(x, int(0)));
+        kb.push(for_(
+            i,
+            int(0),
+            var(n),
+            1,
+            vec![assign(x, add(var(x), int(1)))],
+        ));
+        if overwrite {
+            kb.push(assign(x, int(7)));
+        }
+        (kb.finish(), x)
+    }
+
+    #[test]
+    fn loop_widens_ranges_to_whole_loop() {
+        let (k, acc, t) = accumulate_kernel();
         let lv = Liveness::analyze(&k);
 
         // t referenced only at 2 and 3, but the loop spans 1..=3, so t is
@@ -336,23 +377,7 @@ mod tests {
         // acc is written each iteration and read the next time around
         // plus by the final store; the loop var is read by its own
         // bound check. Neither may flag.
-        let mut kb = KernelBuilder::new("t");
-        let a = kb.ptr_param("A");
-        let yp = kb.ptr_param("Y");
-        let n = kb.int_param("n");
-        let acc = kb.local("acc", Ty::F64);
-        let t = kb.local("t", Ty::F64);
-        let i = kb.loop_var("i");
-        kb.push(assign(acc, f64c(0.0)));
-        kb.push(for_(
-            i,
-            int(0),
-            var(n),
-            1,
-            vec![assign(t, idx(a, var(i))), add_assign(acc, var(t))],
-        ));
-        kb.push(store(yp, int(0), var(acc)));
-        let k = kb.finish();
+        let (k, _, _) = accumulate_kernel();
         assert_eq!(Liveness::unread_after_last_write(&k), vec![]);
     }
 
@@ -361,19 +386,7 @@ mod tests {
         // x = x + 1 inside the loop reads its own previous write through
         // the back edge on every iteration but the last: not dead code,
         // even though nothing reads x after the loop.
-        let mut kb = KernelBuilder::new("t");
-        let n = kb.int_param("n");
-        let x = kb.local("x", Ty::I64);
-        let i = kb.loop_var("i");
-        kb.push(assign(x, int(0)));
-        kb.push(for_(
-            i,
-            int(0),
-            var(n),
-            1,
-            vec![assign(x, add(var(x), int(1)))],
-        ));
-        let k = kb.finish();
+        let (k, _) = advance_kernel(false);
         assert_eq!(Liveness::unread_after_last_write(&k), vec![]);
     }
 
@@ -381,21 +394,29 @@ mod tests {
     fn write_after_loop_clears_backedge_cover() {
         // The loop's read covers the in-loop writes, but the write after
         // the loop is past every read: flagged at its position.
-        let mut kb = KernelBuilder::new("t");
-        let n = kb.int_param("n");
-        let x = kb.local("x", Ty::I64);
-        let i = kb.loop_var("i");
-        kb.push(assign(x, int(0)));
-        kb.push(for_(
-            i,
-            int(0),
-            var(n),
-            1,
-            vec![assign(x, add(var(x), int(1)))],
-        ));
-        kb.push(assign(x, int(7)));
-        let k = kb.finish();
+        let (k, x) = advance_kernel(true);
         assert_eq!(Liveness::unread_after_last_write(&k), vec![(x, 3)]);
+    }
+
+    #[test]
+    fn dying_at_lists_exactly_the_ranges_ending_there() {
+        for k in [
+            accumulate_kernel().0,
+            advance_kernel(false).0,
+            advance_kernel(true).0,
+        ] {
+            let lv = Liveness::analyze(&k);
+            for p in 0..=lv.positions() {
+                let mut ending: Vec<Sym> = k
+                    .syms
+                    .all()
+                    .filter(|&s| lv.range(s).is_some_and(|r| r.last == p))
+                    .collect();
+                ending.sort();
+                assert_eq!(lv.dying_at(p), &ending[..], "{} at {p}", k.name);
+            }
+            assert!(lv.dying_at(lv.positions()).is_empty());
+        }
     }
 
     #[test]

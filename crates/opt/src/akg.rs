@@ -571,7 +571,7 @@ impl<'a> Codegen<'a> {
         // Stamp releases with the position they are "as of" so the
         // verifier can compare against the symbol's live range.
         self.alloc.set_ir_pos(pos);
-        for s in self.liveness.dying_at(pos) {
+        for &s in self.liveness.dying_at(pos) {
             self.alloc.release(s);
             self.hsum_consumed.remove(&s);
         }
@@ -795,7 +795,7 @@ impl<'a> Codegen<'a> {
         if self.suppress_release == 0 {
             for p in header_pos..self.pos {
                 self.alloc.set_ir_pos(p);
-                for s in self.liveness.dying_at(p) {
+                for &s in self.liveness.dying_at(p) {
                     self.alloc.release(s);
                     self.hsum_consumed.remove(&s);
                 }

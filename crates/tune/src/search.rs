@@ -34,15 +34,16 @@ pub struct TuneResult<C> {
 /// What the sweep's optional stages did to the candidate space.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SweepStats {
-    /// Candidates whose logged build the legality stage checked (the
-    /// rest were journaled already or failed in the transform passes — a
-    /// build failure the evaluation stage reports, not a verdict).
+    /// Candidates whose transforms the legality stage checked, before any
+    /// code was generated (the rest were journaled already or failed in
+    /// the transform passes — a failure the evaluation stage reports, not
+    /// a verdict).
     pub checked: usize,
     /// Candidates rejected by a `T`-rule error.
     pub rejected: usize,
-    /// Wall-clock time of the legality checking alone. The builds whose
-    /// logs are checked are the sweep's own, shared with the evaluation
-    /// stage through the cache, so they are not analysis cost.
+    /// Wall-clock time of the legality checking alone. The transforms it
+    /// checks are the sweep's own, which the builds then reuse through
+    /// the cache, so they are not analysis cost.
     pub check_ns: u64,
     /// Candidates that built and went to the static analyzer.
     pub analyzed: usize,
