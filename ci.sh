@@ -82,7 +82,7 @@ grep -q '"akg.sched"' BENCH_tune.json
 echo "== prof: conservation + artifact matrix"
 # Per-pc cycle attribution must telescope exactly to the aggregate
 # timing report for every tuner candidate, and every kernel x machine
-# artifact must round-trip through the augem.profile/v1 schema.
+# artifact must render as augem.profile/v1 JSON carrying every field.
 cargo test --release -q -p augem-prof
 
 echo "== prof bench: profiled-replay overhead gate"
@@ -150,13 +150,14 @@ echo "== depan: zero T-diagnostics across the tuner candidate matrix"
 cargo test --release -q --test depan_matrix
 
 echo "== depan bench: false-rejection + analysis-cost gates"
-# The binary exits non-zero if the legality filter rejects any current
-# candidate, changes any winner, or costs >= 1% of sweep wall time.
+# Legality is a CI-only analysis, not a sweep stage: after each family's
+# exhaustive sweep, one pass checks every candidate's cached
+# transform. The binary exits non-zero if the checker rejects any
+# current candidate or the pass costs >= 1% of the sweeps' wall time.
 ./target/release/figures depan
 test -f BENCH_depan.json
 grep -q '"schema": "augem.bench-depan/v1"' BENCH_depan.json
 grep -q '"zero_false_rejections": true' BENCH_depan.json
-grep -q '"winners_preserved": true' BENCH_depan.json
 grep -q '"check_phase_under_1pct": true' BENCH_depan.json
 
 echo "== depan smoke: --check-transforms proves the winner's recipe"

@@ -427,8 +427,7 @@ impl Augem {
                 );
             }
             let known = tuned.best_eval.as_ref().filter(|_| rank == 0);
-            let (g, logged, diagnostics) = match self.try_rung(w, known, opts, injector, &collector)
-            {
+            let (g, diagnostics) = match self.try_rung(w, known, opts, injector, &collector) {
                 Ok(shipped) => shipped,
                 Err(why) => {
                     collector.event(
@@ -453,10 +452,14 @@ impl Augem {
             };
 
             let profile = opts.profile.then(|| self.profile_of(w, &collector));
-            // `logged.kernel` is post-`identify` (Regions added), so the
-            // log's snapshot chain ends one stage earlier: no final kernel.
             let tchecks = if opts.check_transforms {
-                augem_depan::check_transforms_traced(&logged.source, &logged.tlog, None, &collector)
+                // The rung built through the cache, which keeps every
+                // transform it ran, so this is a hit.
+                let t = self
+                    .cache
+                    .transformed(w, augem_obs::null())
+                    .expect("the shipped rung's transform is cached");
+                augem_depan::traced(&collector, || t.legality())
             } else {
                 Vec::new()
             };
@@ -557,7 +560,7 @@ impl Augem {
         opts: &RunOptions,
         injector: &Injector,
         collector: &Collector,
-    ) -> Result<(Generated, Arc<LoggedBuild>, Vec<Diagnostic>), String> {
+    ) -> Result<(Generated, Vec<Diagnostic>), String> {
         let tag = w.tag();
         let eval = match known_eval {
             Some(e) => e.clone(),
@@ -606,7 +609,7 @@ impl Augem {
             report: eval.report,
             mflops: eval.mflops,
         };
-        Ok((g, logged, diags))
+        Ok((g, diags))
     }
 
     /// The checks `verify` selects over a candidate's logged build.
@@ -684,13 +687,6 @@ mod tests {
         driver.run(Target::Tune(kernel), opts, inj)
     }
 
-    fn fast() -> RunOptions {
-        RunOptions {
-            resil: ResilOptions::fast(),
-            ..RunOptions::default()
-        }
-    }
-
     #[test]
     fn facade_generates_all_four_kernels() {
         let driver = Augem::new(MachineSpec::sandy_bridge());
@@ -728,29 +724,62 @@ mod tests {
 
     #[test]
     fn winner_transform_log_is_provably_legal() {
-        let driver = Augem::new(MachineSpec::sandy_bridge());
+        // Every kernel on both machines: the memoized check the facade
+        // runs equals a full replay of the shipped build's transform log.
         let opts = RunOptions {
             check_transforms: true,
-            ..RunOptions::plain()
+            verify: Verify::Off,
+            ..RunOptions::default()
         };
-        let r = run(&driver, DlaKernel::Axpy, &opts, &Injector::disabled());
-        assert!(r.generated.is_some(), "axpy tunes");
-        assert!(
-            r.tchecks.is_empty(),
-            "depan rejects tuned winner: {:?}",
-            r.tchecks
-        );
-        assert!(
-            r.report.stages.iter().any(|s| s.name == stage::DEPAN),
-            "no depan stage span recorded"
-        );
-        assert_eq!(r.report.counters.get("depan.errors").copied(), Some(0));
+        for machine in [MachineSpec::sandy_bridge(), MachineSpec::piledriver()] {
+            let driver = Augem::new(machine.clone());
+            for kernel in DlaKernel::ALL {
+                let name = format!("{} on {}", kernel.name(), machine.arch.short_name());
+                let r = run(&driver, kernel, &opts, &Injector::disabled());
+                let g = r
+                    .generated
+                    .unwrap_or_else(|| panic!("{name}: {:?}", r.cause));
+                let space: Vec<Box<dyn Candidate>> = match VectorKernel::of(kernel) {
+                    None => boxed(gemm_candidates(&machine)),
+                    Some(vk) => boxed(vector_candidates(vk, &machine)),
+                };
+                let shipped = space
+                    .into_iter()
+                    .chain([driver.paper_default(kernel)])
+                    .find(|c| c.tag() == g.config_tag)
+                    .unwrap_or_else(|| panic!("{name}: {} not enumerated", g.config_tag));
+                let build = driver
+                    .cache()
+                    .logged(&*shipped, &machine, augem_obs::null())
+                    .unwrap();
+                let replay = augem_depan::check_transforms(&build.source, &build.tlog, None);
+                assert_eq!(r.tchecks, replay, "{name}");
+                assert!(r.tchecks.is_empty(), "{name}: {:?}", r.tchecks);
+                assert!(
+                    r.report.stages.iter().any(|s| s.name == stage::DEPAN),
+                    "{name}: no depan stage span recorded"
+                );
+                assert_eq!(r.report.counters.get("depan.errors").copied(), Some(0));
+            }
+        }
+    }
+
+    fn boxed<C: Candidate + 'static>(space: Vec<C>) -> Vec<Box<dyn Candidate>> {
+        space
+            .into_iter()
+            .map(|c| Box::new(c) as Box<dyn Candidate>)
+            .collect()
     }
 
     #[test]
     fn degradable_path_without_faults_is_not_degraded() {
         let driver = Augem::new(MachineSpec::sandy_bridge());
-        let r = run(&driver, DlaKernel::Axpy, &fast(), &Injector::disabled());
+        let r = run(
+            &driver,
+            DlaKernel::Axpy,
+            &RunOptions::default(),
+            &Injector::disabled(),
+        );
         assert_eq!(r.degradation, Degradation::None);
         assert!(!r.is_degraded());
         assert!(r.cause.is_none());
@@ -773,7 +802,7 @@ mod tests {
         // Panic verification of the winner only; rank 1 verifies fine.
         let inj =
             Injector::new(InjectionPlan::new(0).with(Site::Verify, Fault::Panic, Trigger::Nth(1)));
-        let r = run(&driver, DlaKernel::Axpy, &fast(), &inj);
+        let r = run(&driver, DlaKernel::Axpy, &RunOptions::default(), &inj);
         assert!(
             matches!(r.degradation, Degradation::NextRanked { rank: 1, .. }),
             "{:?}",
@@ -796,7 +825,12 @@ mod tests {
         let plan = (1..=4).fold(InjectionPlan::new(0), |plan, n| {
             plan.with(Site::Verify, Fault::Panic, Trigger::Nth(n))
         });
-        let r = run(&driver, DlaKernel::Axpy, &fast(), &Injector::new(plan));
+        let r = run(
+            &driver,
+            DlaKernel::Axpy,
+            &RunOptions::default(),
+            &Injector::new(plan),
+        );
         assert!(
             matches!(r.degradation, Degradation::PaperDefault { .. }),
             "{:?}",
@@ -812,7 +846,7 @@ mod tests {
             Fault::Panic,
             Trigger::Rate(1.0),
         ));
-        let r = run(&driver, DlaKernel::Axpy, &fast(), &all);
+        let r = run(&driver, DlaKernel::Axpy, &RunOptions::default(), &all);
         assert_eq!(r.degradation, Degradation::ReportOnly);
         assert!(r.generated.is_none());
         assert!(r.report.counters["resil.degraded"] >= 1);
@@ -904,7 +938,7 @@ mod tests {
             Fault::Panic,
             Trigger::Rate(1.0),
         ));
-        let r = driver.run(Target::Config(&*naive), &fast(), &all);
+        let r = driver.run(Target::Config(&*naive), &RunOptions::default(), &all);
         assert_eq!(r.degradation, Degradation::ReportOnly);
         assert!(r.generated.is_none());
         assert!(r.cause.unwrap().contains(&naive.tag()));

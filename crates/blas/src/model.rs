@@ -33,16 +33,10 @@ use augem_tune::config::{Candidate, VectorConfig, VectorKernel};
 use augem_tune::evaluate::{evaluate, vector_eval_n, EvalError, Evaluation};
 use augem_tune::EvalCache;
 
-/// An uncached, unbudgeted measurement of one configuration — what the
-/// models calibrate on and the ablations measure.
+/// An unbudgeted measurement of one configuration on a fresh cache —
+/// what the models calibrate on and the ablations measure.
 pub fn measure(c: &dyn Candidate, machine: &MachineSpec) -> Result<Evaluation, EvalError> {
-    evaluate(
-        c,
-        machine,
-        augem_tune::obs::null(),
-        None,
-        &EvalCache::disabled(),
-    )
+    evaluate(c, machine, augem_tune::obs::null(), None, &EvalCache::new())
 }
 
 /// Higher-level routines of the paper's Table 6.

@@ -11,8 +11,9 @@
 //!
 //! # Soundness contract
 //!
-//! For every kernel, argument set, and machine on which
-//! `augem_sim::run_timing`-style evaluation succeeds:
+//! For every kernel, argument set, and machine on which the timing
+//! simulator (`augem_sim::simulate_timing` and its `_steady`,
+//! `_budgeted` and `_profiled` variants) succeeds:
 //!
 //! ```text
 //! analyze(kernel, args, machine).lower_bound_cycles <= TimingReport.cycles

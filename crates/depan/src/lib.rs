@@ -23,12 +23,17 @@
 //!   as `T001`–`T012` diagnostics through the shared
 //!   [`augem_verify::diag`] rule table.
 //!
-//! `augem-tune` runs the checker as a legality filter between the
-//! transform stage and code generation: configurations whose transform
-//! log cannot be proved legal are rejected before code generation, under
-//! the `stage::DEPAN` span with `depan.*` counters. Candidates that share
-//! a transform prefix share its steps, and a [`PrefixVerdict`] replays
-//! those steps once; each candidate then re-checks only its own steps.
+//! The checker is not a tuning stage: every configuration the tuner
+//! enumerates is legal by construction, so it runs in two places off the
+//! sweep. The facade checks the shipped kernel's log when asked
+//! (`RunOptions::check_transforms`, under [`traced`]'s `stage::DEPAN`
+//! span with `depan.*` counters), and CI checks every candidate of every
+//! kernel family (`figures depan`, `tests/depan_matrix.rs`). Both read
+//! the tuner's cached transforms: candidates that share a transform
+//! prefix share its steps, and a [`PrefixVerdict`] replays those steps
+//! once; each candidate then re-checks only its own steps. If a tuning
+//! space ever holds a candidate the checker must reject, legality comes
+//! back as a sweep stage that is always on.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -45,18 +50,7 @@ pub use deps::{
     bounds_test, decompose, dependence_on, gcd, gcd_test, uniform_solution, DepSolution, Verdict,
 };
 
-use augem_ir::Kernel;
 use augem_verify::{Diagnostic, Severity};
-
-/// [`check_transforms`] with telemetry (see [`traced`]).
-pub fn check_transforms_traced(
-    source: &Kernel,
-    log: &TransformLog,
-    final_kernel: Option<&Kernel>,
-    tracer: &dyn augem_obs::Tracer,
-) -> Vec<Diagnostic> {
-    traced(tracer, || check_transforms(source, log, final_kernel))
-}
 
 /// Runs a legality check with telemetry: wraps it in a `depan` stage
 /// span, emits one `depan.diagnostic` event per finding, and counts
@@ -101,7 +95,7 @@ mod tests {
         let (out, log) =
             generate_optimized_logged(&k, &OptimizeConfig::gemm_2x2(), augem_obs::null()).unwrap();
         let tracer = Collector::new();
-        let diags = check_transforms_traced(&k, &log, Some(&out), &tracer);
+        let diags = traced(&tracer, || check_transforms(&k, &log, Some(&out)));
         assert!(diags.is_empty(), "{diags:?}");
         let snap = tracer.snapshot();
         assert_eq!(snap.counters.get("depan.errors"), Some(&0));

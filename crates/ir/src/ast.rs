@@ -96,16 +96,6 @@ pub enum LValue {
     ArrayRef { base: Sym, index: Box<Expr> },
 }
 
-impl LValue {
-    /// The symbol written to (the variable itself, or the array base).
-    pub fn written_sym(&self) -> Sym {
-        match self {
-            LValue::Var(s) => *s,
-            LValue::ArrayRef { base, .. } => *base,
-        }
-    }
-}
-
 /// Value carried by a template-annotation parameter.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AnnotValue {

@@ -84,18 +84,6 @@ impl SymbolTable {
         self.define(format!("{prefix}{n}"), ty, kind)
     }
 
-    /// Interns a sequence of fresh symbols `prefix<k>_<tag>`, e.g.
-    /// `res0_7, res1_8, res2_9`.
-    pub fn fresh_run(&mut self, prefix: &str, count: usize, ty: Ty, kind: SymKind) -> Vec<Sym> {
-        let mut out = Vec::with_capacity(count);
-        for i in 0..count {
-            let tag = self.fresh_counter;
-            self.fresh_counter += 1;
-            out.push(self.define(format!("{prefix}{i}_{tag}"), ty, kind));
-        }
-        out
-    }
-
     pub fn name(&self, s: Sym) -> &str {
         &self.infos[s.0 as usize].name
     }

@@ -190,29 +190,6 @@ impl Histogram {
             ),
         ])
     }
-
-    pub fn from_json(v: &Json) -> Option<Self> {
-        let mut h = Histogram::new();
-        h.count = v.get("count")?.as_u64()?;
-        h.sum = v.get("sum")?.as_u64()?;
-        h.min = if h.count == 0 {
-            u64::MAX
-        } else {
-            v.get("min")?.as_u64()?
-        };
-        h.max = v.get("max")?.as_u64()?;
-        for b in v.get("buckets")?.as_arr()? {
-            let idx = b.get("bucket")?.as_u64()? as usize;
-            let count = b.get("count")?.as_u64()?;
-            if idx >= BUCKETS {
-                return None;
-            }
-            if count > 0 {
-                h.add(idx as u16, count);
-            }
-        }
-        Some(h)
-    }
 }
 
 #[cfg(test)]
@@ -294,8 +271,6 @@ mod tests {
     fn empty_histogram_allocates_nothing() {
         let h = Histogram::new();
         assert_eq!(h.counts.capacity(), 0);
-        let back = Histogram::from_json(&h.to_json()).unwrap();
-        assert_eq!(back.counts.capacity(), 0);
     }
 
     #[test]
@@ -349,17 +324,36 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip() {
+    fn json_carries_every_statistic_and_bucket() {
         let mut h = Histogram::new();
         for v in [1u64, 5, 5, 80, 4096, 70_000] {
             h.record(v);
         }
-        let back = Histogram::from_json(&Json::parse(&h.to_json().render()).unwrap()).unwrap();
-        assert_eq!(back, h);
-        assert_eq!(back.p90(), h.p90());
-        let empty = Histogram::new();
-        let back =
-            Histogram::from_json(&Json::parse(&empty.to_json().render_pretty()).unwrap()).unwrap();
-        assert_eq!(back, empty);
+        let doc = Json::parse(&h.to_json().render()).unwrap();
+        let at = |v: &Json, key: &str| v.get(key).and_then(Json::as_u64);
+        for (key, want) in [
+            ("count", h.count()),
+            ("sum", h.sum()),
+            ("min", h.min().unwrap()),
+            ("max", h.max().unwrap()),
+            ("p50", h.p50()),
+            ("p90", h.p90()),
+            ("p99", h.p99()),
+        ] {
+            assert_eq!(at(&doc, key), Some(want), "{key}");
+        }
+        let buckets: Vec<(usize, u64)> = doc
+            .get("buckets")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .map(|b| (at(b, "bucket").unwrap() as usize, at(b, "count").unwrap()))
+            .collect();
+        assert_eq!(buckets, h.nonzero_buckets());
+        // An empty histogram renders zeros and no buckets.
+        let empty = Json::parse(&Histogram::new().to_json().render_pretty()).unwrap();
+        assert_eq!((at(&empty, "count"), at(&empty, "min")), (Some(0), Some(0)));
+        let buckets = empty.get("buckets").and_then(Json::as_arr);
+        assert_eq!(buckets.map(|b| b.len()), Some(0));
     }
 }

@@ -2,8 +2,8 @@
 //! like, stage by stage — the artifact behind `augem-gen --report` and the
 //! repo's `BENCH_*.json` perf trajectory.
 //!
-//! The schema (`augem.run-report/v1`) is stable and round-trippable via
-//! [`RunReport::to_json`] / [`RunReport::from_json`]:
+//! [`RunReport::to_json`] renders the stable `augem.run-report/v1`
+//! schema; readers take fields from the raw [`Json`]:
 //!
 //! ```json
 //! {
@@ -145,42 +145,6 @@ impl TunerTelemetry {
             ("eval_latency_ns", self.eval_latency_ns.to_json()),
         ])
     }
-
-    fn from_json(v: &Json) -> Option<Self> {
-        Some(TunerTelemetry {
-            generated: v.get("generated")?.as_u64()?,
-            built: v.get("built")?.as_u64()?,
-            pruned: v.get("pruned")?.as_u64()?,
-            best_mflops: v.get("best_mflops")?.as_f64()?,
-            median_mflops: v.get("median_mflops")?.as_f64()?,
-            best_vs_median: v.get("best_vs_median")?.as_f64()?,
-            ranking: v
-                .get("ranking")?
-                .as_arr()?
-                .iter()
-                .map(|r| {
-                    Some(RankedCandidate {
-                        tag: r.get("tag")?.as_str()?.to_string(),
-                        mflops: r.get("mflops")?.as_f64()?,
-                    })
-                })
-                .collect::<Option<Vec<_>>>()?,
-            failures: v
-                .get("failures")?
-                .as_arr()?
-                .iter()
-                .map(|f| {
-                    Some(CandidateFailure {
-                        tag: f.get("tag")?.as_str()?.to_string(),
-                        reason: f.get("reason")?.as_str()?.to_string(),
-                    })
-                })
-                .collect::<Option<Vec<_>>>()?,
-            eval_latency_ns: v
-                .get("eval_latency_ns")
-                .map_or_else(|| Some(Histogram::new()), Histogram::from_json)?,
-        })
-    }
 }
 
 /// One source-level region of a profiled kernel (prologue, unrolled
@@ -236,29 +200,6 @@ impl ProfileSummary {
             ),
         ])
     }
-
-    pub fn from_json(v: &Json) -> Option<Self> {
-        Some(ProfileSummary {
-            total_cycles: v.get("total_cycles")?.as_u64()?,
-            dyn_insts: v.get("dyn_insts")?.as_u64()?,
-            stall_dep: v.get("stall_dep")?.as_u64()?,
-            stall_port: v.get("stall_port")?.as_u64()?,
-            stall_front: v.get("stall_front")?.as_u64()?,
-            stall_mem: v.get("stall_mem")?.as_u64()?,
-            regions: v
-                .get("regions")?
-                .as_arr()?
-                .iter()
-                .map(|r| {
-                    Some(ProfileRegion {
-                        name: r.get("name")?.as_str()?.to_string(),
-                        cycles: r.get("cycles")?.as_u64()?,
-                        pct: r.get("pct")?.as_f64()?,
-                    })
-                })
-                .collect::<Option<Vec<_>>>()?,
-        })
-    }
 }
 
 /// Cycle and cache counters from the timing simulator (the winning
@@ -291,24 +232,6 @@ impl SimCounters {
                 Json::Arr(self.port_uops.iter().map(|&u| Json::uint(u)).collect()),
             ),
         ])
-    }
-
-    fn from_json(v: &Json) -> Option<Self> {
-        Some(SimCounters {
-            cycles: v.get("cycles")?.as_u64()?,
-            dyn_insts: v.get("dyn_insts")?.as_u64()?,
-            flops: v.get("flops")?.as_u64()?,
-            mem_accesses: v.get("mem_accesses")?.as_u64()?,
-            l1_hits: v.get("l1_hits")?.as_u64()?,
-            l1_misses: v.get("l1_misses")?.as_u64()?,
-            llc_misses: v.get("llc_misses")?.as_u64()?,
-            port_uops: v
-                .get("port_uops")?
-                .as_arr()?
-                .iter()
-                .map(Json::as_u64)
-                .collect::<Option<Vec<_>>>()?,
-        })
     }
 }
 
@@ -421,78 +344,6 @@ impl RunReport {
         Json::obj(pairs)
     }
 
-    /// Parses a report previously produced by [`to_json`].
-    ///
-    /// [`to_json`]: RunReport::to_json
-    pub fn from_json(v: &Json) -> Result<Self, String> {
-        if v.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
-            return Err(format!("not a {SCHEMA} document"));
-        }
-        let str_field = |key: &str| -> Result<String, String> {
-            v.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing string field `{key}`"))
-        };
-        let map_field = |key: &str| -> Result<BTreeMap<String, u64>, String> {
-            match v.get(key) {
-                Some(Json::Obj(pairs)) => pairs
-                    .iter()
-                    .map(|(k, val)| {
-                        val.as_u64()
-                            .map(|u| (k.clone(), u))
-                            .ok_or_else(|| format!("non-integer entry in `{key}`"))
-                    })
-                    .collect(),
-                _ => Err(format!("missing object field `{key}`")),
-            }
-        };
-        let stages = v
-            .get("stages")
-            .and_then(Json::as_arr)
-            .ok_or("missing `stages` array")?
-            .iter()
-            .map(|s| {
-                Some(StageAgg {
-                    name: s.get("name")?.as_str()?.to_string(),
-                    calls: s.get("calls")?.as_u64()?,
-                    wall_ns: s.get("wall_ns")?.as_u64()?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()
-            .ok_or("malformed stage entry")?;
-        let labels = match v.get("labels") {
-            Some(Json::Obj(pairs)) => pairs
-                .iter()
-                .map(|(k, val)| {
-                    val.as_str()
-                        .map(|s| (k.clone(), s.to_string()))
-                        .ok_or_else(|| "non-string label".to_string())
-                })
-                .collect::<Result<BTreeMap<_, _>, _>>()?,
-            _ => return Err("missing `labels` object".into()),
-        };
-        Ok(RunReport {
-            kernel: str_field("kernel")?,
-            machine: str_field("machine")?,
-            config: str_field("config")?,
-            simd_strategy: str_field("simd_strategy")?,
-            mflops: v
-                .get("mflops")
-                .and_then(Json::as_f64)
-                .ok_or("missing `mflops`")?,
-            stages,
-            counters: map_field("counters")?,
-            highwater: map_field("highwater")?,
-            labels,
-            tuner: v.get("tuner").and_then(TunerTelemetry::from_json),
-            sim: v.get("sim").and_then(SimCounters::from_json),
-            profile: v.get("profile").and_then(ProfileSummary::from_json),
-            lints: diag_list(v, "lints"),
-            tchecks: diag_list(v, "tchecks"),
-        })
-    }
-
     /// Human-readable rendering (the `--trace` sink).
     pub fn render_text(&self) -> String {
         use std::fmt::Write as _;
@@ -603,18 +454,6 @@ fn render_diag_section(out: &mut String, title: &str, diags: &[String]) {
     for d in diags {
         let _ = writeln!(out, "    {d}");
     }
-}
-
-/// Parses an optional rendered-diagnostic array field (absent = empty).
-fn diag_list(v: &Json, key: &str) -> Vec<String> {
-    v.get(key)
-        .and_then(Json::as_arr)
-        .map(|a| {
-            a.iter()
-                .filter_map(|l| l.as_str().map(str::to_string))
-                .collect()
-        })
-        .unwrap_or_default()
 }
 
 fn format_ns(ns: u64) -> String {
@@ -731,20 +570,109 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_is_lossless() {
+    fn json_rendering_carries_every_field() {
         let r = sample_report();
-        let text = r.to_json().render_pretty();
-        let back = RunReport::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, r);
-    }
+        let doc = Json::parse(&r.to_json().render_pretty()).unwrap();
+        let str_at = |v: &Json, key: &str| v.get(key).and_then(Json::as_str).map(str::to_string);
+        let u64_at = |v: &Json, key: &str| v.get(key).and_then(Json::as_u64);
+        let f64_at = |v: &Json, key: &str| v.get(key).and_then(Json::as_f64);
+        let arr_at = |v: &Json, key: &str| v.get(key).and_then(Json::as_arr).unwrap().to_vec();
+        let strs = |v: &[Json]| -> Vec<String> {
+            v.iter().map(|s| s.as_str().unwrap().to_string()).collect()
+        };
 
-    #[test]
-    fn schema_is_validated() {
-        let mut j = sample_report().to_json();
-        if let Json::Obj(pairs) = &mut j {
-            pairs[0].1 = Json::str("something-else/v9");
+        assert_eq!(str_at(&doc, "schema").as_deref(), Some(SCHEMA));
+        for (key, want) in [
+            ("kernel", &r.kernel),
+            ("machine", &r.machine),
+            ("config", &r.config),
+            ("simd_strategy", &r.simd_strategy),
+        ] {
+            assert_eq!(str_at(&doc, key).as_ref(), Some(want), "{key}");
         }
-        assert!(RunReport::from_json(&j).is_err());
+        assert_eq!(f64_at(&doc, "mflops"), Some(r.mflops));
+        let stages = arr_at(&doc, "stages");
+        assert_eq!(stages.len(), r.stages.len());
+        for (s, want) in stages.iter().zip(&r.stages) {
+            assert_eq!(str_at(s, "name").as_ref(), Some(&want.name));
+            assert_eq!(u64_at(s, "calls"), Some(want.calls));
+            assert_eq!(u64_at(s, "wall_ns"), Some(want.wall_ns));
+        }
+        for (key, map) in [("counters", &r.counters), ("highwater", &r.highwater)] {
+            let obj = doc.get(key).unwrap();
+            for (k, &v) in map {
+                assert_eq!(u64_at(obj, k), Some(v), "{key}.{k}");
+            }
+        }
+        for (k, v) in &r.labels {
+            assert_eq!(str_at(doc.get("labels").unwrap(), k).as_ref(), Some(v));
+        }
+
+        let (tuner, t) = (r.tuner.as_ref().unwrap(), doc.get("tuner").unwrap());
+        assert_eq!(u64_at(t, "generated"), Some(tuner.generated));
+        assert_eq!(u64_at(t, "built"), Some(tuner.built));
+        assert_eq!(u64_at(t, "pruned"), Some(tuner.pruned));
+        assert_eq!(f64_at(t, "best_mflops"), Some(tuner.best_mflops));
+        assert_eq!(f64_at(t, "median_mflops"), Some(tuner.median_mflops));
+        assert_eq!(f64_at(t, "best_vs_median"), Some(tuner.best_vs_median));
+        let ranking = arr_at(t, "ranking");
+        assert_eq!(ranking.len(), tuner.ranking.len());
+        for (j, want) in ranking.iter().zip(&tuner.ranking) {
+            assert_eq!(str_at(j, "tag").as_ref(), Some(&want.tag));
+            assert_eq!(f64_at(j, "mflops"), Some(want.mflops));
+        }
+        let failures = arr_at(t, "failures");
+        assert_eq!(failures.len(), tuner.failures.len());
+        for (j, want) in failures.iter().zip(&tuner.failures) {
+            assert_eq!(str_at(j, "tag").as_ref(), Some(&want.tag));
+            assert_eq!(str_at(j, "reason").as_ref(), Some(&want.reason));
+        }
+        let latency = t.get("eval_latency_ns").unwrap();
+        assert_eq!(
+            u64_at(latency, "count"),
+            Some(tuner.eval_latency_ns.count())
+        );
+        assert_eq!(u64_at(latency, "p99"), Some(tuner.eval_latency_ns.p99()));
+
+        let (sim, j) = (r.sim.as_ref().unwrap(), doc.get("sim").unwrap());
+        for (key, want) in [
+            ("cycles", sim.cycles),
+            ("dyn_insts", sim.dyn_insts),
+            ("flops", sim.flops),
+            ("mem_accesses", sim.mem_accesses),
+            ("l1_hits", sim.l1_hits),
+            ("l1_misses", sim.l1_misses),
+            ("llc_misses", sim.llc_misses),
+        ] {
+            assert_eq!(u64_at(j, key), Some(want), "sim.{key}");
+        }
+        let ports: Vec<u64> = arr_at(j, "port_uops")
+            .iter()
+            .map(|u| u.as_u64().unwrap())
+            .collect();
+        assert_eq!(ports, sim.port_uops);
+
+        let (profile, j) = (r.profile.as_ref().unwrap(), doc.get("profile").unwrap());
+        for (key, want) in [
+            ("total_cycles", profile.total_cycles),
+            ("dyn_insts", profile.dyn_insts),
+            ("stall_dep", profile.stall_dep),
+            ("stall_port", profile.stall_port),
+            ("stall_front", profile.stall_front),
+            ("stall_mem", profile.stall_mem),
+        ] {
+            assert_eq!(u64_at(j, key), Some(want), "profile.{key}");
+        }
+        let regions = arr_at(j, "regions");
+        assert_eq!(regions.len(), profile.regions.len());
+        for (j, want) in regions.iter().zip(&profile.regions) {
+            assert_eq!(str_at(j, "name").as_ref(), Some(&want.name));
+            assert_eq!(u64_at(j, "cycles"), Some(want.cycles));
+            assert_eq!(f64_at(j, "pct"), Some(want.pct));
+        }
+
+        assert_eq!(strs(&arr_at(&doc, "lints")), r.lints);
+        assert_eq!(strs(&arr_at(&doc, "tchecks")), r.tchecks);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   style of `perf annotate` — cycles%, dominant stall cause, and port
 //!   lanes per line;
 //! * the machine-readable `augem.profile/v1` artifact
-//!   ([`Profile::to_json`] / [`Profile::from_json`]);
+//!   ([`Profile::to_json`]);
 //! * a compact [`ProfileSummary`] for embedding in the run report.
 //!
 //! The attribution is *conservative by construction*: the replay charges
@@ -473,86 +473,12 @@ impl Profile {
             ),
         ])
     }
-
-    /// Parses a document previously produced by [`Profile::to_json`].
-    pub fn from_json(v: &Json) -> Result<Self, String> {
-        if v.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
-            return Err(format!("not a {SCHEMA} document"));
-        }
-        let str_field = |key: &str| -> Result<String, String> {
-            v.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing string field `{key}`"))
-        };
-        let u64_field = |key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("missing integer field `{key}`"))
-        };
-        let regions = v
-            .get("regions")
-            .and_then(Json::as_arr)
-            .ok_or("missing `regions` array")?
-            .iter()
-            .map(|r| {
-                Some(Region {
-                    name: r.get("name")?.as_str()?.to_string(),
-                    start: r.get("start")?.as_u64()? as usize,
-                    end: r.get("end")?.as_u64()? as usize,
-                    cycles: r.get("cycles")?.as_u64()?,
-                    pct: r.get("pct")?.as_f64()?,
-                    execs: r.get("execs")?.as_u64()?,
-                    ir_pos: match r.get("ir_pos") {
-                        Some(p) => Some(p.as_u64()?),
-                        None => None,
-                    },
-                })
-            })
-            .collect::<Option<Vec<_>>>()
-            .ok_or("malformed region entry")?;
-        let lines = v
-            .get("lines")
-            .and_then(Json::as_arr)
-            .ok_or("missing `lines` array")?
-            .iter()
-            .map(|l| {
-                Some(Line {
-                    pc: l.get("pc")?.as_u64()? as usize,
-                    text: l.get("text")?.as_str()?.to_string(),
-                    execs: l.get("execs")?.as_u64()?,
-                    cycles: l.get("cycles")?.as_u64()?,
-                    stall_dep: l.get("stall_dep")?.as_u64()?,
-                    stall_port: l.get("stall_port")?.as_u64()?,
-                    stall_front: l.get("stall_front")?.as_u64()?,
-                    stall_mem: l.get("stall_mem")?.as_u64()?,
-                    port_uops: l
-                        .get("port_uops")?
-                        .as_arr()?
-                        .iter()
-                        .map(Json::as_u64)
-                        .collect::<Option<Vec<_>>>()?,
-                    l1_hits: l.get("l1_hits")?.as_u64()?,
-                    l1_misses: l.get("l1_misses")?.as_u64()?,
-                    llc_misses: l.get("llc_misses")?.as_u64()?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()
-            .ok_or("malformed line entry")?;
-        Ok(Profile {
-            kernel: str_field("kernel")?,
-            machine: str_field("machine")?,
-            total_cycles: u64_field("total_cycles")?,
-            dyn_insts: u64_field("dyn_insts")?,
-            num_ports: u64_field("num_ports")? as usize,
-            lines,
-            regions,
-        })
-    }
 }
 
 /// Simulates the kernel with profiling on and builds the [`Profile`] —
-/// the one-call entry point (`tune` and `augem-gen --profile` use it).
+/// the one-call entry point for a standalone kernel, which this crate's
+/// example and the tests use. The facade (`augem-gen --profile`)
+/// profiles through the tuner's cache and [`Profile::build`] instead.
 pub fn profile_kernel(
     kernel: &AsmKernel,
     args: Vec<SimValue>,

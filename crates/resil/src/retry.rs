@@ -38,16 +38,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that retries immediately, without sleeping — what the
-    /// deterministic test suites use.
-    pub fn no_backoff(max_retries: u32) -> Self {
-        RetryPolicy {
-            max_retries,
-            base_ms: 0,
-            cap_ms: 0,
-        }
-    }
-
     /// The delay before retry number `retry` (0-based).
     pub fn delay(&self, retry: u32) -> Duration {
         let ms = self
@@ -98,6 +88,15 @@ mod tests {
     use super::*;
     use augem_obs::Collector;
 
+    /// A policy that retries immediately, without sleeping.
+    fn no_backoff(max_retries: u32) -> RetryPolicy {
+        RetryPolicy {
+            max_retries,
+            base_ms: 0,
+            cap_ms: 0,
+        }
+    }
+
     #[derive(Debug)]
     struct Flaky(bool);
     impl Transient for Flaky {
@@ -114,7 +113,7 @@ mod tests {
     #[test]
     fn transient_failure_recovers_within_budget() {
         let c = Collector::new();
-        let r = with_retry(&RetryPolicy::no_backoff(3), &c, "k", |attempt| {
+        let r = with_retry(&no_backoff(3), &c, "k", |attempt| {
             if attempt < 2 {
                 Err(Flaky(true))
             } else {
@@ -137,7 +136,7 @@ mod tests {
     fn fatal_failure_is_not_retried() {
         let c = Collector::new();
         let mut calls = 0;
-        let r: Result<(), Flaky> = with_retry(&RetryPolicy::no_backoff(5), &c, "k", |_| {
+        let r: Result<(), Flaky> = with_retry(&no_backoff(5), &c, "k", |_| {
             calls += 1;
             Err(Flaky(false))
         });
@@ -150,7 +149,7 @@ mod tests {
     fn exhausted_budget_returns_last_error() {
         let c = Collector::new();
         let mut calls = 0;
-        let r: Result<(), Flaky> = with_retry(&RetryPolicy::no_backoff(2), &c, "k", |_| {
+        let r: Result<(), Flaky> = with_retry(&no_backoff(2), &c, "k", |_| {
             calls += 1;
             Err(Flaky(true))
         });

@@ -81,19 +81,6 @@ impl TimingReport {
     pub fn l1_hits(&self) -> u64 {
         self.mem_accesses.saturating_sub(self.l1_misses)
     }
-
-    /// L1 misses served by the last-level cache.
-    pub fn llc_hits(&self) -> u64 {
-        self.l1_misses.saturating_sub(self.llc_misses)
-    }
-
-    /// L1 hit fraction of demand accesses (1.0 when there were none).
-    pub fn l1_hit_rate(&self) -> f64 {
-        if self.mem_accesses == 0 {
-            return 1.0;
-        }
-        self.l1_hits() as f64 / self.mem_accesses as f64
-    }
 }
 
 fn flops_of(inst: &XInst) -> u64 {
@@ -308,11 +295,6 @@ impl PcProfile {
     /// Number of static pcs covered.
     pub fn pcs(&self) -> usize {
         self.execs.len()
-    }
-
-    /// The per-port µop row for one pc.
-    pub fn port_row(&self, pc: usize) -> &[u64] {
-        &self.port_uops[pc * self.num_ports..(pc + 1) * self.num_ports]
     }
 
     /// Sum of the per-pc attributed cycles (equals the report's total).

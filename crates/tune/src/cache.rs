@@ -137,7 +137,9 @@ impl Transformed {
     /// depan's findings on the transform log — exactly
     /// `augem_depan::check_transforms(&self.source, &self.tlog, None)` —
     /// with the prefix's steps replayed once per prefix and only the
-    /// prefetch step per transform.
+    /// prefetch step per transform. The facade's shipped-kernel check
+    /// and the CI legality analysis (`figures depan`) both read it; the
+    /// sweep does not.
     pub fn legality(&self) -> Vec<Diagnostic> {
         let p = &self.prefix;
         let verdict = p
@@ -170,34 +172,17 @@ struct Inner {
 /// profiles store only successes — failures are either deterministic
 /// prunes (cheap to rediscover and carried in the sweep result anyway)
 /// or transient panics that the retry machinery owns. A panicking stage
-/// stores nothing.
-#[derive(Debug)]
+/// stores nothing. A one-shot caller that wants every stage run takes a
+/// fresh cache.
+#[derive(Debug, Default)]
 pub struct EvalCache {
-    enabled: bool,
     inner: Mutex<Inner>,
-}
-
-impl Default for EvalCache {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl EvalCache {
     /// An empty cache.
     pub fn new() -> Self {
-        EvalCache {
-            enabled: true,
-            inner: Mutex::new(Inner::default()),
-        }
-    }
-
-    /// A cache that never hits and never stores — the legacy behavior.
-    pub fn disabled() -> Self {
-        EvalCache {
-            enabled: false,
-            inner: Mutex::new(Inner::default()),
-        }
+        Self::default()
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
@@ -206,7 +191,7 @@ impl EvalCache {
 
     /// Runs `stage` once per `key` for the cache's lifetime: a miss runs
     /// it (bumping `miss`), a hit or a wait on a concurrent miss shares
-    /// its result (bumping `hit`). Disabled, it just runs the stage.
+    /// its result (bumping `hit`).
     fn once<K: Hash + Eq, T>(
         &self,
         pick: fn(&mut Inner) -> &mut HashMap<K, Flight<T>>,
@@ -215,9 +200,6 @@ impl EvalCache {
         tracer: &dyn Tracer,
         stage: impl FnOnce() -> Result<T, BuildError>,
     ) -> Result<Arc<T>, BuildError> {
-        if !self.enabled {
-            return stage().map(Arc::new);
-        }
         let slot = pick(&mut self.lock()).entry(key).or_default().clone();
         let mut ran = false;
         let out = slot.get_or_init(|| {
@@ -299,22 +281,6 @@ impl EvalCache {
         machine: &MachineSpec,
         tracer: &dyn Tracer,
     ) -> Result<Arc<LoggedBuild>, BuildError> {
-        let codegen = |tracer: &dyn Tracer| -> Result<LoggedBuild, BuildError> {
-            let t = self.transformed(c, tracer)?;
-            let (_, opts) = c.pipeline_inputs();
-            let (asm, log) = augem_opt::generate_with_log(&t.kernel, machine, &opts, tracer)
-                .map_err(BuildError::Codegen)?;
-            Ok(LoggedBuild {
-                source: t.source.clone(),
-                kernel: t.kernel.clone(),
-                asm,
-                log,
-                tlog: t.tlog.clone(),
-            })
-        };
-        if !self.enabled {
-            return codegen(tracer).map(Arc::new);
-        }
         let key = (c.tag(), machine.fingerprint());
         if let Some(hit) = self.lock().builds.get(&key) {
             tracer.add(counter::BUILD_HIT, 1);
@@ -330,7 +296,17 @@ impl EvalCache {
         // artifact); the first insert wins.
         let local = Collector::new();
         let tee = Tee::new(tracer, &local);
-        let built = Arc::new(codegen(&tee)?);
+        let t = self.transformed(c, &tee)?;
+        let (_, opts) = c.pipeline_inputs();
+        let (asm, log) = augem_opt::generate_with_log(&t.kernel, machine, &opts, &tee)
+            .map_err(BuildError::Codegen)?;
+        let built = Arc::new(LoggedBuild {
+            source: t.source.clone(),
+            kernel: t.kernel.clone(),
+            asm,
+            log,
+            tlog: t.tlog.clone(),
+        });
         let labels = local.snapshot().labels.into_iter().collect();
         self.lock().builds.entry(key).or_insert(CachedBuild {
             build: built.clone(),
@@ -351,9 +327,6 @@ impl EvalCache {
         step_limit: Option<u64>,
         tracer: &dyn Tracer,
     ) -> Option<T> {
-        if !self.enabled {
-            return None;
-        }
         let fp = machine.fingerprint();
         let (found, labels) = {
             let inner = self.lock();
@@ -382,11 +355,9 @@ impl EvalCache {
         step_limit: Option<u64>,
         value: &T,
     ) {
-        if self.enabled {
-            pick(&mut self.lock())
-                .entry((tag.to_string(), machine.fingerprint(), step_limit))
-                .or_insert_with(|| value.clone());
-        }
+        pick(&mut self.lock())
+            .entry((tag.to_string(), machine.fingerprint(), step_limit))
+            .or_insert_with(|| value.clone());
     }
 
     /// A cached evaluation, if one exists (see [`lookup`](Self::lookup)).
@@ -553,23 +524,5 @@ mod tests {
         assert_eq!(plain.mflops.to_bits(), cold.mflops.to_bits());
         assert_eq!(cold.pcs.total_cycles(), cold.report.cycles);
         assert_eq!(cold.pcs.port_totals(), cold.report.port_uops);
-    }
-
-    #[test]
-    fn disabled_cache_never_hits() {
-        let m = MachineSpec::sandy_bridge();
-        let cfg = GemmConfig {
-            mu: 8,
-            nu: 4,
-            ..GemmConfig::fig13()
-        };
-        let cache = EvalCache::disabled();
-        let c = Collector::new();
-        cache.logged(&cfg, &m, &c).unwrap();
-        cache.logged(&cfg, &m, &c).unwrap();
-        let snap = c.snapshot();
-        assert!(!snap.counters.contains_key(counter::BUILD_HIT));
-        assert!(!snap.counters.contains_key(counter::BUILD_MISS));
-        assert_eq!(cache.builds_len(), 0);
     }
 }

@@ -67,8 +67,8 @@ impl GemmConfig {
     }
 
     /// The transform half of the pipeline this configuration drives: the
-    /// simple source kernel and the optimization recipe. What the depan
-    /// legality filter checks without paying for code generation.
+    /// simple source kernel and the optimization recipe, for callers that
+    /// run the transform passes themselves.
     pub fn transform_inputs(&self) -> (Kernel, OptimizeConfig) {
         (DlaKernel::Gemm.build(), self.opt_config())
     }
@@ -413,13 +413,14 @@ pub struct LoggedBuild {
     pub tlog: augem_transforms::TransformLog,
 }
 
-/// Runs every stage of the pipeline for `c` on `machine`, memoizing
-/// nothing: the path [`GemmConfig::build_logged`] and
+/// Runs every stage of the pipeline for `c` on `machine` on a fresh
+/// cache: the path [`GemmConfig::build_logged`] and
 /// [`VectorConfig::build_logged`] take, for any candidate.
 pub fn build_logged(c: &dyn Candidate, machine: &MachineSpec) -> Result<LoggedBuild, BuildError> {
-    EvalCache::disabled()
-        .logged(c, machine, augem_obs::null())
-        .map(Arc::unwrap_or_clone)
+    // The cache is dropped with the statement, so the build's `Arc` is
+    // unique and unwraps without a copy.
+    let built = EvalCache::new().logged(c, machine, augem_obs::null());
+    built.map(Arc::unwrap_or_clone)
 }
 
 /// GEMM candidate set for a machine's SIMD width (the tuner's search

@@ -135,7 +135,7 @@ pub fn gemm_eval_dims(cfg: &GemmConfig) -> (usize, usize, usize) {
 /// whole measurement through the evaluation cache (key: config tag +
 /// machine fingerprint + step budget). A hit returns the stored
 /// [`Evaluation`] bit-for-bit and replays the build's labels; only
-/// successes are stored. Pass [`EvalCache::disabled`] to always measure.
+/// successes are stored. Pass a fresh [`EvalCache::new`] to always measure.
 pub fn evaluate(
     c: &dyn Candidate,
     machine: &MachineSpec,
@@ -404,9 +404,9 @@ mod tests {
     use augem_machine::SimdMode;
     use augem_opt::StrategyPref;
 
-    /// An uncached, unbudgeted, untraced measurement.
+    /// An unbudgeted, untraced measurement on a fresh cache.
     fn eval(c: &dyn Candidate, machine: &MachineSpec) -> Result<Evaluation, EvalError> {
-        evaluate(c, machine, augem_obs::null(), None, &EvalCache::disabled())
+        evaluate(c, machine, augem_obs::null(), None, &EvalCache::new())
     }
 
     #[test]
@@ -571,15 +571,8 @@ mod tests {
             nu: 4,
             ..GemmConfig::fig13()
         };
-        let budgeted = |limit| {
-            evaluate(
-                &cfg,
-                &m,
-                augem_obs::null(),
-                Some(limit),
-                &EvalCache::disabled(),
-            )
-        };
+        let budgeted =
+            |limit| evaluate(&cfg, &m, augem_obs::null(), Some(limit), &EvalCache::new());
         let err = budgeted(10).unwrap_err();
         assert_eq!(err.class(), EvalClass::Budget);
         assert!(err.to_string().contains("budget"), "{err}");

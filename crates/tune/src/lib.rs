@@ -14,10 +14,14 @@
 //! standing in for the testbed (DESIGN.md substitution table).
 //!
 //! The loop is one generic [`sweep`] over the [`Candidate`] trait, which
-//! both tuning spaces ([`GemmConfig`], [`VectorConfig`]) implement; its
-//! optional stages (legality checking, bound pruning) and its resilience
-//! (sandboxing, retry, circuit breaking, checkpoint/resume) are options,
-//! not separate drivers.
+//! both tuning spaces ([`GemmConfig`], [`VectorConfig`]) implement. Every
+//! caller gets the same stages (bounds when pruning, evaluation ahead of
+//! the commit, commit, rank) and the same resilience (sandboxing, retry,
+//! circuit breaking, checkpoint/resume); [`ResilOptions`] sets only the
+//! breaker threshold, the step budget and whether to prune.
+//! Transform legality is not a sweep stage: `augem-depan` checks the
+//! shipped kernel's transforms when asked and the whole candidate space
+//! in CI, through [`Transformed::legality`].
 //!
 //! The tuner also doubles as the ablation driver: every configuration
 //! dimension (unroll&jam factors, inner unrolling, Vdup vs Shuf, FMA
@@ -29,7 +33,6 @@
 pub mod cache;
 pub mod config;
 pub mod evaluate;
-pub mod legal;
 pub mod prune;
 pub mod resilient;
 pub mod search;
@@ -48,6 +51,5 @@ pub use evaluate::{
     evaluate, gemm_eval_args, profile, vector_eval_args, EvalClass, EvalError, Evaluation,
     ProfiledEvaluation,
 };
-pub use legal::check_legality;
 pub use resilient::{sweep, ResilOptions};
 pub use search::{SweepStats, TuneError, TuneResult};

@@ -9,8 +9,9 @@
 //! skipped entirely.
 //!
 //! With [`ResilOptions::prune`](crate::ResilOptions::prune), on by
-//! default, the sweep is therefore best-first: it bounds every
-//! candidate from its (cached) build and its arguments' shapes
+//! default and the sweep's one optional stage (it runs first, see
+//! [`crate::resilient`]), the sweep is therefore best-first: it bounds
+//! every candidate from its (cached) build and its arguments' shapes
 //! ([`Candidate::eval_shapes`](crate::Candidate::eval_shapes): no
 //! evaluation array is built) in a parallel pass under a `cost` span,
 //! then commits candidates in descending bound order, pruning each one

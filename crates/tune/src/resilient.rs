@@ -2,7 +2,8 @@
 //!
 //! The sweep assumes an ill-behaved evaluation oracle. Each candidate is
 //! evaluated inside a panic sandbox under an optional per-candidate
-//! instruction budget, transient failures get a bounded retry,
+//! instruction budget, transient failures get up to two retries
+//! ([`RetryPolicy::default`]: 1–2 ms backoffs, which change no decision),
 //! repeatedly-failing candidate *families* are circuit-broken, and every
 //! completed measurement is checkpointed to a [`Journal`] so a
 //! crashed run resumes where it stopped — reproducing the uninterrupted
@@ -11,27 +12,28 @@
 //!
 //! Its stages run in this order:
 //!
-//! 1. **Legality** ([`ResilOptions::check_legality`]): the candidates'
-//!    cached transforms — no code generated yet — are checked by
-//!    `augem-depan` in parallel ([`crate::legal`]).
-//! 2. **Bounds** ([`ResilOptions::prune`]): the candidates' builds are
+//! 1. **Bounds** ([`ResilOptions::prune`]): the candidates' builds are
 //!    fetched through the cache in parallel, then every build gets a
 //!    static Mflops upper bound from its arguments' shapes in a parallel
 //!    pass of its own, and the commit order becomes best bound first
 //!    ([`crate::prune`]).
-//! 3. **Evaluation ahead of the commit**: one worker per core takes
+//! 2. **Evaluation ahead of the commit**: one worker per core takes
 //!    candidates in commit order and evaluates each under a private
 //!    [`Collector`], skipping the candidates the commit will not
-//!    evaluate — journaled, rejected, or bounded below the committed
-//!    incumbent, which only rises, so the commit prunes them too.
-//! 4. **Commit**: strictly sequential and concurrent with stage 3 —
-//!    journal replay, breaker, legality verdict, bound, then the
-//!    evaluation a worker made, whose telemetry is merged
-//!    ([`replay_into`]) at the candidate's slot. A result the commit does
-//!    not use (a candidate the breaker skips, or one it prunes after a
-//!    worker took it) is dropped unseen, so journal bytes, rankings,
-//!    counters and events are bit-for-bit those of a sequential sweep.
-//! 5. **Rank** ([`crate::search`]) over the results in candidate order.
+//!    evaluate — journaled, or bounded below the committed incumbent,
+//!    which only rises, so the commit prunes them too.
+//! 3. **Commit**: strictly sequential and concurrent with stage 2 —
+//!    journal replay, breaker, bound, then the evaluation a worker made,
+//!    whose telemetry is merged ([`replay_into`]) at the candidate's
+//!    slot. A result the commit does not use (a candidate the breaker
+//!    skips, or one it prunes after a worker took it) is dropped unseen,
+//!    so journal bytes, rankings, counters and events are bit-for-bit
+//!    those of a sequential sweep.
+//! 4. **Rank** ([`crate::search`]) over the results in candidate order.
+//!
+//! Transform legality is not a stage: every enumerated candidate is
+//! legal by construction, which `augem-depan` proves off the sweep (the
+//! facade's `check_transforms` and `figures depan`, see DESIGN.md).
 //!
 //! The journal is append-ordered, the breaker counts consecutive
 //! failures, pruning compares against the best measurement committed so
@@ -47,7 +49,6 @@
 use crate::cache::EvalCache;
 use crate::config::{Candidate, LoggedBuild};
 use crate::evaluate::{evaluate, EvalClass, EvalError, Evaluation};
-use crate::legal::check_legality;
 use crate::prune::ub_mflops;
 use crate::search::{rank, SweepStats, TuneError, TuneResult};
 use augem_machine::MachineSpec;
@@ -75,8 +76,6 @@ pub const DEFAULT_STEP_BUDGET: u64 = 1 << 26;
 /// Knobs for the sweep.
 #[derive(Debug, Clone, Copy)]
 pub struct ResilOptions {
-    /// Retry policy for transient (panic-class) failures.
-    pub retry: RetryPolicy,
     /// Consecutive failures before a candidate family is circuit-broken
     /// (0 disables the breaker).
     pub breaker_threshold: u32,
@@ -92,35 +91,19 @@ pub struct ResilOptions {
     /// the committed incumbent already dominates. On by default, off in
     /// [`plain`](ResilOptions::plain).
     pub prune: bool,
-    /// Reject candidates whose transform chain `augem-depan` cannot
-    /// prove legal, before evaluation. Rejections are journaled with
-    /// outcome `"rejected"` and replayed on resume exactly like prunes;
-    /// like a prune, a rejection never touches the breaker, and rejected
-    /// candidates are never bounded or evaluated.
-    pub check_legality: bool,
 }
 
 impl Default for ResilOptions {
     fn default() -> Self {
         ResilOptions {
-            retry: RetryPolicy::default(),
             breaker_threshold: 3,
             step_limit: Some(DEFAULT_STEP_BUDGET),
             prune: true,
-            check_legality: false,
         }
     }
 }
 
 impl ResilOptions {
-    /// Options for deterministic tests: no backoff sleeps.
-    pub fn fast() -> Self {
-        ResilOptions {
-            retry: RetryPolicy::no_backoff(2),
-            ..Self::default()
-        }
-    }
-
     /// The exhaustive sweep: no circuit breaker, no step budget and no
     /// pruning, so every candidate is measured.
     pub fn plain() -> Self {
@@ -128,7 +111,6 @@ impl ResilOptions {
             breaker_threshold: 0,
             step_limit: None,
             prune: false,
-            ..Self::default()
         }
     }
 }
@@ -190,8 +172,8 @@ enum Journaled {
     Ok(Evaluation),
     /// A failed evaluation; it counted against the breaker.
     Failed(String),
-    /// A breaker skip, prune or depan rejection; it never touched the
-    /// breaker, so restoring it must not either.
+    /// A breaker skip or prune; it never touched the breaker, so
+    /// restoring it must not either.
     Decided(String),
 }
 
@@ -211,7 +193,7 @@ fn journaled(journal: &Journal, tag: &str, tracer: &dyn Tracer) -> Option<Journa
             }
             e.map(Journaled::Ok)
         }
-        "skipped" | "pruned" | "rejected" => Some(Journaled::Decided(why.to_string())),
+        "skipped" | "pruned" => Some(Journaled::Decided(why.to_string())),
         _ => Some(Journaled::Failed(why.to_string())),
     }
 }
@@ -232,15 +214,15 @@ fn par_traced<T: Sync, R: Send>(
         .collect()
 }
 
-/// Evaluation ahead of the commit (stage 3). Workers take candidates in
+/// Evaluation ahead of the commit (stage 2). Workers take candidates in
 /// commit order and leave each result for the commit, which takes them
 /// in that same order. The atomics are `Relaxed`: each publishes only
 /// its own value, and results pass through the mutex. A poisoned mutex
 /// is recovered, since every update is a single slot assignment.
 struct Ahead<'a> {
     order: &'a [usize],
-    /// By candidate: may the commit need it evaluated? Journaled and
-    /// rejected candidates never are.
+    /// By candidate: may the commit need it evaluated? Journaled
+    /// candidates never are.
     wanted: Vec<bool>,
     bounds: &'a [Option<f64>],
     /// The next position in `order` a worker takes.
@@ -359,55 +341,15 @@ pub fn sweep<C: Candidate + Copy + Send + Sync>(
 
     let n = candidates.len();
     let mut stats = SweepStats::default();
-    // Journaled candidates are restored at commit: never re-checked,
-    // re-bounded or re-evaluated.
+    // Journaled candidates are restored at commit: never re-bounded or
+    // re-evaluated.
     let mut replay: Vec<Option<Journaled>> = candidates
         .iter()
         .map(|c| journaled(journal, &c.tag(), tracer))
         .collect();
-    let mut todo: Vec<usize> = (0..n).filter(|&i| replay[i].is_none()).collect();
+    let todo: Vec<usize> = (0..n).filter(|&i| replay[i].is_none()).collect();
 
-    // Stage 1: legality verdicts, on the machine-independent transform
-    // stage — before any code is generated. Only the checking itself is
-    // timed: that is the analysis cost; the transforms are built with or
-    // without it, and evaluation then hits them in the cache.
-    let mut rejected: Vec<Option<String>> = vec![None; n];
-    if opts.check_legality {
-        let fetched = par_traced(&todo, |&i, t| cache.transformed(&candidates[i], t));
-        let mut transformed = Vec::new();
-        for (&i, (t, local)) in todo.iter().zip(fetched) {
-            replay_into(tracer, &local.snapshot());
-            // A candidate that fails to transform has nothing to check;
-            // evaluation reports its failure.
-            if let Ok(t) = t {
-                transformed.push((i, t));
-            }
-        }
-        let c0 = Instant::now();
-        let verdicts = par_traced(&transformed, |(_, t), tracer| check_legality(t, tracer));
-        stats.check_ns = c0.elapsed().as_nanos() as u64;
-        for (&(i, _), (why, local)) in transformed.iter().zip(verdicts) {
-            replay_into(tracer, &local.snapshot());
-            if let Some(why) = &why {
-                tracer.event(
-                    "depan.rejected",
-                    &[
-                        ("tag", Value::from(candidates[i].tag())),
-                        ("reason", Value::from(why.as_str())),
-                    ],
-                );
-            }
-            rejected[i] = why;
-        }
-        stats.checked = transformed.len();
-        stats.rejected = rejected.iter().flatten().count();
-        tracer.add("depan.checked", stats.checked as u64);
-        tracer.add("depan.rejected", stats.rejected as u64);
-        tracer.add("depan.check_ns", stats.check_ns);
-        todo.retain(|&i| rejected[i].is_none());
-    }
-
-    // Stage 2: the candidates' logged builds, fetched through the cache
+    // Stage 1: the candidates' logged builds, fetched through the cache
     // that evaluation then hits, then static bounds from the builds and
     // the arguments' shapes, then best-first order. A candidate that
     // fails to build has no build here; evaluation reports its failure.
@@ -454,7 +396,7 @@ pub fn sweep<C: Candidate + Copy + Send + Sync>(
         order.sort_by(|&a, &b| ub(b).total_cmp(&ub(a)).then(a.cmp(&b)));
     }
 
-    // Stages 3 and 4: workers evaluate ahead of the sequential commit,
+    // Stages 2 and 3: workers evaluate ahead of the sequential commit,
     // unless an enabled injector makes evaluation order-dependent; then
     // the commit evaluates inline.
     let parallel = !injector.is_enabled();
@@ -521,20 +463,6 @@ pub fn sweep<C: Candidate + Copy + Send + Sync>(
                     ("outcome", Json::str("skipped")),
                     ("error", Json::str(&why)),
                 ]));
-                slots[i] = Some(Err(why));
-                continue;
-            }
-
-            // Legality verdict: a candidate whose transform chain cannot
-            // be proved legal never reaches the simulator. Like a prune,
-            // not a failure — the breaker never sees it.
-            if let Some(why) = rejected[i].take() {
-                let entry = Json::obj(vec![
-                    ("tag", Json::str(&tag)),
-                    ("outcome", Json::str("rejected")),
-                    ("error", Json::str(&why)),
-                ]);
-                append_maybe_corrupted(journal, injector, &tag, entry);
                 slots[i] = Some(Err(why));
                 continue;
             }
@@ -634,7 +562,7 @@ pub fn sweep<C: Candidate + Copy + Send + Sync>(
         ahead.stop();
     });
 
-    // Stage 5: rank, in candidate order so ties resolve by enumeration
+    // Stage 4: rank, in candidate order so ties resolve by enumeration
     // order whatever order the commit ran in.
     let done: Vec<(C, Result<Evaluation, String>)> = candidates
         .into_iter()
@@ -689,7 +617,7 @@ fn attempt<C: Candidate>(
     };
     let crashed = Cell::new(false);
     let t0 = Instant::now();
-    let outcome = with_retry(&opts.retry, tracer, tag, |attempt| {
+    let outcome = with_retry(&RetryPolicy::default(), tracer, tag, |attempt| {
         // A fault injected at the simulator layer shows up to the tuner
         // like one around the whole evaluation: a panic, or a budget
         // exhausted on the first instruction.
@@ -745,7 +673,7 @@ mod tests {
     use augem_obs::Collector;
     use augem_resil::{journal_header, InjectionPlan, Trigger};
 
-    /// A checkpointed gemm sweep with an uncached evaluator.
+    /// A checkpointed gemm sweep on a fresh cache.
     fn gemm(
         m: &MachineSpec,
         opts: &ResilOptions,
@@ -753,12 +681,12 @@ mod tests {
         injector: &Injector,
         tracer: &dyn Tracer,
     ) -> Result<TuneResult<GemmConfig>, TuneError> {
-        let cache = EvalCache::disabled();
+        let cache = EvalCache::new();
         let cands = gemm_candidates(m);
         sweep(cands, m, opts, Some(journal), injector, tracer, &cache)
     }
 
-    /// A checkpointed daxpy sweep with an uncached evaluator.
+    /// A checkpointed daxpy sweep on a fresh cache.
     fn axpy(
         m: &MachineSpec,
         opts: &ResilOptions,
@@ -767,7 +695,7 @@ mod tests {
         tracer: &dyn Tracer,
     ) -> Result<TuneResult<crate::VectorConfig>, TuneError> {
         let cands = vector_candidates(VectorKernel::Axpy, m);
-        let cache = EvalCache::disabled();
+        let cache = EvalCache::new();
         sweep(cands, m, opts, Some(journal), injector, tracer, &cache)
     }
 
@@ -865,7 +793,7 @@ mod tests {
         let m = MachineSpec::sandy_bridge();
         let reference = plain(gemm_candidates(&m), &m, augem_obs::null()).unwrap();
         let mut j = Journal::in_memory();
-        let opts = ResilOptions::fast();
+        let opts = ResilOptions::default();
         let r = gemm(&m, &opts, &mut j, &Injector::disabled(), augem_obs::null()).unwrap();
         assert_eq!(r.best.tag(), reference.best.tag());
         assert_eq!(
@@ -888,7 +816,7 @@ mod tests {
             Fault::Panic,
             Trigger::Rate(0.3),
         ));
-        let r = axpy(&m, &ResilOptions::fast(), &mut j, &inj, &c);
+        let r = axpy(&m, &ResilOptions::default(), &mut j, &inj, &c);
         let snap = c.snapshot();
         assert!(
             snap.counters.get("resil.retry").copied().unwrap_or(0) > 0,
@@ -909,7 +837,7 @@ mod tests {
             std::process::id()
         ));
         let header = journal_header("dgemm", m.arch.short_name());
-        let opts = ResilOptions::fast();
+        let opts = ResilOptions::default();
 
         // Uninterrupted reference run.
         let mut jref = Journal::in_memory();
@@ -956,10 +884,7 @@ mod tests {
     fn pruned_resilient_keeps_winner_and_resumes_bit_for_bit() {
         let m = MachineSpec::sandy_bridge();
         let reference_plain = plain(gemm_candidates(&m), &m, augem_obs::null()).unwrap();
-        let opts = ResilOptions {
-            prune: true,
-            ..ResilOptions::fast()
-        };
+        let opts = ResilOptions::default();
 
         // Uninterrupted pruned run: winner and measurement unchanged.
         let c = Collector::new();
@@ -1011,87 +936,6 @@ mod tests {
     }
 
     #[test]
-    fn legality_checked_resilient_matches_plain_sweep() {
-        // Every current candidate is provably legal, so the filter must
-        // reject nothing and leave the winner bit-for-bit unchanged.
-        let m = MachineSpec::sandy_bridge();
-        let cands = vector_candidates(VectorKernel::Axpy, &m);
-        let reference = plain(cands, &m, augem_obs::null()).unwrap();
-        let opts = ResilOptions {
-            check_legality: true,
-            ..ResilOptions::fast()
-        };
-        let c = Collector::new();
-        let mut j = Journal::in_memory();
-        let r = axpy(&m, &opts, &mut j, &Injector::disabled(), &c).unwrap();
-        assert_eq!(r.best.tag(), reference.best.tag());
-        assert_eq!(
-            r.best_eval.mflops.to_bits(),
-            reference.best_eval.mflops.to_bits()
-        );
-        assert_eq!((r.stats.checked, r.stats.rejected), (r.generated, 0));
-        let snap = c.snapshot();
-        assert!(snap.stages().iter().any(|s| s.name == stage::DEPAN));
-        assert_eq!(snap.counters["depan.checked"], r.generated as u64);
-        assert_eq!(snap.counters["depan.rejected"], 0);
-        assert!(snap.counters["depan.check_ns"] > 0);
-    }
-
-    #[test]
-    fn legality_runs_before_any_code_generation() {
-        // The legality stage reads the transform stage only: every
-        // candidate's verdict is in before the first `akg` span begins.
-        let m = MachineSpec::sandy_bridge();
-        let opts = ResilOptions {
-            check_legality: true,
-            ..ResilOptions::plain()
-        };
-        let (c, cache) = (Collector::new(), EvalCache::new());
-        let cands = gemm_candidates(&m);
-        let r = sweep(cands, &m, &opts, None, &Injector::disabled(), &c, &cache).unwrap();
-        assert_eq!(r.stats.checked, r.generated);
-        let snap = c.snapshot();
-        let seqs = |name: &str| -> Vec<u64> {
-            let spans = snap.spans.iter().filter(|s| s.name == name);
-            spans.map(|s| s.seq).collect()
-        };
-        let last_depan = seqs(stage::DEPAN).into_iter().max().expect("depan spans");
-        let first_akg = seqs(stage::AKG).into_iter().min().expect("akg spans");
-        assert!(
-            first_akg > last_depan,
-            "akg span {first_akg} begins before depan span {last_depan}"
-        );
-    }
-
-    #[test]
-    fn journaled_rejection_is_replayed_without_rechecking() {
-        use augem_obs::Json;
-        let m = MachineSpec::sandy_bridge();
-        let mut j = Journal::in_memory();
-        let cands = vector_candidates(VectorKernel::Axpy, &m);
-        let tag0 = cands[0].tag();
-        j.append(Json::obj(vec![
-            ("tag", Json::str(&tag0)),
-            ("outcome", Json::str("rejected")),
-            (
-                "error",
-                Json::str("rejected(depan): T004 synthetic (journaled)"),
-            ),
-        ]))
-        .unwrap();
-        let c = Collector::new();
-        let r = axpy(&m, &ResilOptions::fast(), &mut j, &Injector::disabled(), &c).unwrap();
-        assert!(
-            r.failures
-                .iter()
-                .any(|(t, why)| t == &tag0 && why.contains("T004")),
-            "journaled rejection must be restored verbatim: {:?}",
-            r.failures
-        );
-        assert_eq!(c.snapshot().counters["resil.journal.resumed"], 1);
-    }
-
-    #[test]
     fn breaker_skips_rest_of_failing_family() {
         let m = MachineSpec::sandy_bridge();
         let c = Collector::new();
@@ -1101,7 +945,7 @@ mod tests {
         let opts = ResilOptions {
             step_limit: Some(1),
             breaker_threshold: 2,
-            ..ResilOptions::fast()
+            ..ResilOptions::default()
         };
         let err = gemm(&m, &opts, &mut j, &Injector::disabled(), &c).unwrap_err();
         assert!(!err.interrupted);
@@ -1135,7 +979,14 @@ mod tests {
                 .with(Site::JournalAppend, Fault::CorruptEntry, Trigger::Nth(2))
                 .with(Site::Eval, Fault::Crash, Trigger::Nth(4)),
         );
-        let err = axpy(&m, &ResilOptions::fast(), &mut j1, &inj, augem_obs::null()).unwrap_err();
+        let err = axpy(
+            &m,
+            &ResilOptions::default(),
+            &mut j1,
+            &inj,
+            augem_obs::null(),
+        )
+        .unwrap_err();
         assert!(err.interrupted);
 
         let c = Collector::new();
@@ -1144,7 +995,7 @@ mod tests {
         assert!(j2.quarantined(), "and kept aside as damage");
         let resumed = axpy(
             &m,
-            &ResilOptions::fast(),
+            &ResilOptions::default(),
             &mut j2,
             &Injector::disabled(),
             &c,

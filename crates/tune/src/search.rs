@@ -25,26 +25,15 @@ pub struct TuneResult<C> {
     /// Wall-clock latency of every candidate evaluation in nanoseconds,
     /// one sample per candidate the sweep evaluated (failures included —
     /// their latency is real sweep time too; journal replays, breaker
-    /// skips, rejections and prunes are not evaluations).
+    /// skips and prunes are not evaluations).
     pub eval_latency_ns: Histogram,
     /// What the sweep's stages did.
     pub stats: SweepStats,
 }
 
-/// What the sweep's optional stages did to the candidate space.
+/// What the sweep's bound stage and commit did to the candidate space.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SweepStats {
-    /// Candidates whose transforms the legality stage checked, before any
-    /// code was generated (the rest were journaled already or failed in
-    /// the transform passes — a failure the evaluation stage reports, not
-    /// a verdict).
-    pub checked: usize,
-    /// Candidates rejected by a `T`-rule error.
-    pub rejected: usize,
-    /// Wall-clock time of the legality checking alone. The transforms it
-    /// checks are the sweep's own, which the builds then reuse through
-    /// the cache, so they are not analysis cost.
-    pub check_ns: u64,
     /// Candidates that built and went to the static analyzer.
     pub analyzed: usize,
     /// Evaluations skipped because the bound proved the candidate

@@ -76,16 +76,6 @@ impl RuleFamily {
             RuleFamily::Transform => 'T',
         }
     }
-
-    /// Section title used when run reports render this family's
-    /// diagnostics.
-    pub fn report_title(self) -> &'static str {
-        match self {
-            RuleFamily::Verification => "verification diagnostics",
-            RuleFamily::PerfLint => "performance lints",
-            RuleFamily::Transform => "transform legality",
-        }
-    }
 }
 
 /// The contract each diagnostic enforces. Grouped by analysis:

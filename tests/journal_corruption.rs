@@ -230,6 +230,8 @@ fn a_flipped_digit_in_a_checkpoint_is_re_evaluated_not_replayed() {
     let m = MachineSpec::sandy_bridge();
     let candidates = || vector_candidates(VectorKernel::Axpy, &m);
     let header = || journal_header("daxpy", m.arch.short_name());
+    // A fresh cache per run: the resumed run must re-simulate the
+    // candidate whose record was dropped.
     let run = |journal: &mut Journal| {
         let c = Collector::new();
         let r = sweep(
@@ -239,7 +241,7 @@ fn a_flipped_digit_in_a_checkpoint_is_re_evaluated_not_replayed() {
             Some(journal),
             &Injector::disabled(),
             &c,
-            &EvalCache::disabled(),
+            &EvalCache::new(),
         )
         .unwrap();
         let ranking: Vec<(String, u64)> = r

@@ -17,22 +17,17 @@
 
 use augem::machine::MachineSpec;
 use augem::resil::{Fault, InjectionPlan, Injector, Site, Trigger};
-use augem::tune::ResilOptions;
 use augem::{Augem, Degradation, DlaKernel, RunOptions, Target};
-
-/// A fast policy for the matrix: tiny backoff, default budgets.
-fn fast_policy() -> RunOptions {
-    RunOptions {
-        resil: ResilOptions::fast(),
-        ..RunOptions::default()
-    }
-}
 
 /// Runs one scenario and checks the terminate-with-typed-outcome
 /// invariant. Returns the degradation for scenario-specific checks.
 fn run_scenario(name: &str, kernel: DlaKernel, plan: InjectionPlan) -> Degradation {
     let driver = Augem::new(MachineSpec::sandy_bridge());
-    let r = driver.run(Target::Tune(kernel), &fast_policy(), &Injector::new(plan));
+    let r = driver.run(
+        Target::Tune(kernel),
+        &RunOptions::default(),
+        &Injector::new(plan),
+    );
     match (&r.generated, &r.degradation) {
         (Some(g), Degradation::None) => {
             // Verified winner: a real kernel with no degradation.
@@ -224,7 +219,6 @@ fn killed_run_resumes_to_the_uninterrupted_winner_bit_for_bit() {
 
     let driver = Augem::new(MachineSpec::sandy_bridge());
     let policy = RunOptions {
-        resil: ResilOptions::fast(),
         checkpoint: Some(ckpt.clone()),
         resume: true,
         ..RunOptions::default()
@@ -265,7 +259,7 @@ fn killed_run_resumes_to_the_uninterrupted_winner_bit_for_bit() {
     let reference = driver
         .run(
             Target::Tune(DlaKernel::Axpy),
-            &fast_policy(),
+            &RunOptions::default(),
             &Injector::disabled(),
         )
         .generated

@@ -364,8 +364,8 @@ proptest! {
 // Parallel resilient sweep determinism.
 // ---------------------------------------------------------------------------
 
-/// One sweep with `opts` into an in-memory journal; returns the rendered
-/// journal entries and the ranking.
+/// One sweep with `opts` on a fresh cache into an in-memory journal;
+/// returns the rendered journal entries and the ranking.
 fn journaled<C: Candidate + Copy + Send + Sync>(
     candidates: Vec<C>,
     machine: &MachineSpec,
@@ -380,7 +380,7 @@ fn journaled<C: Candidate + Copy + Send + Sync>(
         Some(&mut j),
         injector,
         augem::obs::null(),
-        &EvalCache::disabled(),
+        &EvalCache::new(),
     )
     .expect("sweep completes");
     let entries = j.entries().iter().map(|e| e.render()).collect();
@@ -691,7 +691,7 @@ fn parallel_sweep_matches_sequential_journal_and_ranking() {
         for prune in [false, true] {
             let opts = ResilOptions {
                 prune,
-                ..ResilOptions::fast()
+                ..ResilOptions::default()
             };
             let (pj, pr) = journaled(candidates.clone(), machine, &opts, &parallel);
             let (sj, sr) = journaled(candidates.clone(), machine, &opts, &sequential);
@@ -722,7 +722,7 @@ fn parallel_sweep_is_reproducible() {
         journaled(
             gemm_candidates(&m),
             &m,
-            &ResilOptions::fast(),
+            &ResilOptions::default(),
             &Injector::disabled(),
         )
     };
